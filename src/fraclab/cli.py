@@ -11,11 +11,12 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config, override_section, resolved_values
+from .config import _KEY_SPECS, RunConfig, load_config, override_section, resolved_values
 from .control import (
     VANISHING_DECAY,
     gramian_condition,
@@ -40,7 +41,13 @@ from .errors import (
     NumericalError,
     UncontrollableError,
 )
-from .identity import eigen_pohozaev_check, schrodinger_pohozaev_report, two_sided_estimate_ratio
+from .identity import (
+    SKIP,
+    _layer_width,
+    eigen_pohozaev_check,
+    schrodinger_pohozaev_report,
+    two_sided_estimate_ratio,
+)
 from .operator import Grid, assemble_operator
 from .output import Emitter, csv_text, json_text, utc_stamp, verify_manifest, write_manifest
 from .regions import ObservationRegion
@@ -61,8 +68,7 @@ def _check_span(modes, n):
 
 
 def _check_trace_grid(n):
-    layer = max(8, n // 64)
-    need = 2 * (layer + 2)
+    need = 2 * (_layer_width(n) + SKIP)
     if n < need:
         raise ConfigError(
             f"n = {n} is too coarse for boundary-layer fitting (needs at least {need} nodes)"
@@ -86,22 +92,23 @@ def _make_datum(spec, modes, seed):
     return a / np.linalg.norm(a)
 
 
-def _spectrum_rows(cfg):
-    solve = min(cfg.modes + 1, cfg.n)
-    sp = _spectrum_for(cfg.beta, cfg.n, solve)
-    lam = sp.eigenvalues
-    ks = np.arange(1, cfg.modes + 2)
-    asym = asymptotic_eigenvalue(cfg.beta, ks)
+def _spectrum_rows(beta, lam, count):
+    """Rows (k, lambda, asymptotic, gap, asymptotic gap) for k = 1..count.
+
+    A numeric gap past the last computed eigenvalue is nan.
+    """
+    asym = asymptotic_eigenvalue(beta, np.arange(1, count + 2))
     rows = []
-    for i in range(cfg.modes):
-        gap_num = float(lam[i + 1] - lam[i]) if i + 1 < solve else float("nan")
+    for i in range(count):
+        gap_num = float(lam[i + 1] - lam[i]) if i + 1 < len(lam) else float("nan")
         rows.append((i + 1, float(lam[i]), float(asym[i]), gap_num, float(asym[i + 1] - asym[i])))
     return rows
 
 
 def cmd_spectrum(cfg, emitter, stamp, prefix=""):
     _check_span(cfg.modes, cfg.n)
-    rows = _spectrum_rows(cfg)
+    lam = _spectrum_for(cfg.beta, cfg.n, min(cfg.modes + 1, cfg.n)).eigenvalues
+    rows = _spectrum_rows(cfg.beta, lam, cfg.modes)
     emitter.write(prefix + "spectrum.csv", csv_text(SPECTRUM_HEADER, rows))
     ks = [r[0] for r in rows]
     emitter.write(
@@ -117,27 +124,15 @@ def cmd_spectrum(cfg, emitter, stamp, prefix=""):
             timestamp=stamp,
         ),
     )
-    print(f"spectrum: beta={cfg.beta:g} n={cfg.n} modes={cfg.modes} lambda_1={rows[0][1]:.12g}")
+    return f"spectrum: beta={cfg.beta:g} n={cfg.n} modes={cfg.modes} lambda_1={rows[0][1]:.12g}"
 
 
 def cmd_gaps(cfg, emitter, stamp, prefix=""):
     if cfg.modes < 2:
         raise ConfigError("gaps needs modes >= 2")
     _check_span(cfg.modes, cfg.n)
-    sp = _spectrum_for(cfg.beta, cfg.n, cfg.modes)
-    lam = sp.eigenvalues
-    ks = np.arange(1, cfg.modes + 1)
-    asym = asymptotic_eigenvalue(cfg.beta, ks)
-    rows = [
-        (
-            k,
-            float(lam[k - 1]),
-            float(asym[k - 1]),
-            float(lam[k] - lam[k - 1]),
-            float(asym[k] - asym[k - 1]),
-        )
-        for k in range(1, cfg.modes)
-    ]
+    lam = _spectrum_for(cfg.beta, cfg.n, cfg.modes).eigenvalues
+    rows = _spectrum_rows(cfg.beta, lam, cfg.modes - 1)
     emitter.write(prefix + "gaps.csv", csv_text(SPECTRUM_HEADER, rows))
     emitter.write(
         prefix + "gaps.svg",
@@ -152,7 +147,7 @@ def cmd_gaps(cfg, emitter, stamp, prefix=""):
             timestamp=stamp,
         ),
     )
-    print(f"gaps: beta={cfg.beta:g} n={cfg.n} rows={len(rows)}")
+    return f"gaps: beta={cfg.beta:g} n={cfg.n} rows={len(rows)}"
 
 
 def cmd_evolve(cfg, emitter, stamp, prefix=""):
@@ -211,13 +206,10 @@ def cmd_evolve(cfg, emitter, stamp, prefix=""):
             timestamp=stamp,
         ),
     )
-    print(
-        f"evolve: {cfg.equation} beta={cfg.beta:g} T={cfg.horizon:g} "
-        f"max_drift={max(drift):.3e}"
-    )
+    return f"evolve: {cfg.equation} beta={cfg.beta:g} T={cfg.horizon:g} max_drift={max(drift):.3e}"
 
 
-def _table_command(name, cfg, emitter, prefix):
+def _table_command(name, cfg, emitter, stamp, prefix=""):
     for k in cfg.mode_counts:
         _check_span(k, cfg.n)
     region = ObservationRegion.boundary_layers(cfg.epsilon)
@@ -261,15 +253,7 @@ def _table_command(name, cfg, emitter, prefix):
         printed = ", ".join(f"beta={b:g}: {v}" for b, v in zip(betas, verdicts))
     else:
         printed = "single cell, no verdict"
-    print(f"{name}: n={cfg.n} T={cfg.horizon:g} epsilon={cfg.epsilon:g}  {printed}")
-
-
-def cmd_observability(cfg, emitter, stamp, prefix=""):
-    _table_command("observability", cfg, emitter, prefix)
-
-
-def cmd_sharpness(cfg, emitter, stamp, prefix=""):
-    _table_command("sharpness", cfg, emitter, prefix)
+    return f"{name}: n={cfg.n} T={cfg.horizon:g} epsilon={cfg.epsilon:g}  {printed}"
 
 
 def cmd_hum(cfg, emitter, stamp, prefix=""):
@@ -315,7 +299,7 @@ def cmd_hum(cfg, emitter, stamp, prefix=""):
                 row += [float(values[r, c].real), float(values[r, c].imag)]
             rows.append(tuple(row))
         emitter.write(prefix + "control.csv", csv_text(tuple(header), rows))
-    print(
+    return (
         f"hum: beta={cfg.beta:g} K={cfg.modes} T={cfg.horizon:g} "
         f"final/initial={report['relative_final_norm']:.3e} "
         f"condition={result.gramian_condition:.3e}"
@@ -355,43 +339,71 @@ def cmd_pohozaev(cfg, emitter, stamp, prefix=""):
         "eigen_checks": checks,
     }
     emitter.write(prefix + "pohozaev.json", json_text(payload))
-    print(
+    return (
         f"pohozaev: beta={cfg.beta:g} n={cfg.n} datum={cfg.datum} "
         f"lhs={report.lhs:.6g} rhs={report.rhs:.6g} residual={report.residual:.3e}"
     )
 
 
+# Each cell command reads the config section of its own name, writes its
+# artifacts under `prefix` and returns its one-line summary.
 _CELL_COMMANDS = {
-    "spectrum": ("spectrum", cmd_spectrum),
-    "gaps": ("gaps", cmd_gaps),
-    "evolve": ("evolve", cmd_evolve),
-    "observability": ("observability", cmd_observability),
-    "sharpness": ("sharpness", cmd_sharpness),
-    "hum": ("hum", cmd_hum),
-    "pohozaev": ("pohozaev", cmd_pohozaev),
+    "spectrum": (cmd_spectrum, "eigenvalue table and plot against the asymptotic law"),
+    "gaps": (cmd_gaps, "consecutive eigenvalue gaps against the asymptotic law"),
+    "evolve": (cmd_evolve, "free Schrodinger or wave evolution with conservation records"),
+    "observability": (
+        partial(_table_command, "observability"),
+        "observability constants over a (beta, K) table",
+    ),
+    "sharpness": (
+        partial(_table_command, "sharpness"),
+        "observability decay dichotomy across the half-order point",
+    ),
+    "hum": (cmd_hum, "HUM control synthesis with verification diagnostics"),
+    "pohozaev": (cmd_pohozaev, "boundary-trace identity reports"),
 }
 
 
 def cmd_sweep(config, emitter, stamp, jobs=None):
     cfg = config.sweep
     workers = jobs if jobs is not None else cfg.jobs
-    section_name, runner = _CELL_COMMANDS[cfg.command]
-
-    def run_cell(beta):
-        cell = override_section(config, section_name, beta=beta)
-        buffer = Emitter(directory=None, timestamp=emitter.timestamp)
-        runner(getattr(cell, section_name), buffer, stamp, prefix=f"beta{beta:g}_")
-        return buffer
-
+    runner = _CELL_COMMANDS[cfg.command][0]
     betas = list(cfg.betas)
+    prefixes = [f"beta{b:g}_" for b in betas]
+    if len(set(prefixes)) < len(prefixes):
+        raise ConfigError(
+            f"sweep betas {', '.join(map(repr, betas))} share a file prefix; "
+            "they must differ at 6 significant digits"
+        )
+
+    def run_cell(beta, prefix):
+        cell = override_section(config, cfg.command, beta=beta)
+        buffer = Emitter(directory=None, timestamp=emitter.timestamp)
+        line = runner(getattr(cell, cfg.command), buffer, stamp, prefix=prefix)
+        return buffer, line
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            buffers = list(pool.map(run_cell, betas))
+            cells = list(pool.map(run_cell, betas, prefixes))
     else:
-        buffers = [run_cell(b) for b in betas]
-    for buffer in buffers:  # single writer, deterministic cell order
+        cells = [run_cell(b, p) for b, p in zip(betas, prefixes)]
+    for buffer, _ in cells:  # single writer, deterministic cell order
         emitter.absorb(buffer)
-    print(f"sweep: {cfg.command} over betas={[f'{b:g}' for b in betas]} jobs={workers}")
+    lines = [line for _, line in cells]
+    lines.append(f"sweep: {cfg.command} over betas={[f'{b:g}' for b in betas]} jobs={workers}")
+    return "\n".join(lines)
+
+
+# Flags taking a value, named after their config keys.  Argparse keeps the
+# text; _validated_overrides runs it through the config file's parser.
+_VALUE_FLAGS = {
+    "beta": "fractional order in (0, 1]",
+    "n": "number of interior grid nodes",
+    "modes": "mode span K",
+    "T": "time horizon",
+    "epsilon": "boundary-layer width of the region",
+    "seed": "seed for randomized data",
+}
 
 
 def _build_parser():
@@ -401,26 +413,14 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=f"fraclab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "spectrum": "eigenvalue table and plot against the asymptotic law",
-        "gaps": "consecutive eigenvalue gaps against the asymptotic law",
-        "evolve": "free Schrodinger or wave evolution with conservation records",
-        "observability": "observability constants over a (beta, K) table",
-        "sharpness": "observability decay dichotomy across the half-order point",
-        "hum": "HUM control synthesis with verification diagnostics",
-        "pohozaev": "boundary-trace identity reports",
-        "sweep": "run one subcommand over a list of orders",
-    }
-    for name in ("spectrum", "gaps", "evolve", "observability", "sharpness", "hum", "pohozaev", "sweep"):
-        p = sub.add_parser(name, help=helps[name])
+    commands = {name: text for name, (_, text) in _CELL_COMMANDS.items()}
+    commands["sweep"] = "run one subcommand over a list of orders"
+    for name, text in commands.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", metavar="PATH", help="INI config file")
         p.add_argument("--out", metavar="DIR", help="output directory (default fraclab-out)")
-        p.add_argument("--beta", type=float, help="fractional order in (0, 1]")
-        p.add_argument("--n", type=int, help="number of interior grid nodes")
-        p.add_argument("--modes", type=int, help="mode span K")
-        p.add_argument("--T", type=float, help="time horizon")
-        p.add_argument("--epsilon", type=float, help="boundary-layer width of the region")
-        p.add_argument("--seed", type=int, help="seed for randomized data")
+        for key, flag_help in _VALUE_FLAGS.items():
+            p.add_argument(f"--{key}", help=flag_help)
         p.add_argument(
             "--no-timestamp",
             action="store_true",
@@ -432,36 +432,21 @@ def _build_parser():
             help="re-hash the files listed in DIR's manifest and report drift",
         )
         if name == "sweep":
-            p.add_argument("--jobs", type=int, help="concurrent sweep cells (default 1)")
+            p.add_argument("--jobs", help="concurrent sweep cells (default 1)")
     return parser
 
 
 def _validated_overrides(args):
+    """Flag values parsed as the same keys in a config file, by field name."""
     overrides = {}
-    if args.beta is not None:
-        if not 0.0 < args.beta <= 1.0:
-            raise ConfigError(f"beta must lie in (0, 1], got {args.beta:g}")
-        overrides["beta"] = args.beta
-    if args.n is not None:
-        if args.n < 1:
-            raise ConfigError(f"n must be a positive integer, got {args.n}")
-        overrides["n"] = args.n
-    if args.modes is not None:
-        if args.modes < 1:
-            raise ConfigError(f"modes must be a positive integer, got {args.modes}")
-        overrides["modes"] = args.modes
-    if args.T is not None:
-        if not args.T > 0.0:
-            raise ConfigError(f"T must be positive, got {args.T:g}")
-        overrides["horizon"] = args.T
-    if args.epsilon is not None:
-        if not 0.0 < args.epsilon < 1.0:
-            raise ConfigError(f"epsilon must lie in (0, 1), got {args.epsilon:g}")
-        overrides["epsilon"] = args.epsilon
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {args.seed}")
-        overrides["seed"] = args.seed
+    for key in (*_VALUE_FLAGS, "jobs"):
+        text = getattr(args, key, None)  # only sweep has --jobs
+        if text is not None:
+            field, parser = _KEY_SPECS[key]
+            try:
+                overrides[field] = parser(text)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
     return overrides
 
 
@@ -478,6 +463,7 @@ def main(argv=None):
 
         config = load_config(args.config) if args.config else RunConfig()
         overrides = _validated_overrides(args)
+        jobs = overrides.pop("jobs", None)
         if args.command == "sweep":
             # --beta narrows the sweep list; the rest flows into the cells
             beta = overrides.pop("beta", None)
@@ -493,15 +479,12 @@ def main(argv=None):
         stamp = None if args.no_timestamp else utc_stamp()
 
         if args.command == "sweep":
-            jobs = getattr(args, "jobs", None)
-            if jobs is not None and jobs < 1:
-                raise ConfigError(f"jobs must be a positive integer, got {jobs}")
-            cmd_sweep(config, emitter, stamp, jobs=jobs)
+            print(cmd_sweep(config, emitter, stamp, jobs=jobs))
             echo = resolved_values(config.sweep)
             echo["cell"] = resolved_values(getattr(config, config.sweep.command))
         else:
             section = getattr(config, args.command)
-            _CELL_COMMANDS[args.command][1](section, emitter, stamp)
+            print(_CELL_COMMANDS[args.command][0](section, emitter, stamp))
             echo = resolved_values(section)
         write_manifest(emitter, args.command, echo, __version__)
         print(f"wrote {len(emitter.artifacts)} files to {out_dir}")

@@ -7,7 +7,7 @@ with the offending line number.  An empty text yields the documented
 defaults (beta=0.5, n=1024, modes=10, T=4, epsilon=0.2).
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .errors import ConfigError
 
@@ -35,18 +35,14 @@ def _parse_beta(text):
     return b
 
 
-def _parse_n(text):
-    n = int(text)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {text}")
-    return n
+def _positive_int(name):
+    def parse(text):
+        value = int(text)
+        if value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {text}")
+        return value
 
-
-def _parse_modes(text):
-    k = int(text)
-    if k < 1:
-        raise ValueError(f"modes must be a positive integer, got {text}")
-    return k
+    return parse
 
 
 def _parse_horizon(text):
@@ -120,7 +116,7 @@ def _parse_mode_counts(text):
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("mode_counts must be a nonempty comma list")
-    vals = tuple(_parse_modes(p) for p in parts)
+    vals = tuple(_positive_int("modes")(p) for p in parts)
     if sorted(set(vals)) != list(vals):
         raise ValueError(f"mode_counts must be strictly increasing, got {text}")
     return vals
@@ -137,16 +133,9 @@ def _parse_bool(text):
 
 def _parse_command(text):
     cmd = text.strip().lower()
-    if cmd not in ("spectrum", "gaps", "evolve", "observability", "sharpness", "hum", "pohozaev"):
+    if cmd not in _SECTION_TYPES or cmd == "sweep":
         raise ValueError(f"sweep command must name a non-sweep subcommand, got {text}")
     return cmd
-
-
-def _parse_jobs(text):
-    j = int(text)
-    if j < 1:
-        raise ValueError(f"jobs must be a positive integer, got {text}")
-    return j
 
 
 @dataclass(frozen=True)
@@ -240,8 +229,8 @@ class RunConfig:
 _KEY_SPECS = {
     "beta": ("beta", _parse_beta),
     "betas": ("betas", _parse_betas),
-    "n": ("n", _parse_n),
-    "modes": ("modes", _parse_modes),
+    "n": ("n", _positive_int("n")),
+    "modes": ("modes", _positive_int("modes")),
     "mode_counts": ("mode_counts", _parse_mode_counts),
     "T": ("horizon", _parse_horizon),
     "epsilon": ("epsilon", _parse_epsilon),
@@ -252,19 +241,11 @@ _KEY_SPECS = {
     "datum": ("datum", _parse_datum),
     "control_csv": ("control_csv", _parse_bool),
     "command": ("command", _parse_command),
-    "jobs": ("jobs", _parse_jobs),
+    "jobs": ("jobs", _positive_int("jobs")),
 }
 
-_SECTION_TYPES = {
-    "spectrum": SpectrumConfig,
-    "gaps": GapsConfig,
-    "evolve": EvolveConfig,
-    "observability": ObservabilityConfig,
-    "sharpness": SharpnessConfig,
-    "hum": HumConfig,
-    "pohozaev": PohozaevConfig,
-    "sweep": SweepConfig,
-}
+# section name -> section dataclass, one per subcommand
+_SECTION_TYPES = {f.name: f.type for f in fields(RunConfig) if is_dataclass(f.type)}
 
 
 def _section_keys(section):

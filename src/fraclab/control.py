@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dynamics import ModalState, SourceSignal, _forced_increment
+from .dynamics import ModalState, SourceSignal, _forced_increment, _simpson_weights
 from .errors import IllConditionedError, NumericalError, UncontrollableError
 from .regions import ObservationRegion
 from .spectra import Spectrum
@@ -249,7 +249,7 @@ class ControlResult:
 
 def _control_chunks(lam, coeffs, phi_region, times, chunk):
     # Free trajectory from datum `coeffs` sampled on region nodes, in blocks
-    # sharing endpoint samples so trapezoidal weights compose exactly.
+    # sharing endpoint samples so per-block quadrature weights compose exactly.
     for start in range(0, len(times) - 1, chunk):
         t = times[start : start + chunk + 1]
         y = (np.exp(1j * np.outer(t, lam)) * coeffs) @ phi_region.T
@@ -335,12 +335,10 @@ def hum_control(state, region, horizon, verification_tolerance=1e-9, chunk=8192)
     if n_q % 2:
         n_q += 1
     t_q = np.linspace(0.0, T, n_q + 1)
-    w = np.ones(n_q + 1)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    w = _simpson_weights(n_q)
     rhs = 0.0
-    for start in range(0, n_q, chunk):
-        t = t_q[start : start + chunk + 1]
-        y = (np.exp(1j * np.outer(t, lam)) * coeffs) @ phi_region.T
+    quadrature = _control_chunks(lam, coeffs, phi_region, t_q, chunk)
+    for start, (t, y) in zip(range(0, n_q, chunk), quadrature):
         dens = spectrum.h * np.sum(np.abs(y) ** 2, axis=1)
         stop = start + len(t)
         if stop <= n_q:  # last sample reappears as the next chunk's first

@@ -187,6 +187,16 @@ def schrodinger_evolve(state, duration):
     return replace(state, coefficients=a, time=state.time + t)
 
 
+def _simpson_weights(intervals):
+    """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 over an even interval count."""
+    if intervals < 2 or intervals % 2:
+        raise ValueError(f"time_intervals must be even and >= 2, got {intervals}")
+    w = np.ones(intervals + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
 def _forced_increment(lam, h, phi_region, blocks):
     """Quadrature of f_k(t) e^(-i lambda_k t) over sample blocks.
 
@@ -203,10 +213,7 @@ def _forced_increment(lam, h, phi_region, blocks):
         dt = times[1] - times[0]
         intervals = len(times) - 1
         if intervals >= 2 and intervals % 2 == 0:
-            w = np.ones(len(times))
-            w[1:-1:2] = 4.0
-            w[2:-1:2] = 2.0
-            total += (dt / 3.0) * (w @ g)
+            total += (dt / 3.0) * (_simpson_weights(intervals) @ g)
         else:
             total += dt * (g[0] + g[-1]) / 2.0 + dt * g[1:-1].sum(axis=0)
     return total

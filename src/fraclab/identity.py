@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _simpson_weights
+
 __all__ = [
     "BoundaryTrace",
     "PohozaevCheck",
@@ -45,10 +47,8 @@ class _TraceOperator:
 
     left_slice: slice
     right_slice: slice
-    left_design: np.ndarray   # (m, 2) powers of distance to x = -1
-    right_design: np.ndarray  # (m, 2) powers of distance to x = +1
-    left_pinv: np.ndarray
-    right_pinv: np.ndarray
+    design: np.ndarray  # (m, 2) powers of distance to the nearer endpoint
+    pinv: np.ndarray
     exponents: tuple
     layer_nodes: int
 
@@ -65,16 +65,13 @@ def _trace_operator(grid, beta):
     dist = h * np.arange(SKIP + 1, SKIP + m + 1, dtype=float)
     design = np.column_stack([dist ** exponents[0], dist ** exponents[1]])
     pinv = np.linalg.pinv(design)
-    left = slice(SKIP, SKIP + m)
-    right = slice(n - SKIP - m, n - SKIP)
-    # the right layer reads nodes nearest x = +1 in increasing distance
+    # both layers share one design: callers read the right layer reversed,
+    # nodes nearest x = +1 first, so it sits at the same distances as the left
     return _TraceOperator(
-        left_slice=left,
-        right_slice=right,
-        left_design=design,
-        right_design=design,
-        left_pinv=pinv,
-        right_pinv=pinv,
+        left_slice=slice(SKIP, SKIP + m),
+        right_slice=slice(n - SKIP - m, n - SKIP),
+        design=design,
+        pinv=pinv,
         exponents=exponents,
         layer_nodes=m,
     )
@@ -119,8 +116,8 @@ def boundary_trace(values, grid, beta):
             f"expected a vector of {grid.n_interior} interior values, got shape {u.shape}"
         )
     op = _trace_operator(grid, beta)
-    left, left_res = _fit_side(u[op.left_slice], op.left_design, op.left_pinv)
-    right, right_res = _fit_side(u[op.right_slice][::-1], op.right_design, op.right_pinv)
+    left, left_res = _fit_side(u[op.left_slice], op.design, op.pinv)
+    right, right_res = _fit_side(u[op.right_slice][::-1], op.design, op.pinv)
     if not np.iscomplexobj(u):
         left, right = float(np.real(left)), float(np.real(right))
     return BoundaryTrace(
@@ -178,33 +175,26 @@ def _virial_term(u, grid):
     return grid.h * np.sum(np.conj(u) * grid.nodes * du)
 
 
-def _simpson_weights(intervals):
-    if intervals < 2 or intervals % 2:
-        raise ValueError(f"time_intervals must be even and >= 2, got {intervals}")
-    w = np.ones(intervals + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
+def _trace_integral(work, T, intervals):
+    """int_0^T (|d_left|^2 + |d_right|^2) dt along the free trajectory of `work`.
 
-
-def _trace_trajectory(state, duration, intervals):
-    """Boundary coefficients of the free trajectory at Simpson nodes.
-
-    Returns (times, left traces, right traces) for the evolution of `state`
-    over [0, duration].  Traces are extracted per snapshot from layer values
-    only, so the cost stays linear in the number of nodes sampled.
+    `work` holds phi-basis coefficients.  Composite Simpson over `intervals`
+    steps.  Traces are extracted per
+    snapshot from layer values only, so the cost stays linear in the number
+    of nodes sampled.
     """
-    work = state.to_basis("phi")
+    w = _simpson_weights(intervals)
     spectrum = work.spectrum
     op = _trace_operator(spectrum.grid, spectrum.beta)
     lam = work.eigenvalues
     phi_left = spectrum.vectors[op.left_slice, : work.modes]
     phi_right = spectrum.vectors[op.right_slice, : work.modes][::-1]
-    times = np.linspace(0.0, float(duration), intervals + 1)
+    times = np.linspace(0.0, T, intervals + 1)
     phases = np.exp(1j * np.outer(times, lam)) * work.coefficients
-    left = (op.left_pinv @ (phi_left @ phases.T))[0]
-    right = (op.right_pinv @ (phi_right @ phases.T))[0]
-    return times, left, right
+    left = (op.pinv @ (phi_left @ phases.T))[0]
+    right = (op.pinv @ (phi_right @ phases.T))[0]
+    dens = np.abs(left) ** 2 + np.abs(right) ** 2
+    return float(np.sum(w * dens)) * (T / intervals) / 3.0
 
 
 @dataclass(frozen=True)
@@ -234,12 +224,8 @@ def schrodinger_pohozaev_report(state, duration, time_intervals=512):
     if T <= 0.0:
         raise ValueError(f"duration must be positive, got {duration}")
     intervals = int(time_intervals)
-    w = _simpson_weights(intervals)
-    times, left, right = _trace_trajectory(work, T, intervals)
-    dens = np.abs(left) ** 2 + np.abs(right) ** 2
-    integral = float(np.sum(w * dens)) * (T / intervals) / 3.0
     gamma = math.gamma(1.0 + spectrum.beta)
-    lhs = gamma**2 * integral
+    lhs = gamma**2 * _trace_integral(work, T, intervals)
 
     a = work.coefficients
     dirichlet = 2.0 * spectrum.beta * T * float(np.sum(work.eigenvalues * np.abs(a) ** 2))
@@ -284,10 +270,7 @@ def two_sided_estimate_ratio(state, duration, time_intervals=512):
     if T <= 0.0:
         raise ValueError(f"duration must be positive, got {duration}")
     intervals = int(time_intervals)
-    w = _simpson_weights(intervals)
-    _, left, right = _trace_trajectory(work, T, intervals)
-    dens = np.abs(left) ** 2 + np.abs(right) ** 2
-    integral = float(np.sum(w * dens)) * (T / intervals) / 3.0
+    integral = _trace_integral(work, T, intervals)
     energy = float(
         np.sum((1.0 + work.eigenvalues) * np.abs(work.coefficients) ** 2)
     )

@@ -140,15 +140,22 @@ def verify_manifest(directory):
     """Re-hash the files listed in a directory's manifest.
 
     Returns (ok, report_lines).  Missing files and digest mismatches are
-    drift; the manifest itself is not re-checked (it holds the digests).
+    drift; the manifest itself is not re-checked (it holds the digests).  An
+    unreadable or malformed manifest raises OSError.
     """
     path = os.path.join(directory, MANIFEST_NAME)
     with open(path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
+        try:
+            manifest = json.load(handle)
+        except ValueError as exc:  # also undecodable bytes
+            raise OSError(f"malformed manifest {path}: {exc}") from None
+    try:
+        entries = [(str(e["name"]), e["sha256"]) for e in manifest.get("files", [])]
+    except (AttributeError, KeyError, TypeError):
+        raise OSError(f"malformed manifest {path}: expected a list of name/sha256 files") from None
     ok = True
     lines = []
-    for entry in manifest.get("files", []):
-        name = entry["name"]
+    for name, sha256 in entries:
         target = os.path.join(directory, name)
         if not os.path.exists(target):
             ok = False
@@ -156,7 +163,7 @@ def verify_manifest(directory):
             continue
         with open(target, "rb") as handle:
             digest = hashlib.sha256(handle.read()).hexdigest()
-        if digest == entry["sha256"]:
+        if digest == sha256:
             lines.append(f"ok       {name}")
         else:
             ok = False

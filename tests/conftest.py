@@ -1,8 +1,19 @@
 """Shared fixtures: session-scoped eigenpair cache keyed by (beta, grid size)."""
 
+import os
+from pathlib import Path
+
 import pytest
 
+import fraclab
 from fraclab import Grid, assemble_operator, compute_spectrum
+
+
+def pytest_configure(config):
+    # CLI tests start `python -m fraclab.cli` subprocesses, some from other
+    # working directories: point them at the package these tests import.
+    src = str(Path(fraclab.__file__).resolve().parents[1])
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from fraclab import (
     compute_spectrum,
     region_mass_matrix,
 )
+from fraclab import cli
 from fraclab.config import (
     ConfigError,
+    RunConfig,
+    _parse_command,
     load_config,
     override_section,
     parse_config,
@@ -189,12 +193,32 @@ class TestCliSpectrum:
 
 
 class TestCliDeterminism:
-    def test_identical_bytes_without_timestamps(self, tmp_path):
-        args = ["evolve", "--beta", "0.5", "--n", "64", "--modes", "6",
-                "--T", "1", "--seed", "3", "--no-timestamp"]
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--n", "32", "--modes", "4"],
+            ["gaps", "--n", "32", "--modes", "4"],
+            ["evolve", "--beta", "0.5", "--n", "64", "--modes", "6", "--T", "1", "--seed", "3"],
+            ["observability", "--n", "64"],
+            ["sharpness", "--n", "64"],
+            ["hum", "--n", "64", "--modes", "4", "--seed", "3"],
+            ["pohozaev", "--n", "64", "--modes", "4"],
+            ["sweep", "--n", "32", "--modes", "4", "--jobs", "2"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_identical_bytes_without_timestamps(self, tmp_path, args):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert run_cli(*args, "--out", str(a)).returncode == 0
-        assert run_cli(*args, "--out", str(b)).returncode == 0
+        runs = [
+            subprocess.Popen(
+                FRACLAB + args + ["--no-timestamp", "--out", str(out)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for out in (a, b)
+        ]
+        for run in runs:
+            _, err = run.communicate(timeout=120)
+            assert run.returncode == 0, err
         names = sorted(p.name for p in a.iterdir())
         assert names == sorted(p.name for p in b.iterdir())
         match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
@@ -215,7 +239,34 @@ class TestCliDeterminism:
         assert "drift" in drift.stdout
 
 
+# one out-of-range and one malformed value per flag
+FLAG_VALUES = [
+    ("beta", "1.5"), ("beta", "abc"),
+    ("n", "0"), ("n", "abc"),
+    ("modes", "0"), ("modes", "2.5"),
+    ("T", "0"), ("T", "soon"),
+    ("epsilon", "1.0"), ("epsilon", "wide"),
+    ("seed", "-1"), ("seed", "abc"),
+    ("jobs", "0"), ("jobs", "abc"),
+]
+
+
 class TestCliErrors:
+    @pytest.mark.parametrize(
+        "flag,value", FLAG_VALUES, ids=[f"--{f} {v}" for f, v in FLAG_VALUES]
+    )
+    def test_flag_checked_by_config_parser(self, tmp_path, capsys, flag, value):
+        # the same key in a config file fails with the same message
+        section = "sweep" if flag == "jobs" else "hum"
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"[{section}]\n{flag} = {value}\n")
+        expected = str(info.value).removeprefix("line 2: ")
+        out = tmp_path / "o"
+        code = cli.main([section, f"--{flag}", value, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"fraclab: config error: {expected}\n"
+        assert not out.exists()
+
     def test_bad_config_value_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[spectrum]\nbeta = 1.5\n")
@@ -229,6 +280,16 @@ class TestCliErrors:
             "--out", str(tmp_path / "o"),
         )
         assert proc.returncode == 4
+
+    @pytest.mark.parametrize("body", ['{"files": [', "[]", '{"files": [{"size": 3}]}'])
+    def test_malformed_manifest_exits_4(self, tmp_path, capsys, body):
+        (tmp_path / "manifest.json").write_text(body)
+        assert cli.main(["spectrum", "--verify", "--out", str(tmp_path)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("fraclab: i/o error: malformed manifest")
+        assert str(tmp_path / "manifest.json") in err
 
     def test_uncontrollable_run_exits_3_with_structured_report(self, tmp_path):
         cfg = tmp_path / "hum.ini"
@@ -332,14 +393,24 @@ class TestCliSweep:
         cfg.write_text(
             "[sweep]\ncommand = gaps\nbetas = 0.3, 0.6\n\n[gaps]\nn = 64\nmodes = 5\n"
         )
-        seq, par = tmp_path / "seq", tmp_path / "par"
-        assert run_cli(
-            "sweep", "--config", str(cfg), "--out", str(seq), "--no-timestamp"
-        ).returncode == 0
-        assert run_cli(
-            "sweep", "--config", str(cfg), "--out", str(par), "--no-timestamp",
-            "--jobs", "2",
-        ).returncode == 0
+        # same relative --out from two working directories, so that the
+        # printed summaries can be compared verbatim
+        seq_cwd, par_cwd = tmp_path / "seq", tmp_path / "par"
+        seq_cwd.mkdir()
+        par_cwd.mkdir()
+        seq_run = run_cli(
+            "sweep", "--config", str(cfg), "--out", "run", "--no-timestamp", cwd=seq_cwd
+        )
+        par_run = run_cli(
+            "sweep", "--config", str(cfg), "--out", "run", "--no-timestamp",
+            "--jobs", "2", cwd=par_cwd,
+        )
+        assert seq_run.returncode == 0 and par_run.returncode == 0
+        assert seq_run.stdout.splitlines()[:2] == [
+            "gaps: beta=0.3 n=64 rows=4", "gaps: beta=0.6 n=64 rows=4",
+        ]
+        assert par_run.stdout == seq_run.stdout.replace("jobs=1", "jobs=2")
+        seq, par = seq_cwd / "run", par_cwd / "run"
         names = sorted(p.name for p in seq.iterdir())
         assert names == [
             "beta0.3_gaps.csv", "beta0.3_gaps.svg",
@@ -360,6 +431,31 @@ class TestCliSweep:
         assert proc.returncode == 0, proc.stderr
         names = sorted(p.name for p in out.iterdir())
         assert names == ["beta0.5_spectrum.csv", "beta0.5_spectrum.svg", "manifest.json"]
+
+    def test_betas_sharing_a_file_prefix_are_rejected(self, tmp_path):
+        cfg = tmp_path / "sw.ini"
+        cfg.write_text(
+            "[sweep]\ncommand = spectrum\nbetas = 0.3, 0.3000000001\n\n"
+            "[spectrum]\nn = 16\nmodes = 2\n"
+        )
+        out = tmp_path / "o"
+        proc = run_cli("sweep", "--config", str(cfg), "--out", str(out), "--no-timestamp")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("fraclab: config error:")
+        assert "prefix" in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists() or list(out.iterdir()) == []
+
+
+class TestCommandRegistry:
+    def test_cell_commands_are_the_config_sections(self):
+        sections = {f.name for f in fields(RunConfig)} - {"out", "sweep"}
+        assert set(cli._CELL_COMMANDS) == sections
+        for name in sections:
+            assert _parse_command(name) == name
+        for name in ("sweep", "out", "conduction"):
+            with pytest.raises(ValueError):
+                _parse_command(name)
 
 
 class TestVersionFlag:
