@@ -19,19 +19,15 @@ from .operator import (
     apply,
     assemble_operator,
     centered_difference_weights,
-    normalization_constant,
-    quadratic_form,
     symbol,
 )
 from .spectra import (
     GapReport,
     Spectrum,
     SummabilityReport,
-    SupNormDiagnostic,
     asymptotic_eigenvalue,
     compute_spectrum,
     gap_sequence,
-    sup_norm_diagnostic,
     trace_summability,
 )
 from .regions import ObservationRegion
@@ -50,11 +46,9 @@ from .dynamics import (
 from .control import (
     ControlResult,
     Gramian,
-    MinTimeEstimate,
     SharpnessTable,
     gramian_condition,
     hum_control,
-    min_time_estimate,
     observability_constant,
     phase_average_matrix,
     region_mass_matrix,

@@ -17,14 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import _KEY_SPECS, RunConfig, load_config, override_section, resolved_values
-from .control import (
-    VANISHING_DECAY,
-    gramian_condition,
-    hum_control,
-    observability_constant,
-    schrodinger_gramian,
-    sharpness_experiment,
-)
+from .control import VANISHING_DECAY, _constants_table, hum_control, sharpness_experiment
 from .dynamics import (
     ModalState,
     WaveModalState,
@@ -220,12 +213,7 @@ def _table_command(name, cfg, emitter, stamp, prefix=""):
         decay = [float(r) for r in table.decay_ratios]
         verdicts = list(table.verdicts)
     else:
-        constants = np.empty((len(cfg.betas), 1))
-        conditions = np.empty_like(constants)
-        for i, b in enumerate(sorted(cfg.betas)):
-            g = schrodinger_gramian(spectra[b], region, cfg.horizon, cfg.mode_counts[0])
-            constants[i, 0] = observability_constant(g)
-            conditions[i, 0] = gramian_condition(g)
+        constants, conditions = _constants_table(spectra, cfg.mode_counts, region, cfg.horizon)
         decay = None
         verdicts = None
     betas = sorted(cfg.betas)
@@ -287,18 +275,13 @@ def cmd_hum(cfg, emitter, stamp, prefix=""):
     emitter.write(prefix + "hum.json", json_text(report))
     if cfg.control_csv:
         idx = region.node_indices(sp.grid)
-        header = ["t"]
-        for i in idx:
-            header += [f"re_{i + 1}", f"im_{i + 1}"]
+        header = ["t"] + [f"{part}_{i + 1}" for i in idx for part in ("re", "im")]
         values = result.control.values
-        dt = result.control.dt
-        rows = []
-        for r in range(values.shape[0]):
-            row = [r * dt]
-            for c in range(values.shape[1]):
-                row += [float(values[r, c].real), float(values[r, c].imag)]
-            rows.append(tuple(row))
-        emitter.write(prefix + "control.csv", csv_text(tuple(header), rows))
+        table = np.empty((values.shape[0], 1 + 2 * values.shape[1]))
+        table[:, 0] = result.control.dt * np.arange(values.shape[0])
+        table[:, 1::2] = values.real
+        table[:, 2::2] = values.imag
+        emitter.write(prefix + "control.csv", csv_text(header, table.tolist()))
     return (
         f"hum: beta={cfg.beta:g} K={cfg.modes} T={cfg.horizon:g} "
         f"final/initial={report['relative_final_norm']:.3e} "

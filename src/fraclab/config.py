@@ -28,56 +28,38 @@ __all__ = [
 ]
 
 
-def _parse_beta(text):
-    b = float(text)
-    if not 0.0 < b <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {text}")
-    return b
+def _checked(convert, accept, rule):
+    """Parser that converts text and rejects it, malformed or out of range,
+    with the message '<rule>, got <text>'; `rule` starts with the key."""
 
-
-def _positive_int(name):
     def parse(text):
-        value = int(text)
-        if value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {text}")
+        try:
+            value = convert(text)
+        except ValueError:
+            raise ValueError(f"{rule}, got {text}") from None
+        if not accept(value):
+            raise ValueError(f"{rule}, got {text}")
         return value
 
     return parse
 
 
-def _parse_horizon(text):
-    t = float(text)
-    if not t > 0.0:
-        raise ValueError(f"T must be positive, got {text}")
-    return t
+def _positive_int(key):
+    return _checked(int, lambda v: v >= 1, f"{key} must be a positive integer")
 
 
-def _parse_epsilon(text):
-    e = float(text)
-    if not 0.0 < e < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {text}")
-    return e
+def _order(key):
+    return _checked(float, lambda b: 0.0 < b <= 1.0, f"{key} must lie in (0, 1]")
 
 
-def _parse_seed(text):
-    s = int(text)
-    if s < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {text}")
-    return s
-
-
-def _parse_samples(text):
-    s = int(text)
-    if s < 2:
-        raise ValueError(f"samples must be at least 2, got {text}")
-    return s
-
-
-def _parse_intervals(text):
-    m = int(text)
-    if m < 2 or m % 2:
-        raise ValueError(f"time_intervals must be even and >= 2, got {text}")
-    return m
+_parse_beta = _order("beta")
+_parse_horizon = _checked(float, lambda t: t > 0.0, "T must be positive")
+_parse_epsilon = _checked(float, lambda e: 0.0 < e < 1.0, "epsilon must lie in (0, 1)")
+_parse_seed = _checked(int, lambda s: s >= 0, "seed must be a nonnegative integer")
+_parse_samples = _checked(int, lambda s: s >= 2, "samples must be at least 2")
+_parse_intervals = _checked(
+    int, lambda m: m >= 2 and m % 2 == 0, "time_intervals must be even and >= 2"
+)
 
 
 def _parse_equation(text):
@@ -106,7 +88,7 @@ def _parse_betas(text):
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("betas must be a nonempty comma list")
-    vals = tuple(_parse_beta(p) for p in parts)
+    vals = tuple(_order("betas")(p) for p in parts)
     if len(set(vals)) != len(vals):
         raise ValueError(f"betas must be distinct, got {text}")
     return vals
@@ -116,7 +98,7 @@ def _parse_mode_counts(text):
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("mode_counts must be a nonempty comma list")
-    vals = tuple(_positive_int("modes")(p) for p in parts)
+    vals = tuple(_positive_int("mode_counts")(p) for p in parts)
     if sorted(set(vals)) != list(vals):
         raise ValueError(f"mode_counts must be strictly increasing, got {text}")
     return vals

@@ -24,7 +24,6 @@ __all__ = [
     "Gramian",
     "ControlResult",
     "SharpnessTable",
-    "MinTimeEstimate",
     "phase_average_matrix",
     "region_mass_matrix",
     "schrodinger_gramian",
@@ -33,7 +32,6 @@ __all__ = [
     "gramian_condition",
     "sharpness_experiment",
     "hum_control",
-    "min_time_estimate",
 ]
 
 # Condition number above which control synthesis is refused.
@@ -43,6 +41,12 @@ CONDITION_LIMIT = 1e12
 # classified as vanishing; calibrated against direct Gramian computations on
 # both sides of the dichotomy (see sharpness_experiment docstring).
 VANISHING_DECAY = 1e-2
+
+# Relative accuracy, against the datum norm, that the HUM replay resolves.
+VERIFICATION_TOLERANCE = 1e-9
+
+# Time samples per block of the HUM replay and duality quadrature.
+CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -178,6 +182,25 @@ def gramian_condition(gramian):
     return hi / lo
 
 
+def _constants_table(spectra, counts, region, horizon):
+    # Observability constants and Gramian conditions, one row per order and
+    # one column per mode count, both ascending.
+    betas = sorted(spectra)
+    constants = np.empty((len(betas), len(counts)))
+    conditions = np.empty_like(constants)
+    for i, b in enumerate(betas):
+        spectrum = spectra[b]
+        if counts[-1] > spectrum.modes:
+            raise ValueError(
+                f"spectrum for beta={b} holds {spectrum.modes} modes, need {counts[-1]}"
+            )
+        for j, k in enumerate(counts):
+            g = schrodinger_gramian(spectrum, region, horizon, k)
+            constants[i, j] = observability_constant(g)
+            conditions[i, j] = gramian_condition(g)
+    return constants, conditions
+
+
 @dataclass(frozen=True)
 class SharpnessTable:
     """Observability constants over a (beta, K) sweep with per-beta verdicts."""
@@ -205,18 +228,7 @@ def sharpness_experiment(spectra, mode_counts, region, horizon):
     if len(counts) < 2:
         raise ValueError("need at least two mode counts")
     betas = tuple(sorted(spectra))
-    constants = np.empty((len(betas), len(counts)))
-    conditions = np.empty_like(constants)
-    for i, b in enumerate(betas):
-        spectrum = spectra[b]
-        if counts[-1] > spectrum.modes:
-            raise ValueError(
-                f"spectrum for beta={b} holds {spectrum.modes} modes, need {counts[-1]}"
-            )
-        for j, k in enumerate(counts):
-            g = schrodinger_gramian(spectrum, region, horizon, k)
-            constants[i, j] = observability_constant(g)
-            conditions[i, j] = gramian_condition(g)
+    constants, conditions = _constants_table(spectra, counts, region, horizon)
     decay = constants[:, -1] / constants[:, 0]
     verdicts = tuple("vanishing" if r < VANISHING_DECAY else "uniform" for r in decay)
     return SharpnessTable(
@@ -247,16 +259,16 @@ class ControlResult:
     modes: int
 
 
-def _control_chunks(lam, coeffs, phi_region, times, chunk):
+def _control_chunks(lam, coeffs, phi_region, times):
     # Free trajectory from datum `coeffs` sampled on region nodes, in blocks
     # sharing endpoint samples so per-block quadrature weights compose exactly.
-    for start in range(0, len(times) - 1, chunk):
-        t = times[start : start + chunk + 1]
+    for start in range(0, len(times) - 1, CHUNK):
+        t = times[start : start + CHUNK + 1]
         y = (np.exp(1j * np.outer(t, lam)) * coeffs) @ phi_region.T
         yield t, y
 
 
-def hum_control(state, region, horizon, verification_tolerance=1e-9, chunk=8192):
+def hum_control(state, region, horizon):
     """Synthesize the control steering a Schrodinger datum to zero at time T.
 
     The control is h = y restricted to the region, where y is the free
@@ -264,7 +276,7 @@ def hum_control(state, region, horizon, verification_tolerance=1e-9, chunk=8192)
     steering condition int_0^T f_k(t) e^(-i lambda_k t) dt = -i a_k(0) turns
     into G y0 = -i a(0) with G the closed-form Gramian.  The synthesis
     is verified by replaying the control through the forced-evolution
-    integrator on a time grid fine enough to resolve `verification_tolerance`
+    integrator on a time grid fine enough to resolve VERIFICATION_TOLERANCE
     and by checking the duality identity (the Gramian quadratic form of y0
     equals the observed energy of y).
 
@@ -283,14 +295,13 @@ def hum_control(state, region, horizon, verification_tolerance=1e-9, chunk=8192)
         raise ValueError(f"horizon must be positive, got {horizon}")
 
     g = schrodinger_gramian(spectrum, region, T, K)
-    eig = scipy.linalg.eigvalsh(g.entries)
-    obs = float(eig[0])
-    cond = float("inf") if obs <= 0.0 else float(eig[-1]) / obs
+    obs = observability_constant(g)
     if obs <= 1e-12 * T:
         raise UncontrollableError(
             "observability constant is numerically zero at this truncation",
             diagnostics={"observability": obs, "horizon": T, "modes": K},
         )
+    cond = gramian_condition(g)
     if cond > CONDITION_LIMIT:
         raise IllConditionedError(
             f"Gramian condition {cond:.3e} exceeds limit {CONDITION_LIMIT:.1e}",
@@ -315,15 +326,15 @@ def hum_control(state, region, horizon, verification_tolerance=1e-9, chunk=8192)
     # multiple of the chunk so every block has an even interval count.
     omega = max(float(lam[-1] - lam[0]), 1.0)
     fscale = max(float(np.linalg.norm(coeffs)) * math.sqrt(K), 1.0)
-    target = max(verification_tolerance * u0_norm, 1e-300)
+    target = max(VERIFICATION_TOLERANCE * u0_norm, 1e-300)
     if u0_norm == 0.0:  # zero datum: zero control, nothing to resolve
-        n_steps = chunk
+        n_steps = CHUNK
     else:
         dt = (180.0 * target / (T * omega**4 * fscale)) ** 0.25
         n_steps = int(min(max(math.ceil(T / dt), 2048), 2_000_000))
-        n_steps = chunk * math.ceil(n_steps / chunk)
+        n_steps = CHUNK * math.ceil(n_steps / CHUNK)
     times = np.linspace(0.0, T, n_steps + 1)
-    blocks = _control_chunks(lam, coeffs, phi_region, times, chunk)
+    blocks = _control_chunks(lam, coeffs, phi_region, times)
     integral = _forced_increment(lam, spectrum.h, phi_region, blocks)
     a_final = np.exp(1j * lam * T) * (a0 - 1j * integral)
     final_norm = float(np.linalg.norm(a_final))
@@ -337,8 +348,8 @@ def hum_control(state, region, horizon, verification_tolerance=1e-9, chunk=8192)
     t_q = np.linspace(0.0, T, n_q + 1)
     w = _simpson_weights(n_q)
     rhs = 0.0
-    quadrature = _control_chunks(lam, coeffs, phi_region, t_q, chunk)
-    for start, (t, y) in zip(range(0, n_q, chunk), quadrature):
+    quadrature = _control_chunks(lam, coeffs, phi_region, t_q)
+    for start, (t, y) in zip(range(0, n_q, CHUNK), quadrature):
         dens = spectrum.h * np.sum(np.abs(y) ** 2, axis=1)
         stop = start + len(t)
         if stop <= n_q:  # last sample reappears as the next chunk's first
@@ -361,25 +372,3 @@ def hum_control(state, region, horizon, verification_tolerance=1e-9, chunk=8192)
         horizon=T,
         modes=K,
     )
-
-
-@dataclass(frozen=True)
-class MinTimeEstimate:
-    """Minimal-time threshold T0 = 2 P d for the half-order critical case."""
-
-    threshold: float
-    poincare_constant: float
-    diameter: float
-
-
-def min_time_estimate(poincare_constant=None):
-    """Threshold time 2 * P * d on (-1, 1), diameter d = 2.
-
-    The default Poincare constant is the sharp interval value
-    length / pi = 2 / pi, giving T0 = 8 / pi; any positive override is
-    accepted.
-    """
-    P = 2.0 / math.pi if poincare_constant is None else float(poincare_constant)
-    if P <= 0.0:
-        raise ValueError(f"Poincare constant must be positive, got {poincare_constant}")
-    return MinTimeEstimate(threshold=2.0 * P * 2.0, poincare_constant=P, diameter=2.0)

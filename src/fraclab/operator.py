@@ -14,18 +14,14 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .errors import NumericalError
-
 __all__ = [
     "Grid",
     "DiscreteOperator",
     "check_order",
-    "normalization_constant",
     "centered_difference_weights",
     "symbol",
     "assemble_operator",
     "apply",
-    "quadratic_form",
 ]
 
 
@@ -40,29 +36,6 @@ def check_order(beta):
     if not 0.0 < b <= 1.0:
         raise ValueError(f"fractional order must lie in (0, 1], got {beta}")
     return b
-
-
-def normalization_constant(beta, dimension=1):
-    """Normalization constant of the singular integral definition.
-
-    For order s in (0, 1) and space dimension n this is
-
-        s * 2^(2s) * Gamma((n + 2s) / 2) / (pi^(n/2) * Gamma(1 - s)).
-
-    Only n = 1 is supported; the rest of the package is one dimensional.
-    """
-    s = float(beta)
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"normalization constant requires order in (0, 1), got {beta}")
-    n = int(dimension)
-    if n != 1:
-        raise ValueError(f"only dimension 1 is supported, got {dimension}")
-    return (
-        s
-        * 2.0 ** (2.0 * s)
-        * math.gamma((n + 2.0 * s) / 2.0)
-        / (math.pi ** (n / 2.0) * math.gamma(1.0 - s))
-    )
 
 
 def centered_difference_weights(beta, count):
@@ -118,11 +91,6 @@ class Grid:
     def nodes(self):
         return -1.0 + self.h * np.arange(1, self.n_interior + 1)
 
-    @cached_property
-    def boundary_distance(self):
-        """Distance 1 - |x_i| of each node to the nearer endpoint."""
-        return 1.0 - np.abs(self.nodes)
-
 
 @dataclass(frozen=True)
 class DiscreteOperator:
@@ -139,7 +107,6 @@ class DiscreteOperator:
     @cached_property
     def _embedded_symbol(self):
         # Circulant embedding of the Toeplitz row for FFT based products.
-        n = self.grid.n_interior
         row = self.first_row
         c = np.concatenate([row, [0.0], row[:0:-1]])
         return np.fft.fft(c)
@@ -148,12 +115,6 @@ class DiscreteOperator:
     def norm_bound(self):
         """Upper bound on the spectral norm (symbol maximum 2^(2 beta))."""
         return self.grid.h ** (-2.0 * self.beta) * 2.0 ** (2.0 * self.beta)
-
-    def apply(self, u, method="auto"):
-        return apply(self, u, method=method)
-
-    def quadratic_form(self, u, v=None):
-        return quadratic_form(self, u, v)
 
 
 def assemble_operator(grid, beta):
@@ -165,40 +126,19 @@ def assemble_operator(grid, beta):
     return DiscreteOperator(grid=grid, beta=b, first_row=first_row)
 
 
-def apply(op, u, method="auto"):
+def apply(op, u):
     """Matrix-vector product of the discrete operator with nodal values.
 
-    `method` selects the code path: "direct" forms the dense Toeplitz matrix,
-    "fft" multiplies through a circulant embedding, and "auto" picks fft for
-    large grids.  The two paths agree to relative 1e-12 and exist so each can
-    serve as a check on the other.
+    Multiplies through a circulant embedding of the Toeplitz row in
+    O(n log n); `op.dense @ u` is the dense reference it agrees with.
     """
     u = np.asarray(u)
     n = op.grid.n_interior
     if u.shape != (n,):
         raise ValueError(f"expected nodal vector of shape ({n},), got {u.shape}")
-    if method == "auto":
-        method = "fft" if n >= 512 else "direct"
-    if method == "direct":
-        return op.dense @ u
-    if method == "fft":
-        padded = np.zeros(2 * n, dtype=complex)
-        padded[:n] = u
-        out = np.fft.ifft(op._embedded_symbol * np.fft.fft(padded))[:n]
-        if np.isrealobj(u):
-            return out.real
-        return out
-    raise ValueError(f"unknown apply method {method!r}")
-
-
-def quadratic_form(op, u, v=None):
-    """Weighted sesquilinear form h * v^H A u (v defaults to u).
-
-    The grid weight h makes the form consistent with the integral
-    inner product; for eigenvectors of unit discrete L2 norm the diagonal
-    form returns the eigenvalue itself.
-    """
-    u = np.asarray(u)
-    v = u if v is None else np.asarray(v)
-    au = apply(op, u)
-    return op.grid.h * np.vdot(v, au)
+    padded = np.zeros(2 * n, dtype=complex)
+    padded[:n] = u
+    out = np.fft.ifft(op._embedded_symbol * np.fft.fft(padded))[:n]
+    if np.isrealobj(u):
+        return out.real
+    return out

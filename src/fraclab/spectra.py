@@ -11,24 +11,22 @@ beta >= 1/2, vanishing gap below.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .operator import DiscreteOperator, Grid, assemble_operator, check_order
+from .operator import DiscreteOperator, Grid, check_order
 
 __all__ = [
     "Spectrum",
     "GapReport",
     "SummabilityReport",
-    "SupNormDiagnostic",
     "compute_spectrum",
     "asymptotic_eigenvalue",
     "gap_sequence",
     "trace_summability",
-    "sup_norm_diagnostic",
 ]
 
 # Numerical ties below this relative separation are reported but kept in
@@ -222,32 +220,3 @@ def trace_summability(source, d, terms=1000):
         converges=converges,
         decay_product=product,
     )
-
-
-@dataclass(frozen=True)
-class SupNormDiagnostic:
-    """Sup norms of one eigenvector across grid refinements."""
-
-    grid_sizes: tuple
-    sup_norms: np.ndarray
-    bounded: bool
-
-
-def sup_norm_diagnostic(beta, k, grid_sizes=(256, 512, 1024)):
-    """Track max|phi_k| across refinements; flag bounded when it settles.
-
-    "Settles" means the two finest grids agree within 5 percent.  The L2
-    normalized classical ground state has sup norm 1, which this reproduces
-    at beta = 1.
-    """
-    b = check_order(beta)
-    sizes = tuple(int(n) for n in grid_sizes)
-    if len(sizes) < 2:
-        raise ValueError("need at least two grid sizes")
-    sups = []
-    for n in sizes:
-        spectrum = compute_spectrum(assemble_operator(Grid(n), b), int(k))
-        sups.append(float(np.abs(spectrum.vectors[:, int(k) - 1]).max()))
-    sups = np.asarray(sups)
-    bounded = bool(abs(sups[-1] - sups[-2]) <= 0.05 * abs(sups[-2]))
-    return SupNormDiagnostic(grid_sizes=sizes, sup_norms=sups, bounded=bounded)

@@ -13,9 +13,11 @@ import pytest
 
 from fraclab import (
     Grid,
+    ModalState,
     ObservationRegion,
     assemble_operator,
     compute_spectrum,
+    hum_control,
     region_mass_matrix,
 )
 from fraclab import cli
@@ -256,11 +258,14 @@ class TestCliErrors:
         "flag,value", FLAG_VALUES, ids=[f"--{f} {v}" for f, v in FLAG_VALUES]
     )
     def test_flag_checked_by_config_parser(self, tmp_path, capsys, flag, value):
-        # the same key in a config file fails with the same message
+        # the same key in a config file fails with the same message, which
+        # names the key and echoes the text
         section = "sweep" if flag == "jobs" else "hum"
         with pytest.raises(ConfigError) as info:
             parse_config(f"[{section}]\n{flag} = {value}\n")
         expected = str(info.value).removeprefix("line 2: ")
+        assert expected.startswith(f"{flag} ")
+        assert value in expected
         out = tmp_path / "o"
         code = cli.main([section, f"--{flag}", value, "--out", str(out)])
         assert code == 2
@@ -342,6 +347,31 @@ class TestCliHum:
         # one re/im column pair per region node
         assert (len(header) - 1) % 2 == 0
         assert len(rows) == 1001
+
+    def test_control_csv_matches_synthesis(self, tmp_path):
+        beta, n, modes, T, epsilon, seed = 0.6, 128, 6, 1.0, 0.25, 3
+        out = tmp_path / "o"
+        code = cli.main([
+            "hum", "--beta", str(beta), "--n", str(n), "--modes", str(modes),
+            "--T", str(T), "--epsilon", str(epsilon), "--seed", str(seed),
+            "--out", str(out), "--no-timestamp",
+        ])
+        assert code == 0
+        spectrum = compute_spectrum(assemble_operator(Grid(n), beta), modes)
+        region = ObservationRegion.boundary_layers(epsilon)
+        a0 = cli._make_datum("random", modes, seed)
+        state = ModalState(coefficients=a0, time=0.0, spectrum=spectrum, basis="phi")
+        control = hum_control(state, region, T).control
+        idx = region.node_indices(spectrum.grid)
+        header, rows = read_csv(out / "control.csv")
+        assert header[0] == "t"
+        assert header[1::2] == [f"re_{i + 1}" for i in idx]
+        assert header[2::2] == [f"im_{i + 1}" for i in idx]
+        table = np.array(rows, dtype=float)
+        assert np.any(table[:, 1:] != 0.0)
+        np.testing.assert_array_equal(table[:, 0], [r * control.dt for r in range(len(rows))])
+        np.testing.assert_array_equal(table[:, 1::2], control.values.real)
+        np.testing.assert_array_equal(table[:, 2::2], control.values.imag)
 
     def test_control_csv_toggle(self, tmp_path):
         cfg = tmp_path / "hum.ini"

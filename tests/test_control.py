@@ -17,7 +17,6 @@ from fraclab import (
     compute_spectrum,
     gramian_condition,
     hum_control,
-    min_time_estimate,
     observability_constant,
     phase_average_matrix,
     region_mass_matrix,
@@ -361,21 +360,3 @@ class TestHumControl:
         with pytest.raises(IllConditionedError) as info:
             hum_control(state, region, 1.0)
         assert info.value.diagnostics["condition"] > 1e12
-
-
-class TestMinTime:
-    def test_default_threshold(self):
-        est = min_time_estimate()
-        assert est.threshold == pytest.approx(8.0 / math.pi, rel=1e-15)
-        assert est.poincare_constant == pytest.approx(2.0 / math.pi)
-        assert est.diameter == 2.0
-
-    def test_override(self):
-        est = min_time_estimate(poincare_constant=1.0)
-        assert est.threshold == pytest.approx(4.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            min_time_estimate(poincare_constant=0.0)
-        with pytest.raises(ValueError):
-            min_time_estimate(poincare_constant=-2.0)

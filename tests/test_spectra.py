@@ -12,7 +12,6 @@ from fraclab import (
     asymptotic_eigenvalue,
     compute_spectrum,
     gap_sequence,
-    sup_norm_diagnostic,
     trace_summability,
 )
 
@@ -211,19 +210,3 @@ class TestTraceSummability:
             trace_summability(0.5, 0.0)
         with pytest.raises(ValueError):
             trace_summability(0.5, -1.0)
-
-
-class TestSupNormDiagnostic:
-    def test_classical_ground_state_bounded(self):
-        report = sup_norm_diagnostic(1.0, 1, grid_sizes=(128, 256))
-        assert report.bounded is True
-        # the L2-normalized classical ground state has sup norm exactly 1
-        np.testing.assert_allclose(report.sup_norms, 1.0, atol=2e-3)
-
-    def test_fractional_ground_state_bounded(self):
-        report = sup_norm_diagnostic(0.5, 1, grid_sizes=(128, 256))
-        assert report.bounded is True
-
-    def test_grid_sizes_validation(self):
-        with pytest.raises(ValueError):
-            sup_norm_diagnostic(0.5, 1, grid_sizes=(256,))
