@@ -17,7 +17,13 @@ import numpy as np
 
 from . import __version__
 from .config import _KEY_SPECS, RunConfig, load_config, override_section, resolved_values
-from .control import VANISHING_DECAY, _constants_table, hum_control, sharpness_experiment
+from .control import (
+    VANISHING_DECAY,
+    VERIFICATION_TOLERANCE,
+    _constants_table,
+    hum_control,
+    sharpness_experiment,
+)
 from .dynamics import (
     ModalState,
     WaveModalState,
@@ -244,6 +250,29 @@ def _table_command(name, cfg, emitter, stamp, prefix=""):
     return f"{name}: n={cfg.n} T={cfg.horizon:g} epsilon={cfg.epsilon:g}  {printed}"
 
 
+def _check_hum_verification(report, result):
+    """Raise NumericalError when the replay or the duality identity misses
+    VERIFICATION_TOLERANCE, or the replay was cut at its step cap."""
+    checked = ("relative_final_norm", "identity_residual")
+    problems = [
+        f"{key} = {report[key]:.3e} exceeds {VERIFICATION_TOLERANCE:g}"
+        for key in checked
+        if not report[key] <= VERIFICATION_TOLERANCE  # nan fails too
+    ]
+    if result.replay_capped:
+        problems.append(f"replay hit its step cap at {result.replay_steps} steps")
+    if problems:
+        raise NumericalError(
+            "hum verification failed: " + "; ".join(problems),
+            diagnostics={
+                **{key: report[key] for key in checked},
+                "tolerance": VERIFICATION_TOLERANCE,
+                "replay_steps": result.replay_steps,
+                "replay_capped": result.replay_capped,
+            },
+        )
+
+
 def cmd_hum(cfg, emitter, stamp, prefix=""):
     _check_span(cfg.modes, cfg.n)
     sp = _spectrum_for(cfg.beta, cfg.n, cfg.modes)
@@ -272,6 +301,7 @@ def cmd_hum(cfg, emitter, stamp, prefix=""):
         "steering_re": result.hum_coefficients.real.tolist(),
         "steering_im": result.hum_coefficients.imag.tolist(),
     }
+    _check_hum_verification(report, result)
     emitter.write(prefix + "hum.json", json_text(report))
     if cfg.control_csv:
         idx = region.node_indices(sp.grid)

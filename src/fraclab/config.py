@@ -48,6 +48,18 @@ def _positive_int(key):
     return _checked(int, lambda v: v >= 1, f"{key} must be a positive integer")
 
 
+# Largest grid accepted (2^14 - 1 interior nodes), checked before anything
+# is allocated: the eigensolve holds an (n/2) x (n/2) block, 537 MB here.
+MAX_NODES = 16383
+
+
+def _parse_n(text):
+    n = _positive_int("n")(text)
+    if n > MAX_NODES:
+        raise ValueError(f"n must be at most {MAX_NODES}, got {text}")
+    return n
+
+
 def _order(key):
     return _checked(float, lambda b: 0.0 < b <= 1.0, f"{key} must lie in (0, 1]")
 
@@ -211,7 +223,7 @@ class RunConfig:
 _KEY_SPECS = {
     "beta": ("beta", _parse_beta),
     "betas": ("betas", _parse_betas),
-    "n": ("n", _positive_int("n")),
+    "n": ("n", _parse_n),
     "modes": ("modes", _positive_int("modes")),
     "mode_counts": ("mode_counts", _parse_mode_counts),
     "T": ("horizon", _parse_horizon),

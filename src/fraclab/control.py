@@ -48,6 +48,10 @@ VERIFICATION_TOLERANCE = 1e-9
 # Time samples per block of the HUM replay and duality quadrature.
 CHUNK = 8192
 
+# Most Simpson steps the HUM replay takes; a replay that needs more is
+# capped here and flagged in ControlResult.replay_capped.
+REPLAY_STEP_CAP = 2_000_000
+
 
 @dataclass(frozen=True)
 class Gramian:
@@ -257,6 +261,8 @@ class ControlResult:
     region: ObservationRegion
     horizon: float
     modes: int
+    replay_steps: int
+    replay_capped: bool
 
 
 def _control_chunks(lam, coeffs, phi_region, times):
@@ -278,7 +284,9 @@ def hum_control(state, region, horizon):
     is verified by replaying the control through the forced-evolution
     integrator on a time grid fine enough to resolve VERIFICATION_TOLERANCE
     and by checking the duality identity (the Gramian quadratic form of y0
-    equals the observed energy of y).
+    equals the observed energy of y).  The replay takes at most
+    REPLAY_STEP_CAP steps (rounded up to whole chunks); the result records
+    the step count and whether the cap cut it short.
 
     Raises UncontrollableError when the observability constant is
     numerically zero, IllConditionedError when the Gramian condition number
@@ -327,11 +335,14 @@ def hum_control(state, region, horizon):
     omega = max(float(lam[-1] - lam[0]), 1.0)
     fscale = max(float(np.linalg.norm(coeffs)) * math.sqrt(K), 1.0)
     target = max(VERIFICATION_TOLERANCE * u0_norm, 1e-300)
+    capped = False
     if u0_norm == 0.0:  # zero datum: zero control, nothing to resolve
         n_steps = CHUNK
     else:
         dt = (180.0 * target / (T * omega**4 * fscale)) ** 0.25
-        n_steps = int(min(max(math.ceil(T / dt), 2048), 2_000_000))
+        needed = math.ceil(T / dt)
+        capped = needed > REPLAY_STEP_CAP
+        n_steps = int(min(max(needed, 2048), REPLAY_STEP_CAP))
         n_steps = CHUNK * math.ceil(n_steps / CHUNK)
     times = np.linspace(0.0, T, n_steps + 1)
     blocks = _control_chunks(lam, coeffs, phi_region, times)
@@ -371,4 +382,6 @@ def hum_control(state, region, horizon):
         region=region.snapped(spectrum.grid),
         horizon=T,
         modes=K,
+        replay_steps=n_steps,
+        replay_capped=capped,
     )

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 __all__ = [
     "Grid",
@@ -94,15 +93,15 @@ class Grid:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Symmetric positive definite Toeplitz matrix h^(-2 beta) * g_{|i-j|}."""
+    """Symmetric positive definite Toeplitz matrix h^(-2 beta) * g_{|i-j|}.
+
+    Only the first row is stored; `apply` multiplies without forming the
+    n x n matrix.
+    """
 
     grid: Grid
     beta: float
     first_row: np.ndarray
-
-    @cached_property
-    def dense(self):
-        return toeplitz(self.first_row)
 
     @cached_property
     def _embedded_symbol(self):
@@ -127,18 +126,22 @@ def assemble_operator(grid, beta):
 
 
 def apply(op, u):
-    """Matrix-vector product of the discrete operator with nodal values.
+    """Product of the discrete operator with nodal values.
 
-    Multiplies through a circulant embedding of the Toeplitz row in
-    O(n log n); `op.dense @ u` is the dense reference it agrees with.
+    `u` is one nodal vector of shape (n,) or a block of them, one per
+    column, of shape (n, k).  Multiplies through a circulant embedding of
+    the Toeplitz row in O(n log n) per column; the dense Toeplitz matrix
+    `scipy.linalg.toeplitz(op.first_row)` is the reference it agrees with.
     """
     u = np.asarray(u)
     n = op.grid.n_interior
-    if u.shape != (n,):
-        raise ValueError(f"expected nodal vector of shape ({n},), got {u.shape}")
-    padded = np.zeros(2 * n, dtype=complex)
-    padded[:n] = u
-    out = np.fft.ifft(op._embedded_symbol * np.fft.fft(padded))[:n]
+    if u.ndim not in (1, 2) or u.shape[0] != n:
+        raise ValueError(f"expected nodal values of shape ({n},) or ({n}, k), got {u.shape}")
+    columns = u if u.ndim == 2 else u[:, None]
+    padded = np.zeros((2 * n, columns.shape[1]), dtype=complex)
+    padded[:n] = columns
+    product = np.fft.ifft(op._embedded_symbol[:, None] * np.fft.fft(padded, axis=0), axis=0)
+    out = product[:n].reshape(u.shape)
     if np.isrealobj(u):
         return out.real
     return out

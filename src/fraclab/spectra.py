@@ -1,7 +1,10 @@
 """Dirichlet spectrum of the discrete fractional Laplacian.
 
-Eigenvalues are computed by a dense symmetric solve and normalized against
-the discrete L2 inner product h * sum(u_i v_i).  Alongside the numerics the
+The operator is symmetric Toeplitz, hence centrosymmetric, so every
+eigenvector is even or odd under the reflection x -> -x (Cantoni & Butler,
+Linear Algebra Appl. 13, 1976).  Eigenpairs therefore come from two
+half-size symmetric solves, one per parity, and are normalized against the
+discrete L2 inner product h * sum(u_i v_i).  Alongside the numerics the
 module carries the closed-form asymptotic law
 
     lambda_k ~ (k pi / 2 - (2 - 2 beta) pi / 8)^(2 beta)
@@ -10,14 +13,16 @@ whose first differences decide the gap dichotomy: uniform spectral gap for
 beta >= 1/2, vanishing gap below.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalError
-from .operator import DiscreteOperator, Grid, check_order
+from .operator import DiscreteOperator, Grid, apply, check_order
 
 __all__ = [
     "Spectrum",
@@ -65,12 +70,47 @@ class Spectrum:
         return self.vectors / np.sqrt(1.0 + self.eigenvalues)
 
 
+def _parity_block(row, sign):
+    """Even (sign = 1) or odd (sign = -1) block of a symmetric Toeplitz matrix.
+
+    With m = n // 2, the top m rows of the matrix split into T11 = T[:m, :m]
+    and T12 = T[:m, n - m:].  An eigenvector [x; s J x] / sqrt(2), with J the
+    m x m exchange matrix, has s = 1 for even and s = -1 for odd parity, and
+    x is an eigenvector of T11 + s T12 J with the same eigenvalue.  For odd n
+    the even block gains a last row and column for the middle node: the
+    middle column of T above the diagonal scaled by sqrt(2), and the
+    diagonal entry.  Only the returned block is allocated.
+    """
+    n = len(row)
+    m = n // 2
+    size = m + 1 if sign > 0 and n % 2 else m
+    # Fortran order lets eigh(..., overwrite_a=True) factor it in place.
+    block = np.empty((size, size), order="F")
+    if m:
+        # T11[i, j] = row[|i - j|] and (T12 J)[i, j] = row[n - 1 - i - j],
+        # both strided views of the row.
+        t11 = sliding_window_view(np.concatenate([row[m - 1 : 0 : -1], row[:m]]), m)[:, ::-1]
+        hank = sliding_window_view(row[::-1][: 2 * m - 1], m)
+        combine = np.add if sign > 0 else np.subtract
+        combine(t11, hank, out=block[:m, :m])
+    if size > m:
+        middle = math.sqrt(2.0) * row[m:0:-1]
+        block[:m, m] = middle
+        block[m, :m] = middle
+        block[m, m] = row[0]
+    return block
+
+
 def compute_spectrum(op, modes):
     """Lowest `modes` eigenpairs of a discrete operator.
 
-    Uses a dense symmetric eigensolver, then rescales eigenvectors to the
-    discrete L2 normalization and fixes signs.  Raises NumericalError if the
-    solver fails or a residual exceeds 1e-9 times the operator norm bound.
+    Solves the even and odd parity blocks of the Toeplitz matrix (about
+    n/2 x n/2 each) for up to `modes` lowest pairs apiece, maps them back to
+    length-n eigenvectors and keeps the lowest `modes` of the merged list;
+    the n x n matrix is never formed.  Eigenvectors are then rescaled to the
+    discrete L2 normalization with signs fixed.  Raises NumericalError if
+    the solver fails or a residual, computed on the full vectors by the FFT
+    product `apply`, exceeds 1e-9 times the operator norm bound.
     """
     if not isinstance(op, DiscreteOperator):
         raise TypeError("compute_spectrum expects a DiscreteOperator")
@@ -78,13 +118,33 @@ def compute_spectrum(op, modes):
     n = op.grid.n_interior
     if not 1 <= k <= n:
         raise ValueError(f"modes must lie in [1, {n}], got {modes}")
-    try:
-        lam, vec = scipy.linalg.eigh(op.dense, subset_by_index=(0, k - 1))
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
+    m = n // 2
+    values, vectors = [], []
+    for sign in (1.0, -1.0):
+        block = _parity_block(op.first_row, sign)
+        take = min(k, len(block))
+        if take == 0:
+            continue
+        try:
+            lam_b, x = scipy.linalg.eigh(block, overwrite_a=True, subset_by_index=(0, take - 1))
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+            raise NumericalError(f"eigensolver failed: {exc}") from exc
+        del block
+        # [x; sign * J x] / sqrt(2), with x_m as the middle entry for odd n
+        v = np.zeros((n, take))
+        v[:m] = x[:m] / math.sqrt(2.0)
+        v[n - m :] = sign * v[:m][::-1]
+        if len(x) > m:
+            v[m] = x[m]
+        values.append(lam_b)
+        vectors.append(v)
+    values = np.concatenate(values)
+    order = np.argsort(values, kind="stable")[:k]
+    lam = values[order]
+    vec = np.concatenate(vectors, axis=1)[:, order]
 
     scale = op.norm_bound
-    residual = np.linalg.norm(op.dense @ vec - vec * lam, axis=0)
+    residual = np.linalg.norm(apply(op, vec) - vec * lam, axis=0)
     worst = float(residual.max()) if len(residual) else 0.0
     if worst > 1e-9 * scale:
         raise NumericalError(

@@ -1,9 +1,11 @@
-"""Shared fixtures: session-scoped eigenpair cache keyed by (beta, grid size)."""
+"""Shared fixtures: session-scoped eigenpair cache keyed by (beta, grid size),
+and the dense Toeplitz matrix that serves as the oracle for matrix-free code."""
 
 import os
 from pathlib import Path
 
 import pytest
+import scipy.linalg
 
 import fraclab
 from fraclab import Grid, assemble_operator, compute_spectrum
@@ -31,3 +33,9 @@ def get_spectrum():
         return have
 
     return fetch
+
+
+@pytest.fixture(scope="session")
+def dense_matrix():
+    """Oracle: the n x n matrix of a DiscreteOperator, built from its first row."""
+    return lambda op: scipy.linalg.toeplitz(op.first_row)

@@ -21,7 +21,9 @@ from fraclab import (
     region_mass_matrix,
 )
 from fraclab import cli
+from fraclab import control
 from fraclab.config import (
+    MAX_NODES,
     ConfigError,
     RunConfig,
     _parse_command,
@@ -272,6 +274,22 @@ class TestCliErrors:
         assert capsys.readouterr().err == f"fraclab: config error: {expected}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_n_above_cap_exits_2(self, tmp_path, capsys, via):
+        assert parse_config(f"n = {MAX_NODES}\n").spectrum.n == MAX_NODES
+        out = tmp_path / "o"
+        text = str(MAX_NODES + 1)
+        if via == "flag":
+            args, where = ["--n", text], ""
+        else:
+            cfg = tmp_path / "big.ini"
+            cfg.write_text(f"[spectrum]\nn = {text}\n")
+            args, where = ["--config", str(cfg)], "line 2: "
+        assert cli.main(["spectrum", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"fraclab: config error: {where}n must be at most 16383, got {text}\n"
+        assert not out.exists()
+
     def test_bad_config_value_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[spectrum]\nbeta = 1.5\n")
@@ -331,6 +349,9 @@ class TestCliObservability:
 
 
 class TestCliHum:
+    HUM_ARGS = ["hum", "--beta", "0.6", "--n", "128", "--modes", "6", "--T", "1",
+                "--epsilon", "0.25", "--no-timestamp"]
+
     def test_zero_datum_report(self, tmp_path):
         cfg = tmp_path / "hum.ini"
         cfg.write_text(
@@ -372,6 +393,31 @@ class TestCliHum:
         np.testing.assert_array_equal(table[:, 0], [r * control.dt for r in range(len(rows))])
         np.testing.assert_array_equal(table[:, 1::2], control.values.real)
         np.testing.assert_array_equal(table[:, 2::2], control.values.imag)
+
+    def test_failed_replay_exits_3(self, tmp_path, capsys, monkeypatch):
+        replay = control._forced_increment
+        monkeypatch.setattr(control, "_forced_increment", lambda *a: replay(*a) + 1e-6)
+        out = tmp_path / "o"
+        assert cli.main([*self.HUM_ARGS, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "NumericalError"
+        diagnostics = error["diagnostics"]
+        assert diagnostics["relative_final_norm"] > control.VERIFICATION_TOLERANCE
+        assert diagnostics["identity_residual"] <= control.VERIFICATION_TOLERANCE
+        assert diagnostics["tolerance"] == control.VERIFICATION_TOLERANCE
+        assert diagnostics["replay_capped"] is False
+        assert "relative_final_norm" in captured.err
+        assert not (out / "hum.json").exists()
+
+    def test_capped_replay_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(control, "REPLAY_STEP_CAP", 100)
+        assert cli.main([*self.HUM_ARGS, "--out", str(tmp_path / "o")]) == 3
+        captured = capsys.readouterr()
+        diagnostics = json.loads(captured.out)["error"]["diagnostics"]
+        assert diagnostics["replay_capped"] is True
+        assert diagnostics["relative_final_norm"] <= control.VERIFICATION_TOLERANCE
+        assert "step cap" in captured.err
 
     def test_control_csv_toggle(self, tmp_path):
         cfg = tmp_path / "hum.ini"

@@ -85,18 +85,18 @@ class TestGrid:
 
 
 class TestAssembly:
-    def test_classical_matrix_is_tridiagonal(self):
+    def test_classical_matrix_is_tridiagonal(self, dense_matrix):
         g = Grid(8)
         op = assemble_operator(g, 1.0)
-        dense = op.dense
+        dense = dense_matrix(op)
         scale = g.h**-2
         assert np.allclose(np.diag(dense), 2.0 * scale, rtol=1e-14)
         assert np.allclose(np.diag(dense, 1), -scale, rtol=1e-14)
         assert np.max(np.abs(np.triu(dense, 2))) < 1e-10 * scale
 
-    def test_symmetry(self):
-        op = assemble_operator(Grid(64), 0.4)
-        assert np.array_equal(op.dense, op.dense.T)
+    def test_symmetry(self, dense_matrix):
+        dense = dense_matrix(assemble_operator(Grid(64), 0.4))
+        assert np.array_equal(dense, dense.T)
 
     def test_norm_bound_value(self):
         g = Grid(127)
@@ -107,23 +107,39 @@ class TestAssembly:
 class TestApply:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 127, 511, 512, 1000])
     @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0])
-    def test_fft_path_matches_dense(self, n, beta):
+    def test_fft_path_matches_dense(self, n, beta, dense_matrix):
+        # a block of columns, and each column on its own
         rng = np.random.default_rng(n)
         op = assemble_operator(Grid(n), beta)
-        real = rng.standard_normal(n)
-        for u in (real, real + 1j * rng.standard_normal(n)):
-            direct = op.dense @ u
-            fast = apply(op, u)
-            assert np.iscomplexobj(fast) == np.iscomplexobj(u)
-            assert np.max(np.abs(direct - fast)) < 1e-12 * max(1.0, np.max(np.abs(direct)))
+        dense = dense_matrix(op)
+        real = rng.standard_normal((n, 4))
+        for block in (real, real + 1j * rng.standard_normal((n, 4))):
+            direct = dense @ block
+            scale = max(1.0, np.max(np.abs(direct)))
+            fast = apply(op, block)
+            assert fast.shape == block.shape
+            assert np.iscomplexobj(fast) == np.iscomplexobj(block)
+            assert np.max(np.abs(direct - fast)) < 1e-12 * scale
+            for j in range(4):
+                column = apply(op, block[:, j])
+                assert np.iscomplexobj(column) == np.iscomplexobj(block)
+                bound = 1e-12 * max(1.0, np.max(np.abs(direct[:, j])))
+                assert np.max(np.abs(direct[:, j] - column)) < bound
+                assert np.max(np.abs(column - fast[:, j])) < 1e-14 * scale
 
-    def test_complex_input(self):
+    @pytest.mark.parametrize("shape", [(), (9,), (7, 3), (8, 2, 1), (1, 8)])
+    def test_wrong_shape_rejected(self, shape):
+        op = assemble_operator(Grid(8), 0.5)
+        with pytest.raises(ValueError, match="shape"):
+            apply(op, np.ones(shape))
+
+    def test_complex_input(self, dense_matrix):
         op = assemble_operator(Grid(200), 0.5)
         rng = np.random.default_rng(1)
         u = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         fast = apply(op, u)
         assert np.iscomplexobj(fast)
-        assert np.max(np.abs(fast - op.dense @ u)) < 1e-11 * np.max(np.abs(u)) * op.norm_bound
+        assert np.max(np.abs(fast - dense_matrix(op) @ u)) < 1e-11 * np.max(np.abs(u)) * op.norm_bound
 
     @pytest.mark.parametrize("beta", [0.35, 0.6, 1.0])
     def test_operator_norm_bound(self, beta):
@@ -133,12 +149,13 @@ class TestApply:
             u = rng.standard_normal(300)
             assert np.linalg.norm(apply(op, u)) <= op.norm_bound * np.linalg.norm(u) * (1 + 1e-12)
 
-    def test_positivity_of_quadratic_form(self):
+    def test_positivity_of_quadratic_form(self, dense_matrix):
         op = assemble_operator(Grid(150), 0.5)
+        dense = dense_matrix(op)
         rng = np.random.default_rng(3)
         for _ in range(10):
             u = rng.standard_normal(150)
-            assert op.grid.h * u @ (op.dense @ u) > 0.0
+            assert op.grid.h * u @ (dense @ u) > 0.0
 
 
 class TestSymbol:

@@ -1,9 +1,13 @@
 """Eigenpair computation, the asymptotic law, gaps, and spectral diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraclab import (
     Grid,
@@ -44,12 +48,12 @@ class TestComputeSpectrum:
         assert np.all(spectrum.eigenvalues > 0.0)
         assert np.all(np.diff(spectrum.eigenvalues) > 0.0)
 
-    def test_residuals_small(self, get_spectrum):
+    def test_residuals_small(self, get_spectrum, dense_matrix):
         spectrum = get_spectrum(0.5, 256, 8)
         op = assemble_operator(Grid(256), 0.5)
         # compute_spectrum works with the h-scaled orthonormal vectors; the
         # residual of the returned pairs inherits that accuracy.
-        res = op.dense @ spectrum.vectors - spectrum.vectors * spectrum.eigenvalues
+        res = dense_matrix(op) @ spectrum.vectors - spectrum.vectors * spectrum.eigenvalues
         assert np.max(np.abs(res)) < 1e-9 * op.norm_bound
 
     def test_ground_state_half_order_frozen(self, get_spectrum):
@@ -85,6 +89,58 @@ class TestComputeSpectrum:
             compute_spectrum(op, 17)
         with pytest.raises(TypeError):
             compute_spectrum(np.eye(4), 2)
+
+
+def check_against_dense(op, modes, dense, vectors=True):
+    """Parity-split eigenpairs against dense eigh of the Toeplitz oracle."""
+    spectrum = compute_spectrum(op, modes)
+    lam, vec = scipy.linalg.eigh(dense, subset_by_index=(0, modes - 1))
+    # Both solvers are backward stable, so eigenvalues agree on the scale of
+    # the operator norm; relative to a small lambda_k the dense oracle itself
+    # is only good to eps * cond (~6e-12 at beta = 1, n = 256).
+    assert np.max(np.abs(spectrum.eigenvalues - lam)) <= 1e-12 * op.norm_bound
+    phi = spectrum.vectors
+    if vectors:
+        unit = phi * math.sqrt(op.grid.h)
+        signs = np.sign(np.sum(unit * vec, axis=0))
+        assert np.max(np.abs(unit - vec * signs)) < 1e-9
+    for j in range(modes):
+        mirrored = phi[::-1, j]
+        assert np.array_equal(mirrored, phi[:, j]) or np.array_equal(mirrored, -phi[:, j])
+        lead = phi[np.flatnonzero(phi[:, j])[0], j]
+        assert lead > 0.0
+    gram = op.grid.h * phi.T @ phi
+    assert np.max(np.abs(gram - np.eye(modes))) < 1e-12
+
+
+class TestParitySplit:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 64, 65, 255, 256])
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("span", ["one", "half", "all"])
+    def test_matches_dense_eigh(self, n, beta, span, dense_matrix):
+        op = assemble_operator(Grid(n), beta)
+        modes = {"one": 1, "half": (n + 1) // 2, "all": n}[span]
+        check_against_dense(op, modes, dense_matrix(op))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(1, 300), beta=st.floats(0.05, 1.0), data=st.data())
+    def test_matches_dense_eigh_property(self, n, beta, data, dense_matrix):
+        # Eigenvectors are compared only in the parametrized test: for small
+        # beta the upper spectrum clusters and vectors there are ill-posed.
+        op = assemble_operator(Grid(n), beta)
+        modes = data.draw(st.integers(1, n), label="modes")
+        check_against_dense(op, modes, dense_matrix(op), vectors=False)
+
+    def test_peak_memory_below_one_dense_matrix(self):
+        n = 2047
+        op = assemble_operator(Grid(n), 0.5)
+        tracemalloc.start()
+        try:
+            compute_spectrum(op, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
 
 
 class TestAsymptoticLaw:
