@@ -215,11 +215,13 @@ def _table_command(name, cfg, emitter, stamp, prefix=""):
     spectra = {b: _spectrum_for(b, cfg.n, cfg.mode_counts[-1]) for b in cfg.betas}
     if len(cfg.mode_counts) >= 2:
         table = sharpness_experiment(spectra, cfg.mode_counts, region, cfg.horizon)
-        constants, conditions = table.constants, table.conditions
+        constants, conditions, resolved = table.constants, table.conditions, table.resolved
         decay = [float(r) for r in table.decay_ratios]
         verdicts = list(table.verdicts)
     else:
-        constants, conditions = _constants_table(spectra, cfg.mode_counts, region, cfg.horizon)
+        constants, conditions, resolved = _constants_table(
+            spectra, cfg.mode_counts, region, cfg.horizon
+        )
         decay = None
         verdicts = None
     betas = sorted(cfg.betas)
@@ -238,6 +240,7 @@ def _table_command(name, cfg, emitter, stamp, prefix=""):
         "epsilon": cfg.epsilon,
         "constants": constants.tolist(),
         "conditions": conditions.tolist(),
+        "resolved": resolved.tolist(),
         "decay_ratios": decay,
         "verdicts": verdicts,
         "vanishing_threshold": VANISHING_DECAY,
@@ -250,7 +253,7 @@ def _table_command(name, cfg, emitter, stamp, prefix=""):
     return f"{name}: n={cfg.n} T={cfg.horizon:g} epsilon={cfg.epsilon:g}  {printed}"
 
 
-def _check_hum_verification(report, result):
+def _check_hum_verification(report):
     """Raise NumericalError when the replay or the duality identity misses
     VERIFICATION_TOLERANCE, or the replay was cut at its step cap."""
     checked = ("relative_final_norm", "identity_residual")
@@ -259,18 +262,12 @@ def _check_hum_verification(report, result):
         for key in checked
         if not report[key] <= VERIFICATION_TOLERANCE  # nan fails too
     ]
-    if result.replay_capped:
-        problems.append(f"replay hit its step cap at {result.replay_steps} steps")
+    if report["replay_capped"]:
+        problems.append(f"replay hit its step cap at {report['replay_steps']} steps")
     if problems:
-        raise NumericalError(
-            "hum verification failed: " + "; ".join(problems),
-            diagnostics={
-                **{key: report[key] for key in checked},
-                "tolerance": VERIFICATION_TOLERANCE,
-                "replay_steps": result.replay_steps,
-                "replay_capped": result.replay_capped,
-            },
-        )
+        diagnostics = {key: report[key] for key in checked + ("replay_steps", "replay_capped")}
+        diagnostics["tolerance"] = VERIFICATION_TOLERANCE
+        raise NumericalError("hum verification failed: " + "; ".join(problems), diagnostics)
 
 
 def cmd_hum(cfg, emitter, stamp, prefix=""):
@@ -297,11 +294,13 @@ def cmd_hum(cfg, emitter, stamp, prefix=""):
         "identity_lhs": result.identity_lhs,
         "identity_rhs": result.identity_rhs,
         "identity_residual": result.identity_residual,
+        "replay_steps": result.replay_steps,
+        "replay_capped": result.replay_capped,
         "region": [list(pair) for pair in result.region.intervals],
         "steering_re": result.hum_coefficients.real.tolist(),
         "steering_im": result.hum_coefficients.imag.tolist(),
     }
-    _check_hum_verification(report, result)
+    _check_hum_verification(report)
     emitter.write(prefix + "hum.json", json_text(report))
     if cfg.control_csv:
         idx = region.node_indices(sp.grid)

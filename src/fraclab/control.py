@@ -5,8 +5,12 @@ spatial factor is the region mass matrix of eigenvectors, the temporal factor
 the exact average of e^(i (lambda_j - lambda_k) t) over [0, T].  Its minimum
 eigenvalue is the best observability constant on that span, and its inverse
 drives the control synthesis: the control is the restriction to the region of
-a free trajectory whose datum solves the Gramian system.  Wave dynamics get
-the analogous 2K x 2K Gramian over stacked (position, velocity) data.
+a free trajectory whose datum solves the Gramian system, verified by
+replaying the nodal control samples through the forced-evolution kernel of
+`dynamics`; the samples come block by block from one real matrix product of
+the region eigenvectors with the table-built modal trajectory.  Wave
+dynamics get the analogous 2K x 2K Gramian over stacked (position, velocity)
+data.
 """
 
 import math
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dynamics import ModalState, SourceSignal, _forced_increment, _simpson_weights
+from .dynamics import ModalState, SourceSignal, _forced_increment, _phases, _simpson_weights
 from .errors import IllConditionedError, NumericalError, UncontrollableError
 from .regions import ObservationRegion
 from .spectra import Spectrum
@@ -187,8 +191,12 @@ def gramian_condition(gramian):
 
 
 def _constants_table(spectra, counts, region, horizon):
-    # Observability constants and Gramian conditions, one row per order and
-    # one column per mode count, both ascending.
+    # Observability constants, Gramian conditions and whether each constant
+    # is resolved, one row per order and one column per mode count, both
+    # ascending.  A Hermitian eigensolve of a K x K Gramian resolves
+    # eigenvalues only down to about K * eps * lambda_max, so a constant
+    # counts as resolved when it is positive and the condition number stays
+    # below 1 / (K * eps); below that floor its digits are rounding noise.
     betas = sorted(spectra)
     constants = np.empty((len(betas), len(counts)))
     conditions = np.empty_like(constants)
@@ -202,7 +210,8 @@ def _constants_table(spectra, counts, region, horizon):
             g = schrodinger_gramian(spectrum, region, horizon, k)
             constants[i, j] = observability_constant(g)
             conditions[i, j] = gramian_condition(g)
-    return constants, conditions
+    floor = 1.0 / (np.asarray(counts) * np.finfo(float).eps)
+    return constants, conditions, (constants > 0.0) & (conditions < floor)
 
 
 @dataclass(frozen=True)
@@ -213,6 +222,7 @@ class SharpnessTable:
     mode_counts: tuple
     constants: np.ndarray  # shape (len(betas), len(mode_counts))
     conditions: np.ndarray
+    resolved: np.ndarray  # constant above the eigensolve's rounding floor
     decay_ratios: np.ndarray  # const at K_max over const at K_min, per beta
     verdicts: tuple  # "vanishing" or "uniform" per beta
     horizon: float
@@ -232,7 +242,7 @@ def sharpness_experiment(spectra, mode_counts, region, horizon):
     if len(counts) < 2:
         raise ValueError("need at least two mode counts")
     betas = tuple(sorted(spectra))
-    constants, conditions = _constants_table(spectra, counts, region, horizon)
+    constants, conditions, resolved = _constants_table(spectra, counts, region, horizon)
     decay = constants[:, -1] / constants[:, 0]
     verdicts = tuple("vanishing" if r < VANISHING_DECAY else "uniform" for r in decay)
     return SharpnessTable(
@@ -240,6 +250,7 @@ def sharpness_experiment(spectra, mode_counts, region, horizon):
         mode_counts=counts,
         constants=constants,
         conditions=conditions,
+        resolved=resolved,
         decay_ratios=decay,
         verdicts=verdicts,
         horizon=float(horizon),
@@ -268,10 +279,13 @@ class ControlResult:
 def _control_chunks(lam, coeffs, phi_region, times):
     # Free trajectory from datum `coeffs` sampled on region nodes, in blocks
     # sharing endpoint samples so per-block quadrature weights compose exactly.
+    # One real product of the eigenvectors with the interleaved (re, im)
+    # columns of the modal trajectory gives y.T as an (m, n_t) C-ordered
+    # complex array; the block yielded is its transpose, a view.
     for start in range(0, len(times) - 1, CHUNK):
         t = times[start : start + CHUNK + 1]
-        y = (np.exp(1j * np.outer(t, lam)) * coeffs) @ phi_region.T
-        yield t, y
+        modal = coeffs[:, None] * _phases(lam, t)  # (K, n_t)
+        yield t, (phi_region @ modal.view(float)).view(complex).T
 
 
 def hum_control(state, region, horizon):
@@ -361,7 +375,10 @@ def hum_control(state, region, horizon):
     rhs = 0.0
     quadrature = _control_chunks(lam, coeffs, phi_region, t_q)
     for start, (t, y) in zip(range(0, n_q, CHUNK), quadrature):
-        dens = spectrum.h * np.sum(np.abs(y) ** 2, axis=1)
+        # |y|^2 summed over the nodes, from the (re, im) columns of y.T
+        parts = y.T.view(float)
+        squares = np.einsum("ij,ij->j", parts, parts)
+        dens = spectrum.h * (squares[0::2] + squares[1::2])
         stop = start + len(t)
         if stop <= n_q:  # last sample reappears as the next chunk's first
             rhs += float(np.sum(w[start : stop - 1] * dens[:-1]))

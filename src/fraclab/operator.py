@@ -4,7 +4,8 @@ The operator (-Delta)^beta with zero exterior condition is discretized on a
 uniform grid by fractional centered differences.  The stencil weights are the
 Fourier coefficients of the generating symbol |2 sin(theta/2)|^(2 beta), so the
 resulting matrix is symmetric positive definite Toeplitz and reduces to the
-classical three point Laplacian at beta = 1.
+classical three point Laplacian at beta = 1.  It is applied matrix-free by a
+circulant embedding whose symbol is real, so products run on real FFTs.
 """
 
 import math
@@ -105,10 +106,12 @@ class DiscreteOperator:
 
     @cached_property
     def _embedded_symbol(self):
-        # Circulant embedding of the Toeplitz row for FFT based products.
+        # Circulant embedding of the Toeplitz row for FFT based products.  The
+        # embedded row is real and even, so its transform is real: keep the
+        # n + 1 nonnegative frequencies that rfft/irfft use.
         row = self.first_row
         c = np.concatenate([row, [0.0], row[:0:-1]])
-        return np.fft.fft(c)
+        return np.fft.rfft(c).real
 
     @property
     def norm_bound(self):
@@ -130,18 +133,17 @@ def apply(op, u):
 
     `u` is one nodal vector of shape (n,) or a block of them, one per
     column, of shape (n, k).  Multiplies through a circulant embedding of
-    the Toeplitz row in O(n log n) per column; the dense Toeplitz matrix
-    `scipy.linalg.toeplitz(op.first_row)` is the reference it agrees with.
+    the Toeplitz row in O(n log n) per column, by real FFTs: a complex block
+    is transformed as the real block of its 2k interleaved (re, im) columns.
+    The dense Toeplitz matrix `scipy.linalg.toeplitz(op.first_row)` is the
+    reference it agrees with.
     """
     u = np.asarray(u)
     n = op.grid.n_interior
     if u.ndim not in (1, 2) or u.shape[0] != n:
         raise ValueError(f"expected nodal values of shape ({n},) or ({n}, k), got {u.shape}")
     columns = u if u.ndim == 2 else u[:, None]
-    padded = np.zeros((2 * n, columns.shape[1]), dtype=complex)
-    padded[:n] = columns
-    product = np.fft.ifft(op._embedded_symbol[:, None] * np.fft.fft(padded, axis=0), axis=0)
-    out = product[:n].reshape(u.shape)
-    if np.isrealobj(u):
-        return out.real
-    return out
+    block = np.ascontiguousarray(columns, dtype=np.result_type(u, float))
+    transformed = op._embedded_symbol[:, None] * np.fft.rfft(block.view(float), n=2 * n, axis=0)
+    product = np.fft.irfft(transformed, n=2 * n, axis=0)[:n]
+    return product.view(block.dtype).reshape(u.shape)

@@ -29,6 +29,10 @@ __all__ = [
 MANIFEST_NAME = "manifest.json"
 
 
+# The one %-format spec of every real number written to CSV.
+_FLOAT_SPEC = "%.17g"
+
+
 def format_number(value):
     """17-significant-digit decimal rendering of a scalar."""
     if isinstance(value, bool):
@@ -36,19 +40,24 @@ def format_number(value):
     if isinstance(value, int):
         return str(value)
     if isinstance(value, complex):
-        return f"{format_number(value.real)}{value.imag:+.17g}j"
-    return "%.17g" % float(value)
+        imag = format_number(value.imag)
+        return f"{format_number(value.real)}{'' if imag[0] == '-' else '+'}{imag}j"
+    return _FLOAT_SPEC % float(value)
 
 
 def csv_text(header, rows):
     """Render a header plus data rows as CSV text.
 
     Numeric cells pass through format_number; strings are emitted verbatim
-    (callers must keep them comma-free).
+    (callers must keep them comma-free).  A row of floats only is rendered
+    by one %-format of format_number's spec, which gives the same text.
     """
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(c if isinstance(c, str) else format_number(c) for c in row))
+        if all(isinstance(c, float) for c in row):
+            lines.append(",".join([_FLOAT_SPEC] * len(row)) % tuple(row))
+        else:
+            lines.append(",".join(c if isinstance(c, str) else format_number(c) for c in row))
     return "\n".join(lines) + "\n"
 
 

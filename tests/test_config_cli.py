@@ -346,6 +346,8 @@ class TestCliObservability:
         R = region_mass_matrix(spectrum, ObservationRegion.boundary_layers(0.3), 1)
         assert got == pytest.approx(1.0 * R[0, 0], rel=1e-12)
         assert float(rows[0][5]) == pytest.approx(1.0)
+        summary = json.loads((out / "observability.json").read_text())
+        assert summary["resolved"] == [[True]]
 
 
 class TestCliHum:
@@ -382,7 +384,11 @@ class TestCliHum:
         region = ObservationRegion.boundary_layers(epsilon)
         a0 = cli._make_datum("random", modes, seed)
         state = ModalState(coefficients=a0, time=0.0, spectrum=spectrum, basis="phi")
-        control = hum_control(state, region, T).control
+        result = hum_control(state, region, T)
+        control = result.control
+        report = json.loads((out / "hum.json").read_text())
+        assert report["replay_steps"] == result.replay_steps
+        assert report["replay_capped"] is False
         idx = region.node_indices(spectrum.grid)
         header, rows = read_csv(out / "control.csv")
         assert header[0] == "t"

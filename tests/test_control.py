@@ -26,6 +26,9 @@ from fraclab import (
     sharpness_experiment,
     wave_gramian,
 )
+from fraclab import control
+from fraclab.config import SharpnessConfig
+from fraclab.control import CHUNK, _control_chunks
 from fraclab.errors import IllConditionedError, UncontrollableError
 
 RNG = np.random.default_rng(20260823)
@@ -246,8 +249,34 @@ class TestSharpness:
     def test_shapes(self, table):
         assert table.constants.shape == (2, 3)
         assert table.conditions.shape == (2, 3)
+        assert table.resolved.shape == (2, 3)
         assert table.mode_counts == (5, 10, 20)
         assert table.horizon == 4.0
+
+    def test_resolved_marks_the_rounding_floor(self):
+        # at the `sharpness` defaults the beta = 1/4 constant is resolved at
+        # K = 30 and is eigensolver noise at K = 40, where the condition
+        # number passes 1 / (K eps)
+        cfg = SharpnessConfig()
+        region = ObservationRegion.boundary_layers(cfg.epsilon)
+        op = assemble_operator(Grid(cfg.n), 0.25)
+        spectra = {0.25: compute_spectrum(op, cfg.mode_counts[-1])}
+        table = sharpness_experiment(spectra, cfg.mode_counts, region, cfg.horizon)
+        resolved = dict(zip(table.mode_counts, table.resolved[0].tolist()))
+        assert resolved[30] is True
+        assert resolved[40] is False
+
+    def test_resolved_needs_sign_and_condition_below_floor(self, get_spectrum, monkeypatch):
+        # synthetic cells on either side of each half of the rule: K=10 is
+        # negative but well conditioned, K=40 sits between 1/(K eps) and 1/eps
+        eps = np.finfo(float).eps
+        cells = {5: (1e-3, 10.0), 10: (-1e-3, 10.0), 20: (1e-3, 0.5 / (20 * eps)),
+                 40: (1e-3, 2.0 / (40 * eps))}
+        monkeypatch.setattr(control, "observability_constant", lambda g: cells[g.modes][0])
+        monkeypatch.setattr(control, "gramian_condition", lambda g: cells[g.modes][1])
+        region = ObservationRegion.boundary_layers(0.2)
+        table = sharpness_experiment({0.5: get_spectrum(0.5, 64, 40)}, tuple(cells), region, 1.0)
+        assert table.resolved.tolist() == [[True, False, True, False]]
 
     def test_validation(self, get_spectrum):
         region = ObservationRegion.boundary_layers(0.2)
@@ -299,6 +328,23 @@ class TestHumControl:
         result = hum_control(state, region, 1.0)
         out = schrodinger_forced_evolve(state, result.control, region)
         assert np.linalg.norm(out.coefficients) < 1e-6
+
+    def test_control_chunks_match_oracle(self, setup):
+        # the free trajectory y(t_j, x_i) = sum_k c_k e^(i lambda_k t_j) phi_k(x_i)
+        # in blocks of CHUNK intervals that share their endpoint samples
+        spectrum, region, state = setup
+        lam = spectrum.eigenvalues[:8]
+        phi_region = spectrum.vectors[region.node_indices(spectrum.grid), :8]
+        coeffs = state.coefficients
+        times = np.linspace(0.0, 1.0, 2 * CHUNK + 101)
+        chunks = list(_control_chunks(lam, coeffs, phi_region, times))
+        assert [len(t) for t, _ in chunks] == [CHUNK + 1, CHUNK + 1, 101]
+        assert [t[0] for t, _ in chunks] == [times[0], times[CHUNK], times[2 * CHUNK]]
+        for t, y in chunks:
+            want = (np.exp(1j * np.outer(t, lam)) * coeffs) @ phi_region.T
+            assert y.shape == want.shape
+            assert y.T.flags.c_contiguous  # the replay reads y.T without a copy
+            assert np.max(np.abs(y - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_identity_sides_close(self, setup):
         spectrum, region, state = setup

@@ -19,6 +19,7 @@ from fraclab import (
     wave_energy,
     wave_evolve,
 )
+from fraclab.dynamics import _forced_increment, _phases
 from fraclab.errors import FraclabError
 
 RNG = np.random.default_rng(20260823)
@@ -312,3 +313,70 @@ class TestWaveFlow:
             )
         with pytest.raises(TypeError):
             wave_evolve(random_state(spectrum, 2), 1.0)
+
+
+def _oracle_increment(lam, h, phi_region, blocks):
+    # The replay kernel as it was first written: a complex product per block,
+    # one exp per (sample, mode), and the quadrature rules spelled out.
+    total = np.zeros(len(lam), dtype=complex)
+    for times, samples in blocks:
+        g = h * (samples @ phi_region) * np.exp(-1j * np.outer(times, lam))
+        dt = times[1] - times[0]
+        intervals = len(times) - 1
+        if intervals % 2 == 0:
+            w = np.ones(intervals + 1)
+            w[1:-1:2] = 4.0
+            w[2:-1:2] = 2.0
+            total += (dt / 3.0) * (w @ g)
+        else:
+            total += dt * (g[0] + g[-1]) / 2.0 + dt * g[1:-1].sum(axis=0)
+    return total
+
+
+class TestReplayKernel:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("n_t", [2, 3, 64, 65, 8193])
+    def test_phases_match_direct_exponentials(self, n_t):
+        lam = np.array([0.0, 1.0, 37.5, 1234.5678, 15712.0])
+        for times in (np.linspace(0.1, 3.0, n_t), 2.25 + 0.75 / 8192 * np.arange(n_t)):
+            got = _phases(lam, times)
+            want = np.exp(1j * np.outer(lam, times))
+            assert got.shape == (len(lam), n_t)
+            bound = 4.0 * self.EPS * (1.0 + np.abs(lam) * np.max(np.abs(times)))
+            assert np.all(np.max(np.abs(got - want), axis=1) <= bound)
+
+    @staticmethod
+    def _problem(n_t, complex_samples, layout):
+        rng = np.random.default_rng(n_t)
+        lam = np.sort(rng.uniform(1.0, 60.0, 7))
+        phi_region = rng.standard_normal((11, 7))
+        samples = rng.standard_normal((n_t, 11))
+        if complex_samples:
+            samples = samples + 1j * rng.standard_normal((n_t, 11))
+        if layout == "transposed":
+            samples = np.ascontiguousarray(samples.T).T
+        times = 0.3 + 0.01 * np.arange(n_t)
+        return lam, 0.05, phi_region, times, samples
+
+    @pytest.mark.parametrize("layout", ["c_ordered", "transposed"])
+    @pytest.mark.parametrize("complex_samples", [False, True])
+    @pytest.mark.parametrize("n_t", [65, 64, 2], ids=["simpson", "trapezoid", "one_interval"])
+    def test_forced_increment_matches_oracle(self, n_t, complex_samples, layout):
+        lam, h, phi_region, times, samples = self._problem(n_t, complex_samples, layout)
+        got = _forced_increment(lam, h, phi_region, [(times, samples)])
+        want = _oracle_increment(lam, h, phi_region, [(times, samples)])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "n_t, cuts", [(129, (0, 64, 128)), (64, (0, 21, 42, 63))], ids=["simpson", "trapezoid"]
+    )
+    def test_blocks_compose(self, n_t, cuts):
+        # blocks sharing their endpoint samples give the one-block quadrature
+        lam, h, phi_region, times, samples = self._problem(n_t, True, "c_ordered")
+        blocks = [(times[a : b + 1], samples[a : b + 1]) for a, b in zip(cuts, cuts[1:])]
+        whole = _forced_increment(lam, h, phi_region, [(times, samples)])
+        split = _forced_increment(lam, h, phi_region, blocks)
+        assert np.max(np.abs(split - whole)) <= 1e-13 * np.max(np.abs(whole))
+        want = _oracle_increment(lam, h, phi_region, blocks)
+        assert np.max(np.abs(split - want)) <= 1e-13 * np.max(np.abs(want))

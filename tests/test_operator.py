@@ -108,12 +108,13 @@ class TestApply:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 127, 511, 512, 1000])
     @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0])
     def test_fft_path_matches_dense(self, n, beta, dense_matrix):
-        # a block of columns, and each column on its own
+        # a block of columns (real, complex, column-major), and each column on its own
         rng = np.random.default_rng(n)
         op = assemble_operator(Grid(n), beta)
         dense = dense_matrix(op)
         real = rng.standard_normal((n, 4))
-        for block in (real, real + 1j * rng.standard_normal((n, 4))):
+        cplx = real + 1j * rng.standard_normal((n, 4))
+        for block in (real, cplx, np.asfortranarray(cplx)):
             direct = dense @ block
             scale = max(1.0, np.max(np.abs(direct)))
             fast = apply(op, block)
