@@ -24,11 +24,9 @@ from .operator import (
 from .spectra import (
     GapReport,
     Spectrum,
-    SummabilityReport,
     asymptotic_eigenvalue,
     compute_spectrum,
     gap_sequence,
-    trace_summability,
 )
 from .regions import ObservationRegion
 from .dynamics import (
@@ -36,8 +34,6 @@ from .dynamics import (
     SourceSignal,
     WaveModalState,
     modal_invariants,
-    project_initial_datum,
-    reconstruct,
     schrodinger_evolve,
     schrodinger_forced_evolve,
     wave_energy,

@@ -28,7 +28,6 @@ from .dynamics import (
     ModalState,
     WaveModalState,
     modal_invariants,
-    reconstruct,
     schrodinger_evolve,
     wave_energy,
     wave_evolve,
@@ -155,17 +154,19 @@ def cmd_evolve(cfg, emitter, stamp, prefix=""):
     a = _make_datum(cfg.datum, cfg.modes, cfg.seed)
     times = np.linspace(0.0, cfg.horizon, cfg.samples)
     if cfg.equation == "schrodinger":
-        state = ModalState(coefficients=a, time=0.0, spectrum=sp, basis="phi")
+        state = ModalState(coefficients=a, time=0.0, spectrum=sp)
         header = ("t", "mass", "energy", "energy2")
         rows = []
         for t in times:
             rows.append((float(t),) + modal_invariants(schrodinger_evolve(state, t)))
         final = schrodinger_evolve(state, cfg.horizon)
+        start, end = state.coefficients, final.coefficients
     else:
         state = WaveModalState(position=a, velocity=np.zeros_like(a), time=0.0, spectrum=sp)
         header = ("t", "energy")
         rows = [(float(t), wave_energy(wave_evolve(state, t))) for t in times]
         final = wave_evolve(state, cfg.horizon)
+        start, end = state.position, final.position
     emitter.write(prefix + "evolve.csv", csv_text(header, rows))
 
     first = rows[0][1:]
@@ -186,12 +187,7 @@ def cmd_evolve(cfg, emitter, stamp, prefix=""):
     emitter.write(prefix + "evolve.json", json_text(summary))
 
     x = sp.grid.nodes
-    if cfg.equation == "schrodinger":
-        u0 = np.real(reconstruct(state))
-        uT = np.real(reconstruct(final))
-    else:
-        u0 = np.real(sp.vectors[:, : len(a)] @ state.position)
-        uT = np.real(sp.vectors[:, : len(a)] @ final.position)
+    u0, uT = np.real(sp.vectors @ start), np.real(sp.vectors @ end)
     emitter.write(
         prefix + "evolve.svg",
         line_plot(
@@ -275,7 +271,7 @@ def cmd_hum(cfg, emitter, stamp, prefix=""):
     sp = _spectrum_for(cfg.beta, cfg.n, cfg.modes)
     region = ObservationRegion.boundary_layers(cfg.epsilon)
     a0 = _make_datum(cfg.datum, cfg.modes, cfg.seed)
-    state = ModalState(coefficients=a0, time=0.0, spectrum=sp, basis="phi")
+    state = ModalState(coefficients=a0, time=0.0, spectrum=sp)
     result = hum_control(state, region, cfg.horizon)
     initial = float(np.linalg.norm(a0))
     report = {
@@ -323,7 +319,7 @@ def cmd_pohozaev(cfg, emitter, stamp, prefix=""):
     _check_trace_grid(cfg.n)
     sp = _spectrum_for(cfg.beta, cfg.n, cfg.modes)
     a = _make_datum(cfg.datum, cfg.modes, cfg.seed)
-    state = ModalState(coefficients=a, time=0.0, spectrum=sp, basis="phi")
+    state = ModalState(coefficients=a, time=0.0, spectrum=sp)
     report = schrodinger_pohozaev_report(state, cfg.horizon, cfg.time_intervals)
     active = [k + 1 for k in range(cfg.modes) if abs(a[k]) > 0.0]
     checks = [

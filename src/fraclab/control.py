@@ -22,7 +22,6 @@ import scipy.linalg
 from .dynamics import ModalState, SourceSignal, _forced_increment, _phases, _simpson_weights
 from .errors import IllConditionedError, NumericalError, UncontrollableError
 from .regions import ObservationRegion
-from .spectra import Spectrum
 
 __all__ = [
     "Gramian",
@@ -69,14 +68,14 @@ class Gramian:
     modes: int
 
 
-def region_mass_matrix(spectrum, region, modes=None):
+def region_mass_matrix(spectrum, region, modes):
     """Spatial observation matrix R_jk = h * sum_{i in region} phi_j(x_i) phi_k(x_i).
 
     R is symmetric with eigenvalues in [0, 1]: it is the h-weighted Gram
     matrix of eigenvectors restricted to the region, and equals the identity
     when the region covers every node.
     """
-    k = spectrum.modes if modes is None else int(modes)
+    k = int(modes)
     if not 1 <= k <= spectrum.modes:
         raise ValueError(f"modes must lie in [1, {spectrum.modes}], got {modes}")
     idx = region.node_indices(spectrum.grid)
@@ -106,14 +105,14 @@ def phase_average_matrix(eigenvalues, horizon):
     return T * np.exp(0.5j * x) * np.sinc(x / (2.0 * np.pi))
 
 
-def schrodinger_gramian(spectrum, region, horizon, modes=None):
+def schrodinger_gramian(spectrum, region, horizon, modes):
     """Closed-form Schrodinger observability Gramian G = R * mu (entrywise).
 
     For any modal datum a in the phi basis, a^H G a equals the observed
     energy int_0^T h * sum_{i in region} |u(x_i,t)|^2 dt of the truncated
     free evolution.
     """
-    k = spectrum.modes if modes is None else int(modes)
+    k = int(modes)
     R = region_mass_matrix(spectrum, region, k)
     mu = phase_average_matrix(spectrum.eigenvalues[:k], horizon)
     return Gramian(
@@ -140,7 +139,7 @@ def _cos_average(omega, T):
     return T * np.sinc(x / np.pi)
 
 
-def wave_gramian(spectrum, region, horizon, modes=None):
+def wave_gramian(spectrum, region, horizon, modes):
     """Wave observability Gramian over stacked data z = (lambda_k a_k ; b_k).
 
     z^H G z equals int_0^T h * sum_{i in region} |u_t(x_i,t)|^2 dt for the
@@ -148,7 +147,7 @@ def wave_gramian(spectrum, region, horizon, modes=None):
     while z^H z is the conserved energy.  Assembled from closed-form
     trigonometric time integrals.
     """
-    k = spectrum.modes if modes is None else int(modes)
+    k = int(modes)
     R = region_mass_matrix(spectrum, region, k)
     lam = spectrum.eigenvalues[:k]
     T = float(horizon)
@@ -308,10 +307,9 @@ def hum_control(state, region, horizon):
     """
     if not isinstance(state, ModalState):
         raise TypeError("hum_control expects a ModalState datum")
-    work = state.to_basis("phi")
-    a0 = work.coefficients
-    spectrum = work.spectrum
-    K = work.modes
+    a0 = state.coefficients
+    spectrum = state.spectrum
+    K = state.modes
     T = float(horizon)
     if T <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")

@@ -22,8 +22,6 @@ __all__ = [
     "ModalState",
     "WaveModalState",
     "SourceSignal",
-    "project_initial_datum",
-    "reconstruct",
     "schrodinger_evolve",
     "schrodinger_forced_evolve",
     "wave_evolve",
@@ -34,17 +32,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModalState:
-    """Coefficients of a Schrodinger state in the truncated eigenbasis.
-
-    `basis` records which normalization the coefficients refer to: "phi"
-    (unit discrete L2 norm) or "theta" (energy normalization, phi_k divided
-    by sqrt(1 + lambda_k)).
-    """
+    """Coefficients of a Schrodinger state in the truncated eigenbasis phi_k."""
 
     coefficients: np.ndarray
     time: float
     spectrum: Spectrum
-    basis: str = "phi"
 
     def __post_init__(self):
         a = np.asarray(self.coefficients, dtype=complex)
@@ -56,8 +48,6 @@ class ModalState:
             )
         if not np.all(np.isfinite(a.view(float))):
             raise ValueError("coefficients must be finite")
-        if self.basis not in ("phi", "theta"):
-            raise ValueError(f"basis must be 'phi' or 'theta', got {self.basis!r}")
         object.__setattr__(self, "coefficients", a)
         object.__setattr__(self, "time", float(self.time))
 
@@ -68,17 +58,6 @@ class ModalState:
     @property
     def eigenvalues(self):
         return self.spectrum.eigenvalues[: self.modes]
-
-    def to_basis(self, basis):
-        """Re-express the same state in the other normalization."""
-        if basis == self.basis:
-            return self
-        scale = np.sqrt(1.0 + self.eigenvalues)
-        if basis == "phi":
-            return replace(self, coefficients=self.coefficients / scale, basis="phi")
-        if basis == "theta":
-            return replace(self, coefficients=self.coefficients * scale, basis="theta")
-        raise ValueError(f"basis must be 'phi' or 'theta', got {basis!r}")
 
 
 @dataclass(frozen=True)
@@ -137,44 +116,6 @@ class SourceSignal:
     @property
     def duration(self):
         return self.dt * (self.values.shape[0] - 1)
-
-
-def _basis_matrix(spectrum, modes, basis):
-    if basis == "phi":
-        return spectrum.vectors[:, :modes]
-    return spectrum.theta_vectors()[:, :modes]
-
-
-def project_initial_datum(u0, spectrum, modes=None, basis="phi"):
-    """Expand nodal samples over the first `modes` eigenfunctions.
-
-    For the phi basis the coefficients are plain discrete L2 projections
-    a_k = h * sum_i u0(x_i) phi_k(x_i).  For the theta basis they are the
-    H^s-orthonormal projections (the L2 formula scaled by sqrt(1+lambda_k)),
-    so that reconstruct(project(u)) is the spectral truncation of u in either
-    basis.
-    """
-    u0 = np.asarray(u0)
-    n = spectrum.grid.n_interior
-    if u0.shape != (n,):
-        raise ValueError(f"expected {n} nodal samples, got shape {u0.shape}")
-    k = spectrum.modes if modes is None else int(modes)
-    if not 1 <= k <= spectrum.modes:
-        raise ValueError(f"modes must lie in [1, {spectrum.modes}], got {modes}")
-    a = spectrum.h * (spectrum.vectors[:, :k].T @ u0)
-    if basis == "theta":
-        a = a * np.sqrt(1.0 + spectrum.eigenvalues[:k])
-    elif basis != "phi":
-        raise ValueError(f"basis must be 'phi' or 'theta', got {basis!r}")
-    return ModalState(coefficients=a, time=0.0, spectrum=spectrum, basis=basis)
-
-
-def reconstruct(state, node_indices=None):
-    """Nodal values sum_k a_k basis_k(x_i), optionally on a node subset."""
-    phi = _basis_matrix(state.spectrum, state.modes, state.basis)
-    if node_indices is not None:
-        phi = phi[np.asarray(node_indices)]
-    return phi @ state.coefficients
 
 
 def modal_invariants(state):
@@ -253,7 +194,7 @@ def _forced_increment(lam, h, phi_region, blocks):
     return total
 
 
-def schrodinger_forced_evolve(state, source, region, duration=None):
+def schrodinger_forced_evolve(state, source, region):
     """Solve i u_t + A u = source on the region over the source's time span.
 
     Modal form a_k' = i lambda_k a_k - i f_k(t) with f_k the L2 projection
@@ -261,29 +202,24 @@ def schrodinger_forced_evolve(state, source, region, duration=None):
     integral is evaluated on the sample grid by composite Simpson when the
     sample count allows it (odd count, even intervals) and the trapezoidal
     rule otherwise; with a vanishing source this reduces exactly to the free
-    flow.  States in either basis are accepted; the update runs in the phi
-    basis and the result is returned in the input basis.
+    flow.
     """
     if not isinstance(source, SourceSignal):
         raise TypeError("source must be a SourceSignal")
     if not isinstance(region, ObservationRegion):
         raise TypeError("region must be an ObservationRegion")
-    work = state.to_basis("phi")
-    idx = region.node_indices(work.spectrum.grid)
+    idx = region.node_indices(state.spectrum.grid)
     if source.values.shape[1] != len(idx):
         raise ValueError(
             f"source carries {source.values.shape[1]} node columns, region has {len(idx)} nodes"
         )
     T = source.duration
-    if duration is not None and abs(float(duration) - T) > 1e-9 * max(T, 1.0):
-        raise ValueError(f"source spans {T}, requested duration {duration}")
-    lam = work.eigenvalues
-    phi_region = work.spectrum.vectors[idx, : work.modes]
+    lam = state.eigenvalues
+    phi_region = state.spectrum.vectors[idx, : state.modes]
     times = source.dt * np.arange(source.values.shape[0])
-    integral = _forced_increment(lam, work.spectrum.h, phi_region, [(times, source.values)])
-    a = np.exp(1j * lam * T) * (work.coefficients - 1j * integral)
-    out = replace(work, coefficients=a, time=work.time + T)
-    return out.to_basis(state.basis)
+    integral = _forced_increment(lam, state.spectrum.h, phi_region, [(times, source.values)])
+    a = np.exp(1j * lam * T) * (state.coefficients - 1j * integral)
+    return replace(state, coefficients=a, time=state.time + T)
 
 
 def wave_evolve(state, duration):

@@ -175,22 +175,21 @@ def _virial_term(u, grid):
     return grid.h * np.sum(np.conj(u) * grid.nodes * du)
 
 
-def _trace_integral(work, T, intervals):
-    """int_0^T (|d_left|^2 + |d_right|^2) dt along the free trajectory of `work`.
+def _trace_integral(state, T, intervals):
+    """int_0^T (|d_left|^2 + |d_right|^2) dt along the free trajectory of `state`.
 
-    `work` holds phi-basis coefficients.  Composite Simpson over `intervals`
-    steps.  Traces are extracted per
+    Composite Simpson over `intervals` steps.  Traces are extracted per
     snapshot from layer values only, so the cost stays linear in the number
     of nodes sampled.
     """
     w = _simpson_weights(intervals)
-    spectrum = work.spectrum
+    spectrum = state.spectrum
     op = _trace_operator(spectrum.grid, spectrum.beta)
-    lam = work.eigenvalues
-    phi_left = spectrum.vectors[op.left_slice, : work.modes]
-    phi_right = spectrum.vectors[op.right_slice, : work.modes][::-1]
+    lam = state.eigenvalues
+    phi_left = spectrum.vectors[op.left_slice, : state.modes]
+    phi_right = spectrum.vectors[op.right_slice, : state.modes][::-1]
     times = np.linspace(0.0, T, intervals + 1)
-    phases = np.exp(1j * np.outer(times, lam)) * work.coefficients
+    phases = np.exp(1j * np.outer(times, lam)) * state.coefficients
     left = (op.pinv @ (phi_left @ phases.T))[0]
     right = (op.pinv @ (phi_right @ phases.T))[0]
     dens = np.abs(left) ** 2 + np.abs(right) ** 2
@@ -210,7 +209,7 @@ class PohozaevReport:
     time_intervals: int
 
 
-def schrodinger_pohozaev_report(state, duration, time_intervals=512):
+def schrodinger_pohozaev_report(state, duration, time_intervals):
     """Balance Gamma(1+beta)^2 int (|d_left|^2 + |d_right|^2) dt against the bulk.
 
     The bulk side is 2 beta T sum lambda |a|^2 (conserved under the free
@@ -218,20 +217,19 @@ def schrodinger_pohozaev_report(state, duration, time_intervals=512):
     at T minus its value at 0.  The trace integral uses composite Simpson on
     per-snapshot layer fits.
     """
-    work = state.to_basis("phi")
-    spectrum = work.spectrum
+    spectrum = state.spectrum
     T = float(duration)
     if T <= 0.0:
         raise ValueError(f"duration must be positive, got {duration}")
     intervals = int(time_intervals)
     gamma = math.gamma(1.0 + spectrum.beta)
-    lhs = gamma**2 * _trace_integral(work, T, intervals)
+    lhs = gamma**2 * _trace_integral(state, T, intervals)
 
-    a = work.coefficients
-    dirichlet = 2.0 * spectrum.beta * T * float(np.sum(work.eigenvalues * np.abs(a) ** 2))
-    phi = spectrum.vectors[:, : work.modes]
+    a = state.coefficients
+    dirichlet = 2.0 * spectrum.beta * T * float(np.sum(state.eigenvalues * np.abs(a) ** 2))
+    phi = spectrum.vectors[:, : state.modes]
     u0 = phi @ a
-    uT = phi @ (np.exp(1j * work.eigenvalues * T) * a)
+    uT = phi @ (np.exp(1j * state.eigenvalues * T) * a)
     cross = float(np.imag(_virial_term(uT, spectrum.grid) - _virial_term(u0, spectrum.grid)))
     rhs = dirichlet + cross
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
@@ -257,7 +255,7 @@ class TwoSidedEstimate:
     time_intervals: int
 
 
-def two_sided_estimate_ratio(state, duration, time_intervals=512):
+def two_sided_estimate_ratio(state, duration, time_intervals):
     """int_0^T (|d_left|^2 + |d_right|^2) dt over sum (1 + lambda) |a|^2.
 
     The denominator is the squared graph norm of the datum; for a single
@@ -265,15 +263,12 @@ def two_sided_estimate_ratio(state, duration, time_intervals=512):
     up to trace-extraction error, and two-sided bounds c T <= ratio <= C T
     express observability of the datum from the boundary alone.
     """
-    work = state.to_basis("phi")
     T = float(duration)
     if T <= 0.0:
         raise ValueError(f"duration must be positive, got {duration}")
     intervals = int(time_intervals)
-    integral = _trace_integral(work, T, intervals)
-    energy = float(
-        np.sum((1.0 + work.eigenvalues) * np.abs(work.coefficients) ** 2)
-    )
+    integral = _trace_integral(state, T, intervals)
+    energy = float(np.sum((1.0 + state.eigenvalues) * np.abs(state.coefficients) ** 2))
     if energy <= 0.0:
         raise ValueError("datum energy is zero; the ratio is undefined")
     return TwoSidedEstimate(

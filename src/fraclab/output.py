@@ -34,30 +34,24 @@ _FLOAT_SPEC = "%.17g"
 
 
 def format_number(value):
-    """17-significant-digit decimal rendering of a scalar."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    """Integers verbatim, other reals at 17 significant digits."""
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, complex):
-        imag = format_number(value.imag)
-        return f"{format_number(value.real)}{'' if imag[0] == '-' else '+'}{imag}j"
     return _FLOAT_SPEC % float(value)
 
 
 def csv_text(header, rows):
-    """Render a header plus data rows as CSV text.
+    """Render a header plus rows of ints and floats as CSV text.
 
-    Numeric cells pass through format_number; strings are emitted verbatim
-    (callers must keep them comma-free).  A row of floats only is rendered
-    by one %-format of format_number's spec, which gives the same text.
+    Cells pass through format_number.  A row of floats only is rendered by
+    one %-format of format_number's spec, which gives the same text.
     """
     lines = [",".join(header)]
     for row in rows:
         if all(isinstance(c, float) for c in row):
             lines.append(",".join([_FLOAT_SPEC] * len(row)) % tuple(row))
         else:
-            lines.append(",".join(c if isinstance(c, str) else format_number(c) for c in row))
+            lines.append(",".join(map(format_number, row)))
     return "\n".join(lines) + "\n"
 
 

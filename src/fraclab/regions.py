@@ -43,10 +43,6 @@ class ObservationRegion:
             raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
         return cls(intervals=((-1.0, -1.0 + eps), (1.0 - eps, 1.0)))
 
-    @classmethod
-    def full(cls):
-        return cls(intervals=((-1.0, 1.0),))
-
     @staticmethod
     def _snap(grid, a, b):
         # Grid points are x_i = -1 + i h for i = 0..n+1 (endpoints included).

@@ -27,11 +27,9 @@ from .operator import DiscreteOperator, Grid, apply, check_order
 __all__ = [
     "Spectrum",
     "GapReport",
-    "SummabilityReport",
     "compute_spectrum",
     "asymptotic_eigenvalue",
     "gap_sequence",
-    "trace_summability",
 ]
 
 # Numerical ties below this relative separation are reported but kept in
@@ -64,10 +62,6 @@ class Spectrum:
     @property
     def h(self):
         return self.grid.h
-
-    def theta_vectors(self):
-        """Energy-normalized eigenvectors phi_k / sqrt(1 + lambda_k)."""
-        return self.vectors / np.sqrt(1.0 + self.eigenvalues)
 
 
 def _parity_block(row, sign):
@@ -236,47 +230,3 @@ def gap_sequence(source, modes):
         source="asymptotic",
     )
 
-
-@dataclass(frozen=True)
-class SummabilityReport:
-    """Partial sums of lambda_k^(-d) with a convergence verdict."""
-
-    partial_sums: np.ndarray
-    tail_estimate: float
-    converges: bool
-    decay_product: float  # 2 * beta * d
-
-
-def trace_summability(source, d, terms=1000):
-    """Study sum_k lambda_k^(-d) for a spectrum or the asymptotic law.
-
-    The series converges exactly when 2 * beta * d > 1; the tail estimate
-    integrates the asymptotic main term beyond the last computed index and is
-    infinite in the divergent case.
-    """
-    dd = float(d)
-    if dd <= 0:
-        raise ValueError(f"exponent d must be positive, got {d}")
-    if isinstance(source, Spectrum):
-        b = source.beta
-        lam = np.asarray(source.eigenvalues)
-    else:
-        b = check_order(source)
-        lam = asymptotic_eigenvalue(b, np.arange(1, int(terms) + 1))
-    partial = np.cumsum(lam ** (-dd))
-    product = 2.0 * b * dd
-    converges = product > 1.0
-    if converges:
-        # integral of (a k - c)^(-2 b d) from the last index on
-        a = np.pi / 2.0
-        c = (2.0 - 2.0 * b) * np.pi / 8.0
-        k_last = len(lam) + 0.5
-        tail = (a * k_last - c) ** (1.0 - product) / (a * (product - 1.0))
-    else:
-        tail = float("inf")
-    return SummabilityReport(
-        partial_sums=partial,
-        tail_estimate=float(tail),
-        converges=converges,
-        decay_product=product,
-    )

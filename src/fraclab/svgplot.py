@@ -12,6 +12,8 @@ __all__ = ["Series", "line_plot"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+_WIDTH = 640
+_HEIGHT = 420
 _MARGIN_LEFT = 62.0
 _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 34.0
@@ -54,8 +56,8 @@ def _ticks(lo, hi, target=5):
     return [k * step for k in range(k0, k1 + 1)]
 
 
-def line_plot(series, title="", xlabel="", ylabel="", width=640, height=420, timestamp=None):
-    """Render line series to an SVG 1.1 document string."""
+def line_plot(series, title="", xlabel="", ylabel="", timestamp=None):
+    """Render line series to an SVG 1.1 document string of _WIDTH x _HEIGHT."""
     series = list(series)
     if not series:
         raise ValueError("line_plot needs at least one series")
@@ -65,38 +67,38 @@ def line_plot(series, title="", xlabel="", ylabel="", width=640, height=420, tim
         raise ValueError("every series needs equal-length nonempty x and y")
     x_lo, x_hi = _data_range(xs)
     y_lo, y_hi = _data_range(ys)
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x):
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y):
-        return height - _MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return _HEIGHT - _MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
     ]
     if timestamp is not None:
         out.append(f"<!-- generated {timestamp} -->")
-    out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
+    out.append(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
 
     for tx in _ticks(x_lo, x_hi):
         x = px(tx)
         out.append(
             f'<line x1="{x:.2f}" y1="{_MARGIN_TOP:.2f}" x2="{x:.2f}" '
-            f'y2="{height - _MARGIN_BOTTOM:.2f}" stroke="#e0e0e0" stroke-width="1"/>'
+            f'y2="{_HEIGHT - _MARGIN_BOTTOM:.2f}" stroke="#e0e0e0" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{x:.2f}" y="{height - _MARGIN_BOTTOM + 16:.2f}" font-family="monospace" '
+            f'<text x="{x:.2f}" y="{_HEIGHT - _MARGIN_BOTTOM + 16:.2f}" font-family="monospace" '
             f'font-size="11" fill="#333333" text-anchor="middle">{tx:.6g}</text>'
         )
     for ty in _ticks(y_lo, y_hi):
         y = py(ty)
         out.append(
-            f'<line x1="{_MARGIN_LEFT:.2f}" y1="{y:.2f}" x2="{width - _MARGIN_RIGHT:.2f}" '
+            f'<line x1="{_MARGIN_LEFT:.2f}" y1="{y:.2f}" x2="{_WIDTH - _MARGIN_RIGHT:.2f}" '
             f'y2="{y:.2f}" stroke="#e0e0e0" stroke-width="1"/>'
         )
         out.append(
@@ -133,12 +135,12 @@ def line_plot(series, title="", xlabel="", ylabel="", width=640, height=420, tim
 
     if title:
         out.append(
-            f'<text x="{width / 2:.2f}" y="20" font-family="monospace" font-size="14" '
+            f'<text x="{_WIDTH / 2:.2f}" y="20" font-family="monospace" font-size="14" '
             f'fill="#111111" text-anchor="middle">{_esc(title)}</text>'
         )
     if xlabel:
         out.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{height - 10:.2f}" '
+            f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{_HEIGHT - 10:.2f}" '
             f'font-family="monospace" font-size="12" fill="#111111" '
             f'text-anchor="middle">{_esc(xlabel)}</text>'
         )

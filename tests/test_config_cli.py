@@ -383,7 +383,7 @@ class TestCliHum:
         spectrum = compute_spectrum(assemble_operator(Grid(n), beta), modes)
         region = ObservationRegion.boundary_layers(epsilon)
         a0 = cli._make_datum("random", modes, seed)
-        state = ModalState(coefficients=a0, time=0.0, spectrum=spectrum, basis="phi")
+        state = ModalState(coefficients=a0, time=0.0, spectrum=spectrum)
         result = hum_control(state, region, T)
         control = result.control
         report = json.loads((out / "hum.json").read_text())

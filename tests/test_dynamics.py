@@ -12,8 +12,6 @@ from fraclab import (
     SourceSignal,
     WaveModalState,
     modal_invariants,
-    project_initial_datum,
-    reconstruct,
     schrodinger_evolve,
     schrodinger_forced_evolve,
     wave_energy,
@@ -25,9 +23,9 @@ from fraclab.errors import FraclabError
 RNG = np.random.default_rng(20260823)
 
 
-def random_state(spectrum, modes, basis="phi"):
+def random_state(spectrum, modes):
     a = RNG.standard_normal(modes) + 1j * RNG.standard_normal(modes)
-    return ModalState(coefficients=a, time=0.0, spectrum=spectrum, basis=basis)
+    return ModalState(coefficients=a, time=0.0, spectrum=spectrum)
 
 
 class TestModalState:
@@ -41,63 +39,6 @@ class TestModalState:
             ModalState(coefficients=np.ones(spectrum.modes + 1), time=0.0, spectrum=spectrum)
         with pytest.raises(ValueError):
             ModalState(coefficients=np.array([1.0, np.nan]), time=0.0, spectrum=spectrum)
-        with pytest.raises(ValueError):
-            ModalState(coefficients=np.ones(2), time=0.0, spectrum=spectrum, basis="psi")
-
-    def test_basis_change_round_trip(self, get_spectrum):
-        spectrum = get_spectrum(0.5, 64, 6)
-        state = random_state(spectrum, 5)
-        theta = state.to_basis("theta")
-        scale = np.sqrt(1.0 + state.eigenvalues)
-        np.testing.assert_allclose(theta.coefficients, state.coefficients * scale)
-        back = theta.to_basis("phi")
-        np.testing.assert_allclose(back.coefficients, state.coefficients, rtol=1e-14)
-        assert state.to_basis("phi") is state
-
-    def test_basis_change_preserves_nodal_values(self, get_spectrum):
-        spectrum = get_spectrum(0.5, 64, 6)
-        state = random_state(spectrum, 5)
-        np.testing.assert_allclose(
-            reconstruct(state.to_basis("theta")), reconstruct(state), rtol=1e-12
-        )
-
-
-class TestProjection:
-    def test_round_trip_on_eigen_combination(self, get_spectrum):
-        spectrum = get_spectrum(0.5, 64, 8)
-        target = np.array([0.5, -1.25, 0.0, 2.0])
-        u0 = spectrum.vectors[:, :4] @ target
-        for basis in ("phi", "theta"):
-            state = project_initial_datum(u0, spectrum, modes=4, basis=basis)
-            phi_coeff = state.to_basis("phi").coefficients
-            np.testing.assert_allclose(phi_coeff.real, target, atol=1e-12)
-            np.testing.assert_allclose(reconstruct(state), u0, atol=1e-12)
-
-    def test_projection_is_truncation(self, get_spectrum):
-        # energy beyond the kept modes is simply dropped
-        spectrum = get_spectrum(0.5, 64, 8)
-        u0 = spectrum.vectors[:, :8] @ np.arange(1.0, 9.0)
-        state = project_initial_datum(u0, spectrum, modes=3)
-        np.testing.assert_allclose(state.coefficients.real, [1.0, 2.0, 3.0], atol=1e-12)
-
-    def test_node_subset_reconstruction(self, get_spectrum):
-        spectrum = get_spectrum(0.5, 64, 6)
-        state = random_state(spectrum, 6)
-        full = reconstruct(state)
-        idx = np.array([0, 5, 17])
-        np.testing.assert_allclose(reconstruct(state, node_indices=idx), full[idx])
-
-    def test_validation(self, get_spectrum):
-        spectrum = get_spectrum(0.5, 64, 6)
-        with pytest.raises(ValueError):
-            project_initial_datum(np.ones(10), spectrum)
-        u0 = np.ones(64)
-        with pytest.raises(ValueError):
-            project_initial_datum(u0, spectrum, modes=0)
-        with pytest.raises(ValueError):
-            project_initial_datum(u0, spectrum, modes=spectrum.modes + 1)
-        with pytest.raises(ValueError):
-            project_initial_datum(u0, spectrum, basis="fourier")
 
 
 class TestFreeFlow:
@@ -198,19 +139,6 @@ class TestForcedFlow:
         want = sol.y[:5, -1] + 1j * sol.y[5:, -1]
         np.testing.assert_allclose(out.coefficients, want, rtol=1e-9, atol=1e-11)
 
-    def test_basis_independence(self, get_spectrum):
-        spectrum = get_spectrum(0.5, 64, 5)
-        region = ObservationRegion.boundary_layers(0.3)
-        n_nodes = len(region.node_indices(spectrum.grid))
-        state = random_state(spectrum, 5)
-        source = SourceSignal(values=RNG.standard_normal((41, n_nodes)), dt=0.025)
-        out_phi = schrodinger_forced_evolve(state, source, region)
-        out_theta = schrodinger_forced_evolve(state.to_basis("theta"), source, region)
-        assert out_theta.basis == "theta"
-        np.testing.assert_allclose(
-            out_theta.to_basis("phi").coefficients, out_phi.coefficients, rtol=1e-13
-        )
-
     def test_validation(self, get_spectrum):
         spectrum = get_spectrum(0.5, 64, 4)
         region = ObservationRegion.boundary_layers(0.3)
@@ -224,8 +152,6 @@ class TestForcedFlow:
         bad_cols = SourceSignal(values=np.zeros((11, n_nodes + 2)), dt=0.1)
         with pytest.raises(ValueError):
             schrodinger_forced_evolve(state, bad_cols, region)
-        with pytest.raises(ValueError):
-            schrodinger_forced_evolve(state, good, region, duration=2.0)
 
 
 class TestSourceSignal:

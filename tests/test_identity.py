@@ -195,7 +195,7 @@ class TestTrajectoryReport:
         spectrum = get_spectrum(0.5, 512, 3)
         state = ModalState(coefficients=np.ones(3), time=0.0, spectrum=spectrum)
         with pytest.raises(ValueError):
-            schrodinger_pohozaev_report(state, 0.0)
+            schrodinger_pohozaev_report(state, 0.0, time_intervals=64)
         with pytest.raises(ValueError):
             schrodinger_pohozaev_report(state, 1.0, time_intervals=7)
 
@@ -237,12 +237,12 @@ class TestTwoSidedEstimate:
         spectrum = get_spectrum(0.5, 512, 2)
         state = ModalState(coefficients=np.zeros(2), time=0.0, spectrum=spectrum)
         with pytest.raises(ValueError):
-            two_sided_estimate_ratio(state, 1.0)
+            two_sided_estimate_ratio(state, 1.0, time_intervals=64)
 
     def test_validation(self, get_spectrum):
         spectrum = get_spectrum(0.5, 512, 2)
         state = ModalState(coefficients=np.ones(2), time=0.0, spectrum=spectrum)
         with pytest.raises(ValueError):
-            two_sided_estimate_ratio(state, -1.0)
+            two_sided_estimate_ratio(state, -1.0, time_intervals=64)
         with pytest.raises(ValueError):
             two_sided_estimate_ratio(state, 1.0, time_intervals=9)

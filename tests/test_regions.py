@@ -48,7 +48,8 @@ class TestConstructors:
             ObservationRegion.boundary_layers(eps)
 
     def test_full(self):
-        assert ObservationRegion.full().intervals == ((-1.0, 1.0),)
+        # the closed endpoints are admitted and integer pairs become floats
+        assert ObservationRegion([(-1, 1)]).intervals == ((-1.0, 1.0),)
 
 
 class TestNodeSelection:
@@ -72,7 +73,7 @@ class TestNodeSelection:
 
     def test_full_region_covers_all_interior_nodes(self):
         grid = Grid(17)
-        idx = ObservationRegion.full().node_indices(grid)
+        idx = ObservationRegion(((-1.0, 1.0),)).node_indices(grid)
         np.testing.assert_array_equal(idx, np.arange(17))
 
     def test_boundary_layer_nodes_symmetric(self):
@@ -107,7 +108,7 @@ class TestNodeSelection:
 
     def test_grid_type_checked(self):
         with pytest.raises(TypeError):
-            ObservationRegion.full().node_indices(31)
+            ObservationRegion(((-1.0, 1.0),)).node_indices(31)
 
     def test_snapped_merges_runs_that_meet(self):
         grid = Grid(9)

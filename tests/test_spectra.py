@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 
 from fraclab import (
     Grid,
-    Spectrum,
     assemble_operator,
     asymptotic_eigenvalue,
     compute_spectrum,
     gap_sequence,
-    trace_summability,
 )
 
 
@@ -68,15 +66,6 @@ class TestComputeSpectrum:
         assert lam10 == pytest.approx(15.31909632799616, rel=1e-10)
         law = asymptotic_eigenvalue(0.5, 10)
         assert abs(lam10 - law) / law < 0.02
-
-    def test_theta_vectors_scaling(self, get_spectrum):
-        spectrum = get_spectrum(0.5, 256, 6)
-        theta = spectrum.theta_vectors()
-        expected = spectrum.vectors / np.sqrt(1.0 + spectrum.eigenvalues)
-        np.testing.assert_allclose(theta, expected, rtol=1e-15)
-        # energy normalization: (1 + lambda) * h * sum theta^2 = 1
-        energy = (1.0 + spectrum.eigenvalues) * spectrum.h * np.sum(theta**2, axis=0)
-        np.testing.assert_allclose(energy, 1.0, rtol=1e-12)
 
     def test_no_ties_for_simple_spectrum(self, get_spectrum):
         assert get_spectrum(0.5, 256, 12).ties == ()
@@ -232,37 +221,3 @@ class TestGapSequence:
         spectrum = get_spectrum(0.5, 256, 8)
         with pytest.raises(ValueError):
             gap_sequence(spectrum, spectrum.modes + 1)
-
-
-class TestTraceSummability:
-    def test_convergence_threshold(self):
-        # converges exactly when 2 * beta * d > 1
-        assert trace_summability(0.75, 1).converges is True
-        assert trace_summability(0.3, 1).converges is False
-        assert trace_summability(0.3, 2).converges is True
-        # the borderline case diverges
-        edge = trace_summability(0.5, 1)
-        assert edge.converges is False
-        assert edge.decay_product == pytest.approx(1.0)
-        assert math.isinf(edge.tail_estimate)
-
-    def test_convergent_tail_frozen(self):
-        report = trace_summability(0.75, 1)
-        assert report.decay_product == pytest.approx(1.5)
-        assert report.tail_estimate == pytest.approx(0.0321, rel=2e-2)
-        assert np.all(np.diff(report.partial_sums) > 0.0)
-
-    def test_spectrum_source(self, get_spectrum):
-        spectrum = get_spectrum(0.75, 256, 12)
-        report = trace_summability(spectrum, 1)
-        assert report.converges is True
-        assert len(report.partial_sums) == spectrum.modes
-        assert report.partial_sums[0] == pytest.approx(
-            1.0 / spectrum.eigenvalues[0], rel=1e-12
-        )
-
-    def test_exponent_validation(self):
-        with pytest.raises(ValueError):
-            trace_summability(0.5, 0.0)
-        with pytest.raises(ValueError):
-            trace_summability(0.5, -1.0)
