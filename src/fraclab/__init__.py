@@ -56,7 +56,6 @@ from .identity import (
     BoundaryTrace,
     PohozaevCheck,
     PohozaevReport,
-    TwoSidedEstimate,
     boundary_trace,
     eigen_pohozaev_check,
     schrodinger_pohozaev_report,

@@ -32,13 +32,7 @@ from .dynamics import (
     wave_energy,
     wave_evolve,
 )
-from .errors import (
-    ConfigError,
-    FraclabError,
-    IllConditionedError,
-    NumericalError,
-    UncontrollableError,
-)
+from .errors import ConfigError, FraclabError, NumericalError
 from .identity import (
     SKIP,
     _layer_width,
@@ -154,7 +148,7 @@ def cmd_evolve(cfg, emitter, stamp, prefix=""):
     a = _make_datum(cfg.datum, cfg.modes, cfg.seed)
     times = np.linspace(0.0, cfg.horizon, cfg.samples)
     if cfg.equation == "schrodinger":
-        state = ModalState(coefficients=a, time=0.0, spectrum=sp)
+        state = ModalState(coefficients=a, spectrum=sp)
         header = ("t", "mass", "energy", "energy2")
         rows = []
         for t in times:
@@ -162,7 +156,7 @@ def cmd_evolve(cfg, emitter, stamp, prefix=""):
         final = schrodinger_evolve(state, cfg.horizon)
         start, end = state.coefficients, final.coefficients
     else:
-        state = WaveModalState(position=a, velocity=np.zeros_like(a), time=0.0, spectrum=sp)
+        state = WaveModalState(position=a, velocity=np.zeros_like(a), spectrum=sp)
         header = ("t", "energy")
         rows = [(float(t), wave_energy(wave_evolve(state, t))) for t in times]
         final = wave_evolve(state, cfg.horizon)
@@ -205,10 +199,13 @@ def cmd_evolve(cfg, emitter, stamp, prefix=""):
 
 
 def _table_command(name, cfg, emitter, stamp, prefix=""):
-    for k in cfg.mode_counts:
-        _check_span(k, cfg.n)
+    largest = cfg.mode_counts[-1]  # the parser keeps the counts ascending
+    if largest > cfg.n:
+        raise ConfigError(
+            f"mode_counts entry {largest} exceeds the number of interior nodes n = {cfg.n}"
+        )
     region = ObservationRegion.boundary_layers(cfg.epsilon)
-    spectra = {b: _spectrum_for(b, cfg.n, cfg.mode_counts[-1]) for b in cfg.betas}
+    spectra = {b: _spectrum_for(b, cfg.n, largest) for b in cfg.betas}
     if len(cfg.mode_counts) >= 2:
         table = sharpness_experiment(spectra, cfg.mode_counts, region, cfg.horizon)
         constants, conditions, resolved = table.constants, table.conditions, table.resolved
@@ -271,7 +268,7 @@ def cmd_hum(cfg, emitter, stamp, prefix=""):
     sp = _spectrum_for(cfg.beta, cfg.n, cfg.modes)
     region = ObservationRegion.boundary_layers(cfg.epsilon)
     a0 = _make_datum(cfg.datum, cfg.modes, cfg.seed)
-    state = ModalState(coefficients=a0, time=0.0, spectrum=sp)
+    state = ModalState(coefficients=a0, spectrum=sp)
     result = hum_control(state, region, cfg.horizon)
     initial = float(np.linalg.norm(a0))
     report = {
@@ -319,7 +316,7 @@ def cmd_pohozaev(cfg, emitter, stamp, prefix=""):
     _check_trace_grid(cfg.n)
     sp = _spectrum_for(cfg.beta, cfg.n, cfg.modes)
     a = _make_datum(cfg.datum, cfg.modes, cfg.seed)
-    state = ModalState(coefficients=a, time=0.0, spectrum=sp)
+    state = ModalState(coefficients=a, spectrum=sp)
     report = schrodinger_pohozaev_report(state, cfg.horizon, cfg.time_intervals)
     active = [k + 1 for k in range(cfg.modes) if abs(a[k]) > 0.0]
     checks = [
@@ -329,7 +326,7 @@ def cmd_pohozaev(cfg, emitter, stamp, prefix=""):
     ]
     ratio = None
     if np.linalg.norm(a) > 0.0:
-        ratio = two_sided_estimate_ratio(state, cfg.horizon, cfg.time_intervals).ratio
+        ratio = two_sided_estimate_ratio(state, report.trace_integral)
     payload = {
         "beta": cfg.beta,
         "n": cfg.n,
@@ -500,7 +497,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"fraclab: config error: {exc}", file=sys.stderr)
         return 2
-    except (IllConditionedError, UncontrollableError, NumericalError) as exc:
+    except NumericalError as exc:
         body = {
             "error": {
                 "type": type(exc).__name__,

@@ -61,10 +61,6 @@ class Gramian:
     """Hermitian observability Gramian over a truncated mode span."""
 
     entries: np.ndarray
-    horizon: float
-    region: ObservationRegion
-    kind: str  # "schrodinger" or "wave"
-    beta: float
     modes: int
 
 
@@ -115,14 +111,7 @@ def schrodinger_gramian(spectrum, region, horizon, modes):
     k = int(modes)
     R = region_mass_matrix(spectrum, region, k)
     mu = phase_average_matrix(spectrum.eigenvalues[:k], horizon)
-    return Gramian(
-        entries=R * mu,
-        horizon=float(horizon),
-        region=region,
-        kind="schrodinger",
-        beta=spectrum.beta,
-        modes=k,
-    )
+    return Gramian(entries=R * mu, modes=k)
 
 
 def _sin_average(omega, T):
@@ -161,14 +150,7 @@ def wave_gramian(spectrum, region, horizon, modes):
     sc = 0.5 * (_sin_average(summ, T) + _sin_average(diff, T))
     top = np.concatenate([R * ss, -(R * sc)], axis=1)
     bottom = np.concatenate([-(R * sc).T, R * cc], axis=1)
-    return Gramian(
-        entries=np.concatenate([top, bottom], axis=0),
-        horizon=T,
-        region=region,
-        kind="wave",
-        beta=spectrum.beta,
-        modes=k,
-    )
+    return Gramian(entries=np.concatenate([top, bottom], axis=0), modes=k)
 
 
 def observability_constant(gramian):
@@ -215,16 +197,16 @@ def _constants_table(spectra, counts, region, horizon):
 
 @dataclass(frozen=True)
 class SharpnessTable:
-    """Observability constants over a (beta, K) sweep with per-beta verdicts."""
+    """Observability constants over a (beta, K) sweep with per-beta verdicts.
 
-    betas: tuple
-    mode_counts: tuple
-    constants: np.ndarray  # shape (len(betas), len(mode_counts))
+    Rows run over the orders and columns over the mode counts, both ascending.
+    """
+
+    constants: np.ndarray
     conditions: np.ndarray
     resolved: np.ndarray  # constant above the eigensolve's rounding floor
     decay_ratios: np.ndarray  # const at K_max over const at K_min, per beta
     verdicts: tuple  # "vanishing" or "uniform" per beta
-    horizon: float
 
 
 def sharpness_experiment(spectra, mode_counts, region, horizon):
@@ -240,19 +222,15 @@ def sharpness_experiment(spectra, mode_counts, region, horizon):
     counts = tuple(sorted(int(k) for k in mode_counts))
     if len(counts) < 2:
         raise ValueError("need at least two mode counts")
-    betas = tuple(sorted(spectra))
     constants, conditions, resolved = _constants_table(spectra, counts, region, horizon)
     decay = constants[:, -1] / constants[:, 0]
     verdicts = tuple("vanishing" if r < VANISHING_DECAY else "uniform" for r in decay)
     return SharpnessTable(
-        betas=betas,
-        mode_counts=counts,
         constants=constants,
         conditions=conditions,
         resolved=resolved,
         decay_ratios=decay,
         verdicts=verdicts,
-        horizon=float(horizon),
     )
 
 
@@ -269,8 +247,6 @@ class ControlResult:
     identity_rhs: float
     identity_residual: float
     region: ObservationRegion
-    horizon: float
-    modes: int
     replay_steps: int
     replay_capped: bool
 
@@ -395,8 +371,6 @@ def hum_control(state, region, horizon):
         identity_rhs=rhs,
         identity_residual=residual,
         region=region.snapped(spectrum.grid),
-        horizon=T,
-        modes=K,
         replay_steps=n_steps,
         replay_capped=capped,
     )

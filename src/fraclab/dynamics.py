@@ -35,7 +35,6 @@ class ModalState:
     """Coefficients of a Schrodinger state in the truncated eigenbasis phi_k."""
 
     coefficients: np.ndarray
-    time: float
     spectrum: Spectrum
 
     def __post_init__(self):
@@ -49,7 +48,6 @@ class ModalState:
         if not np.all(np.isfinite(a.view(float))):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", a)
-        object.__setattr__(self, "time", float(self.time))
 
     @property
     def modes(self):
@@ -66,7 +64,6 @@ class WaveModalState:
 
     position: np.ndarray
     velocity: np.ndarray
-    time: float
     spectrum: Spectrum
 
     def __post_init__(self):
@@ -82,7 +79,6 @@ class WaveModalState:
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "position", a)
         object.__setattr__(self, "velocity", b)
-        object.__setattr__(self, "time", float(self.time))
 
     @property
     def modes(self):
@@ -127,9 +123,8 @@ def modal_invariants(state):
 
 def schrodinger_evolve(state, duration):
     """Advance the free Schrodinger flow: a_k <- a_k exp(i lambda_k t).  Exact."""
-    t = float(duration)
-    a = state.coefficients * np.exp(1j * state.eigenvalues * t)
-    return replace(state, coefficients=a, time=state.time + t)
+    a = state.coefficients * np.exp(1j * state.eigenvalues * float(duration))
+    return replace(state, coefficients=a)
 
 
 def _simpson_weights(intervals):
@@ -219,7 +214,7 @@ def schrodinger_forced_evolve(state, source, region):
     times = source.dt * np.arange(source.values.shape[0])
     integral = _forced_increment(lam, state.spectrum.h, phi_region, [(times, source.values)])
     a = np.exp(1j * lam * T) * (state.coefficients - 1j * integral)
-    return replace(state, coefficients=a, time=state.time + T)
+    return replace(state, coefficients=a)
 
 
 def wave_evolve(state, duration):
@@ -233,7 +228,7 @@ def wave_evolve(state, duration):
     c, s = np.cos(lam * t), np.sin(lam * t)
     a = state.position * c + state.velocity * (s / lam)
     b = -state.position * lam * s + state.velocity * c
-    return replace(state, position=a, velocity=b, time=state.time + t)
+    return replace(state, position=a, velocity=b)
 
 
 def wave_energy(state):

@@ -19,7 +19,6 @@ __all__ = [
     "BoundaryTrace",
     "PohozaevCheck",
     "PohozaevReport",
-    "TwoSidedEstimate",
     "boundary_trace",
     "eigen_pohozaev_check",
     "schrodinger_pohozaev_report",
@@ -50,7 +49,6 @@ class _TraceOperator:
     design: np.ndarray  # (m, 2) powers of distance to the nearer endpoint
     pinv: np.ndarray
     exponents: tuple
-    layer_nodes: int
 
 
 def _trace_operator(grid, beta):
@@ -73,7 +71,6 @@ def _trace_operator(grid, beta):
         design=design,
         pinv=pinv,
         exponents=exponents,
-        layer_nodes=m,
     )
 
 
@@ -86,7 +83,6 @@ class BoundaryTrace:
     left_residual: float
     right_residual: float
     exponents: tuple
-    layer_nodes: int
 
     @property
     def squared_sum(self):
@@ -126,7 +122,6 @@ def boundary_trace(values, grid, beta):
         left_residual=left_res,
         right_residual=right_res,
         exponents=op.exponents,
-        layer_nodes=op.layer_nodes,
     )
 
 
@@ -138,7 +133,6 @@ class PohozaevCheck:
     lhs: float
     rhs: float
     residual: float
-    trace: BoundaryTrace
 
 
 def eigen_pohozaev_check(spectrum, mode):
@@ -151,12 +145,11 @@ def eigen_pohozaev_check(spectrum, mode):
     if not 1 <= k <= spectrum.modes:
         raise ValueError(f"mode must lie in [1, {spectrum.modes}], got {mode}")
     phi = spectrum.vectors[:, k - 1]
-    trace = boundary_trace(phi, spectrum.grid, spectrum.beta)
-    lhs = trace.squared_sum
+    lhs = boundary_trace(phi, spectrum.grid, spectrum.beta).squared_sum
     gamma = math.gamma(1.0 + spectrum.beta)
     rhs = 2.0 * spectrum.beta * float(spectrum.eigenvalues[k - 1]) / gamma**2
     residual = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return PohozaevCheck(mode=k, lhs=lhs, rhs=rhs, residual=residual, trace=trace)
+    return PohozaevCheck(mode=k, lhs=lhs, rhs=rhs, residual=residual)
 
 
 def _first_derivative(values, h):
@@ -205,8 +198,7 @@ class PohozaevReport:
     dirichlet_term: float
     cross_term: float
     residual: float
-    duration: float
-    time_intervals: int
+    trace_integral: float  # int_0^T (|d_left|^2 + |d_right|^2) dt
 
 
 def schrodinger_pohozaev_report(state, duration, time_intervals):
@@ -215,15 +207,14 @@ def schrodinger_pohozaev_report(state, duration, time_intervals):
     The bulk side is 2 beta T sum lambda |a|^2 (conserved under the free
     flow) plus the boundary-in-time term Im h sum conj(u) x du/dx evaluated
     at T minus its value at 0.  The trace integral uses composite Simpson on
-    per-snapshot layer fits.
+    per-snapshot layer fits; the report keeps it for two_sided_estimate_ratio.
     """
     spectrum = state.spectrum
     T = float(duration)
     if T <= 0.0:
         raise ValueError(f"duration must be positive, got {duration}")
-    intervals = int(time_intervals)
-    gamma = math.gamma(1.0 + spectrum.beta)
-    lhs = gamma**2 * _trace_integral(state, T, intervals)
+    integral = _trace_integral(state, T, int(time_intervals))
+    lhs = math.gamma(1.0 + spectrum.beta) ** 2 * integral
 
     a = state.coefficients
     dirichlet = 2.0 * spectrum.beta * T * float(np.sum(state.eigenvalues * np.abs(a) ** 2))
@@ -239,42 +230,21 @@ def schrodinger_pohozaev_report(state, duration, time_intervals):
         dirichlet_term=dirichlet,
         cross_term=cross,
         residual=residual,
-        duration=T,
-        time_intervals=intervals,
+        trace_integral=integral,
     )
 
 
-@dataclass(frozen=True)
-class TwoSidedEstimate:
-    """Ratio of observed boundary energy to the datum energy of a trajectory."""
-
-    ratio: float
-    trace_integral: float
-    datum_energy: float
-    duration: float
-    time_intervals: int
-
-
-def two_sided_estimate_ratio(state, duration, time_intervals):
+def two_sided_estimate_ratio(state, trace_integral):
     """int_0^T (|d_left|^2 + |d_right|^2) dt over sum (1 + lambda) |a|^2.
 
-    The denominator is the squared graph norm of the datum; for a single
-    mode k the ratio equals 2 beta T lambda_k / (Gamma(1+beta)^2 (1+lambda_k))
-    up to trace-extraction error, and two-sided bounds c T <= ratio <= C T
-    express observability of the datum from the boundary alone.
+    `trace_integral` is the numerator, as PohozaevReport.trace_integral
+    carries it.  The denominator is the squared graph norm of the datum; for
+    a single mode k the ratio equals 2 beta T lambda_k / (Gamma(1+beta)^2
+    (1+lambda_k)) up to trace-extraction error, and two-sided bounds
+    c T <= ratio <= C T express observability of the datum from the boundary
+    alone.
     """
-    T = float(duration)
-    if T <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    intervals = int(time_intervals)
-    integral = _trace_integral(state, T, intervals)
     energy = float(np.sum((1.0 + state.eigenvalues) * np.abs(state.coefficients) ** 2))
     if energy <= 0.0:
         raise ValueError("datum energy is zero; the ratio is undefined")
-    return TwoSidedEstimate(
-        ratio=integral / energy,
-        trace_integral=integral,
-        datum_energy=energy,
-        duration=T,
-        time_intervals=intervals,
-    )
+    return float(trace_integral) / energy

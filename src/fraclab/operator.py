@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "DiscreteOperator",
-    "check_order",
     "centered_difference_weights",
     "symbol",
     "assemble_operator",

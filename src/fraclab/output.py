@@ -144,7 +144,9 @@ def verify_manifest(directory):
 
     Returns (ok, report_lines).  Missing files and digest mismatches are
     drift; the manifest itself is not re-checked (it holds the digests).  An
-    unreadable or malformed manifest raises OSError.
+    unreadable or malformed manifest raises OSError; so does an entry that is
+    not a plain file name, since write_manifest never writes one and a path
+    would reach outside the run directory.
     """
     path = os.path.join(directory, MANIFEST_NAME)
     with open(path, encoding="utf-8") as handle:
@@ -156,6 +158,9 @@ def verify_manifest(directory):
         entries = [(str(e["name"]), e["sha256"]) for e in manifest.get("files", [])]
     except (AttributeError, KeyError, TypeError):
         raise OSError(f"malformed manifest {path}: expected a list of name/sha256 files") from None
+    for name, _ in entries:
+        if os.path.basename(name) != name or name in ("", ".", ".."):
+            raise OSError(f"malformed manifest {path}: entry {name!r} is not a plain file name")
     ok = True
     lines = []
     for name, sha256 in entries:

@@ -182,11 +182,8 @@ class GapReport:
     """First differences of an eigenvalue sequence with a dichotomy verdict."""
 
     gaps: np.ndarray
-    inf_gap_estimate: float
     verdict: str  # "uniform-gap" or "vanishing-gap"
-    source: str  # "numeric" or "asymptotic"
-    slope: float = None
-    ties: tuple = ()
+    slope: float = None  # log-log slope of numeric gaps; None for the asymptotic law
 
 
 def gap_sequence(source, modes):
@@ -211,22 +208,10 @@ def gap_sequence(source, modes):
             idx = np.arange(1, k, dtype=float)
             slope = float(np.polyfit(np.log(idx), np.log(gaps), 1)[0])
         verdict = "vanishing-gap" if slope < VANISHING_SLOPE else "uniform-gap"
-        return GapReport(
-            gaps=gaps,
-            inf_gap_estimate=float(gaps.min()),
-            verdict=verdict,
-            source="numeric",
-            slope=slope,
-            ties=source.ties,
-        )
+        return GapReport(gaps=gaps, verdict=verdict, slope=slope)
     b = check_order(source)
     lam = asymptotic_eigenvalue(b, np.arange(1, k + 1))
     gaps = np.diff(lam)
     verdict = "vanishing-gap" if b < 0.5 else "uniform-gap"
-    return GapReport(
-        gaps=gaps,
-        inf_gap_estimate=float(gaps.min()),
-        verdict=verdict,
-        source="asymptotic",
-    )
+    return GapReport(gaps=gaps, verdict=verdict)
 

@@ -124,12 +124,11 @@ def test_criterion_04_conservation_battery(get_spectrum):
         spectrum = get_spectrum(beta, 512, 12)
         for _ in range(50):
             a = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-            state = ModalState(coefficients=a, time=0.0, spectrum=spectrum)
+            state = ModalState(coefficients=a, spectrum=spectrum)
             before = np.array(modal_invariants(state))
             wave = WaveModalState(
                 position=rng.standard_normal(12),
                 velocity=rng.standard_normal(12),
-                time=0.0,
                 spectrum=spectrum,
             )
             e0 = wave_energy(wave)
@@ -196,7 +195,8 @@ def test_criterion_06_observability_sharpness(get_spectrum):
     table = sharpness_experiment(spectra, (5, 10, 20, 30, 40), region, 4.0)
     elapsed = time.monotonic() - start
 
-    by_beta = dict(zip(table.betas, table.constants))
+    betas = sorted(spectra)
+    by_beta = dict(zip(betas, table.constants))
     assert table.verdicts == ("vanishing", "uniform", "uniform")
     # below the dichotomy point the constants collapse by many decades
     assert by_beta[0.25][-1] < 1e-6 * by_beta[0.25][0]
@@ -206,7 +206,7 @@ def test_criterion_06_observability_sharpness(get_spectrum):
     assert elapsed < 300.0
     print(
         "criterion 06: decay ratios "
-        + ", ".join(f"{b:g}: {r:.2e}" for b, r in zip(table.betas, table.decay_ratios))
+        + ", ".join(f"{b:g}: {r:.2e}" for b, r in zip(betas, table.decay_ratios))
         + f"; {elapsed:.1f}s"
     )
 
@@ -220,7 +220,7 @@ def test_criterion_07_hum_control_end_to_end(get_spectrum):
     rng = np.random.default_rng(7)
     a0 = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     a0 /= np.linalg.norm(a0)
-    state = ModalState(coefficients=a0, time=0.0, spectrum=spectrum)
+    state = ModalState(coefficients=a0, spectrum=spectrum)
 
     result = hum_control(state, region, 1.0)
     assert result.final_state_norm <= 1e-8
@@ -288,7 +288,6 @@ def test_criterion_09_trajectory_boundary_identity(get_spectrum):
     spectrum = get_spectrum(0.5, 1024, 3)
     single = ModalState(
         coefficients=np.array([(1.0 + 1.0j) / np.sqrt(2.0), 0.0, 0.0]),
-        time=0.0,
         spectrum=spectrum,
     )
     report = schrodinger_pohozaev_report(single, 1.0, 512)
@@ -306,7 +305,7 @@ def test_criterion_09_trajectory_boundary_identity(get_spectrum):
         residuals = []
         for n in (512, 1024, 2048):
             state = ModalState(
-                coefficients=coeffs, time=0.0, spectrum=get_spectrum(0.5, n, 3)
+                coefficients=coeffs, spectrum=get_spectrum(0.5, n, 3)
             )
             rep = schrodinger_pohozaev_report(state, 1.0, 512)
             residuals.append(rep.residual)
@@ -340,17 +339,19 @@ def test_criterion_10_two_sided_boundary_observability(get_spectrum):
         for k in range(5):
             c = np.zeros(5)
             c[k] = 1.0
-            state = ModalState(coefficients=c, time=0.0, spectrum=spectrum)
-            est = two_sided_estimate_ratio(state, T, 128)
-            assert abs(est.ratio / analytic[k] - 1.0) < single_tol
+            state = ModalState(coefficients=c, spectrum=spectrum)
+            report = schrodinger_pohozaev_report(state, T, 128)
+            ratio = two_sided_estimate_ratio(state, report.trace_integral)
+            assert abs(ratio / analytic[k] - 1.0) < single_tol
 
         lo, hi = 0.1 * analytic.min(), 10.0 * analytic.max()
         rng = np.random.default_rng(100)
         ratios = []
         for _ in range(20):
             a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            state = ModalState(coefficients=a, time=0.0, spectrum=spectrum)
-            ratios.append(two_sided_estimate_ratio(state, T, 256).ratio)
+            state = ModalState(coefficients=a, spectrum=spectrum)
+            report = schrodinger_pohozaev_report(state, T, 256)
+            ratios.append(two_sided_estimate_ratio(state, report.trace_integral))
         assert lo < min(ratios) and max(ratios) < hi
         lines.append(
             f"n={n} ratios [{min(ratios):.3f}, {max(ratios):.3f}] in "

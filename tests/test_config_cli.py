@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import hashlib
 import json
 import math
 import subprocess
@@ -22,6 +23,7 @@ from fraclab import (
 )
 from fraclab import cli
 from fraclab import control
+from fraclab import identity
 from fraclab.config import (
     MAX_NODES,
     ConfigError,
@@ -195,6 +197,13 @@ class TestCliSpectrum:
         assert proc.returncode == 2
         assert "modes" in proc.stderr
 
+    def test_table_span_beyond_grid_names_mode_counts(self, tmp_path, capsys):
+        # [sharpness] has no `modes` key; the message names the key it has
+        assert cli.main(["sharpness", "--n", "8", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fraclab: config error: mode_counts ")
+        assert "n = 8" in err
+
 
 class TestCliDeterminism:
     @pytest.mark.parametrize(
@@ -314,6 +323,25 @@ class TestCliErrors:
         assert err.startswith("fraclab: i/o error: malformed manifest")
         assert str(tmp_path / "manifest.json") in err
 
+    @pytest.mark.parametrize("form", ["relative", "absolute"])
+    def test_manifest_entry_outside_run_dir_exits_4(self, tmp_path, capsys, form):
+        # the named file exists and matches its digest, yet lies outside the
+        # run directory, so the manifest is refused before anything is hashed
+        outside = tmp_path / "outside.txt"
+        outside.write_text("elsewhere\n")
+        run = tmp_path / "run"
+        run.mkdir()
+        name = "../outside.txt" if form == "relative" else str(outside)
+        digest = hashlib.sha256(outside.read_bytes()).hexdigest()
+        (run / "manifest.json").write_text(
+            json.dumps({"files": [{"name": name, "sha256": digest}]})
+        )
+        assert cli.main(["spectrum", "--verify", "--out", str(run)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fraclab: i/o error: malformed manifest")
+        assert repr(name) in err
+
     def test_uncontrollable_run_exits_3_with_structured_report(self, tmp_path):
         cfg = tmp_path / "hum.ini"
         cfg.write_text(
@@ -383,7 +411,7 @@ class TestCliHum:
         spectrum = compute_spectrum(assemble_operator(Grid(n), beta), modes)
         region = ObservationRegion.boundary_layers(epsilon)
         a0 = cli._make_datum("random", modes, seed)
-        state = ModalState(coefficients=a0, time=0.0, spectrum=spectrum)
+        state = ModalState(coefficients=a0, spectrum=spectrum)
         result = hum_control(state, region, T)
         control = result.control
         report = json.loads((out / "hum.json").read_text())
@@ -436,6 +464,32 @@ class TestCliHum:
         assert proc.returncode == 0, proc.stderr
         assert not (out / "control.csv").exists()
         assert (out / "hum.json").exists()
+
+
+class TestCliPohozaev:
+    def test_coarse_grid_exits_2(self, tmp_path, capsys):
+        assert cli.main(["pohozaev", "--n", "19", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "n = 19 is too coarse for boundary-layer fitting (needs at least 20 nodes)" in err
+
+    def test_trace_integral_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = identity._trace_integral
+
+        def counted(state, T, intervals):
+            value = original(state, T, intervals)
+            calls.append((state, value))
+            return value
+
+        monkeypatch.setattr(identity, "_trace_integral", counted)
+        out = tmp_path / "p"
+        args = ["pohozaev", "--n", "64", "--modes", "4", "--out", str(out), "--no-timestamp"]
+        assert cli.main(args) == 0
+        assert len(calls) == 1
+        state, integral = calls[0]
+        energy = float(np.sum((1.0 + state.eigenvalues) * np.abs(state.coefficients) ** 2))
+        payload = json.loads((out / "pohozaev.json").read_text())
+        assert payload["two_sided_ratio"] == integral / energy
 
 
 class TestCliEvolve:

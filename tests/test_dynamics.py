@@ -25,20 +25,20 @@ RNG = np.random.default_rng(20260823)
 
 def random_state(spectrum, modes):
     a = RNG.standard_normal(modes) + 1j * RNG.standard_normal(modes)
-    return ModalState(coefficients=a, time=0.0, spectrum=spectrum)
+    return ModalState(coefficients=a, spectrum=spectrum)
 
 
 class TestModalState:
     def test_validation(self, get_spectrum):
         spectrum = get_spectrum(0.5, 64, 6)
         with pytest.raises(ValueError):
-            ModalState(coefficients=np.ones((2, 2)), time=0.0, spectrum=spectrum)
+            ModalState(coefficients=np.ones((2, 2)), spectrum=spectrum)
         with pytest.raises(ValueError):
-            ModalState(coefficients=np.array([]), time=0.0, spectrum=spectrum)
+            ModalState(coefficients=np.array([]), spectrum=spectrum)
         with pytest.raises(ValueError):
-            ModalState(coefficients=np.ones(spectrum.modes + 1), time=0.0, spectrum=spectrum)
+            ModalState(coefficients=np.ones(spectrum.modes + 1), spectrum=spectrum)
         with pytest.raises(ValueError):
-            ModalState(coefficients=np.array([1.0, np.nan]), time=0.0, spectrum=spectrum)
+            ModalState(coefficients=np.array([1.0, np.nan]), spectrum=spectrum)
 
 
 class TestFreeFlow:
@@ -48,7 +48,6 @@ class TestFreeFlow:
         out = schrodinger_evolve(state, 0.7)
         want = state.coefficients * np.exp(1j * state.eigenvalues * 0.7)
         np.testing.assert_array_equal(out.coefficients, want)
-        assert out.time == pytest.approx(0.7)
 
     def test_invariants_conserved(self, get_spectrum):
         spectrum = get_spectrum(0.5, 64, 8)
@@ -71,7 +70,7 @@ class TestFreeFlow:
         spectrum = get_spectrum(0.5, 64, 3)
         lam = spectrum.eigenvalues[:2]
         state = ModalState(
-            coefficients=np.array([3.0, 4.0j]), time=0.0, spectrum=spectrum
+            coefficients=np.array([3.0, 4.0j]), spectrum=spectrum
         )
         mass, energy, energy2 = modal_invariants(state)
         assert mass == pytest.approx(25.0)
@@ -175,7 +174,7 @@ class TestWaveFlow:
         spectrum = get_spectrum(0.5, 64, 3)
         lam = spectrum.eigenvalues[0]
         state = WaveModalState(
-            position=np.array([1.0]), velocity=np.array([0.5]), time=0.0, spectrum=spectrum
+            position=np.array([1.0]), velocity=np.array([0.5]), spectrum=spectrum
         )
         out = wave_evolve(state, 0.8)
         assert out.position[0] == pytest.approx(
@@ -190,7 +189,6 @@ class TestWaveFlow:
         state = WaveModalState(
             position=RNG.standard_normal(6),
             velocity=RNG.standard_normal(6),
-            time=0.0,
             spectrum=spectrum,
         )
         before = wave_energy(state)
@@ -202,7 +200,6 @@ class TestWaveFlow:
         state = WaveModalState(
             position=RNG.standard_normal(6),
             velocity=RNG.standard_normal(6),
-            time=0.0,
             spectrum=spectrum,
         )
         back = wave_evolve(wave_evolve(state, 2.1), -2.1)
@@ -215,7 +212,6 @@ class TestWaveFlow:
         state = WaveModalState(
             position=np.array([2.0, 0.0]),
             velocity=np.array([0.0, 3.0]),
-            time=0.0,
             spectrum=spectrum,
         )
         assert wave_energy(state) == pytest.approx(4.0 * lam[0] ** 2 + 9.0)
@@ -226,7 +222,7 @@ class TestWaveFlow:
             spectrum, eigenvalues=np.array([0.0, 1.0, 2.0]), ties=()
         )
         state = WaveModalState(
-            position=np.ones(3), velocity=np.ones(3), time=0.0, spectrum=broken
+            position=np.ones(3), velocity=np.ones(3), spectrum=broken
         )
         with pytest.raises(FraclabError):
             wave_evolve(state, 1.0)
@@ -235,7 +231,7 @@ class TestWaveFlow:
         spectrum = get_spectrum(0.5, 64, 3)
         with pytest.raises(ValueError):
             WaveModalState(
-                position=np.ones(2), velocity=np.ones(3), time=0.0, spectrum=spectrum
+                position=np.ones(2), velocity=np.ones(3), spectrum=spectrum
             )
         with pytest.raises(TypeError):
             wave_evolve(random_state(spectrum, 2), 1.0)

@@ -1,0 +1,35 @@
+"""Each module's __all__ names what it defines, and the package re-exports it."""
+
+import importlib
+import pkgutil
+import types
+
+import pytest
+
+import fraclab
+
+# Modules whose __all__ the package re-exports, in full.
+REEXPORTED = ("operator", "spectra", "regions", "dynamics", "control", "identity")
+ERRORS = ("FraclabError", "ConfigError", "NumericalError", "IllConditionedError", "UncontrollableError")
+MODULES = sorted(m.name for m in pkgutil.iter_modules(fraclab.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_exist(name):
+    module = importlib.import_module(f"fraclab.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_package_reexports_exactly_the_module_lists():
+    expected = {"errors": ERRORS}
+    expected.update({name: importlib.import_module(f"fraclab.{name}").__all__ for name in REEXPORTED})
+    public = {
+        n
+        for n, value in vars(fraclab).items()
+        if not n.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == {n for names in expected.values() for n in names}
+    for name, names in expected.items():
+        module = importlib.import_module(f"fraclab.{name}")
+        assert all(getattr(fraclab, n) is getattr(module, n) for n in names)
