@@ -247,9 +247,15 @@ def _table_command(name, cfg, emitter, stamp, prefix=""):
 
 
 def _check_hum_verification(report):
-    """Raise NumericalError when the replay or the duality identity misses
-    VERIFICATION_TOLERANCE, or the replay was cut at its step cap."""
-    checked = ("relative_final_norm", "identity_residual")
+    """Raise NumericalError when the replay or the duality identity, or the
+    error estimate of either quadrature, misses VERIFICATION_TOLERANCE, or
+    the replay was cut at its step cap."""
+    checked = (
+        "relative_final_norm",
+        "identity_residual",
+        "replay_error_estimate",
+        "identity_error_estimate",
+    )
     problems = [
         f"{key} = {report[key]:.3e} exceeds {VERIFICATION_TOLERANCE:g}"
         for key in checked
@@ -289,6 +295,8 @@ def cmd_hum(cfg, emitter, stamp, prefix=""):
         "identity_residual": result.identity_residual,
         "replay_steps": result.replay_steps,
         "replay_capped": result.replay_capped,
+        "replay_error_estimate": result.replay_error_estimate,
+        "identity_error_estimate": result.identity_error_estimate,
         "region": [list(pair) for pair in result.region.intervals],
         "steering_re": result.hum_coefficients.real.tolist(),
         "steering_im": result.hum_coefficients.imag.tolist(),

@@ -7,8 +7,9 @@ eigenvalue is the best observability constant on that span, and its inverse
 drives the control synthesis: the control is the restriction to the region of
 a free trajectory whose datum solves the Gramian system, verified by
 replaying the nodal control samples through the forced-evolution kernel of
-`dynamics`; the samples come block by block from one real matrix product of
-the region eigenvectors with the table-built modal trajectory.  Wave
+`dynamics` with step doubling, under an a-posteriori error estimate; the
+samples come block by block from one real matrix product of the region
+eigenvectors with the table-built modal trajectory.  Wave
 dynamics get the analogous 2K x 2K Gramian over stacked (position, velocity)
 data.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dynamics import ModalState, SourceSignal, _forced_increment, _phases, _simpson_weights
+from .dynamics import ModalState, SourceSignal, _forced_increment, _phases, _trapezoid_weights
 from .errors import IllConditionedError, NumericalError, UncontrollableError
 from .regions import ObservationRegion
 
@@ -48,11 +49,12 @@ VANISHING_DECAY = 1e-2
 # Relative accuracy, against the datum norm, that the HUM replay resolves.
 VERIFICATION_TOLERANCE = 1e-9
 
-# Time samples per block of the HUM replay and duality quadrature.
+# Time steps per block of the HUM replay; its first level is whole blocks.
 CHUNK = 8192
 
-# Most Simpson steps the HUM replay takes; a replay that needs more is
-# capped here and flagged in ControlResult.replay_capped.
+# Most steps the HUM replay takes: step doubling stops short of it, and a
+# first level beyond it runs at the cap rounded up to whole blocks.  Either
+# way ControlResult.replay_capped is set.
 REPLAY_STEP_CAP = 2_000_000
 
 
@@ -236,7 +238,11 @@ def sharpness_experiment(spectra, mode_counts, region, horizon):
 
 @dataclass(frozen=True)
 class ControlResult:
-    """Synthesized HUM control with its verification record."""
+    """Synthesized HUM control with its verification record.
+
+    The two error estimates are relative: the replay's to the datum norm,
+    the duality energy's to the Gramian quadratic form identity_lhs.
+    """
 
     hum_coefficients: np.ndarray
     control: SourceSignal
@@ -249,6 +255,8 @@ class ControlResult:
     region: ObservationRegion
     replay_steps: int
     replay_capped: bool
+    replay_error_estimate: float
+    identity_error_estimate: float
 
 
 def _control_chunks(lam, coeffs, phi_region, times):
@@ -256,11 +264,98 @@ def _control_chunks(lam, coeffs, phi_region, times):
     # sharing endpoint samples so per-block quadrature weights compose exactly.
     # One real product of the eigenvectors with the interleaved (re, im)
     # columns of the modal trajectory gives y.T as an (m, n_t) C-ordered
-    # complex array; the block yielded is its transpose, a view.
+    # complex array; the block yielded is its transpose, a view.  The modal
+    # trajectory (K, n_t) is a temporary of the one expression, so this
+    # generator holds nothing while the consumer works on the block.
     for start in range(0, len(times) - 1, CHUNK):
         t = times[start : start + CHUNK + 1]
-        modal = coeffs[:, None] * _phases(lam, t)  # (K, n_t)
-        yield t, (phi_region @ modal.view(float)).view(complex).T
+        yield t, (phi_region @ (coeffs[:, None] * _phases(lam, t)).view(float)).view(complex).T
+
+
+def _stride_trapezoids(times):
+    # Trapezoid sums at strides 1, 2 and 4 over a block of 4j intervals: the
+    # first replay level's own samples then give Simpson on dt and on 2 dt.
+    return np.stack([_trapezoid_weights(times, stride) for stride in (1, 2, 4)], axis=1)
+
+
+def _midpoint_rule(first, last):
+    # Midpoint sum dt * sum f over a level of new midpoints running from
+    # `first` to `last`: trapezoid weights on each block, doubled at the two
+    # samples that end the level, which no neighbouring block shares.
+    def rule(times):
+        w = _trapezoid_weights(times)
+        if times[0] == first:
+            w[0] *= 2.0
+        if times[-1] == last:
+            w[-1] *= 2.0
+        return w[:, None]
+
+    return rule
+
+
+def _with_energy(blocks, h, rule, energy):
+    # Pass the replay blocks on unchanged, adding the observed energy
+    # h * sum_i |y|^2 of each, weighted by `rule`, to the list `energy`.
+    # No reference to a block outlives its turn, so each block is freed
+    # before the next is sampled.
+    for t, y in blocks:
+        squares = np.einsum("ij,ij->j", y.T.view(float), y.T.view(float))
+        energy.append((h * (squares[0::2] + squares[1::2])) @ rule(t))
+        yield t, y
+        del y
+
+
+def _replay_level(lam, h, phi_region, coeffs, times, rule):
+    # Sums of one replay level, one column per weight column of `rule`: the
+    # forcing integral in the first len(lam) rows, the observed energy last.
+    energy = []
+    blocks = _with_energy(_control_chunks(lam, coeffs, phi_region, times), h, rule, energy)
+    integrals = _forced_increment(lam, h, phi_region, blocks, rule=rule)
+    return np.vstack([integrals, np.sum(energy, axis=0)])
+
+
+def _replay_errors(difference, scales):
+    # Error estimates of the forcing integral (norm) and the energy (modulus)
+    # from the difference of two Simpson sums, relative to their scales.
+    errors = np.array([np.linalg.norm(difference[:-1]), abs(difference[-1])])
+    return errors / np.maximum(scales, 1e-300)
+
+
+def _replay(lam, h, phi_region, coeffs, horizon, scales):
+    # Step doubling on Romberg sums.  The first level takes the fewest whole
+    # chunks with omega * dt <= 1/2 (omega the eigenvalue spread); each later
+    # level samples only the new midpoints, so no sample is taken twice.
+    # With trapezoid sums T_N and midpoint sums M_N, T_2N = (T_N + M_N) / 2
+    # and Simpson S_2N = (4 T_2N - T_N) / 3; |S_2N - S_N| estimates the error
+    # of S_N at no extra samples.  Doubling stops once both relative
+    # estimates are within VERIFICATION_TOLERANCE / 100, when one that is not
+    # shrinks by less than 4x (the rounding floor), or at REPLAY_STEP_CAP.
+    # Returns the Simpson sums, the step count, whether the cap cut the
+    # replay short, and the last relative error estimates.
+    T = float(horizon)
+    target = VERIFICATION_TOLERANCE / 100.0
+    n = CHUNK * max(1, math.ceil(2.0 * float(lam[-1] - lam[0]) * T / CHUNK))
+    capped = n > REPLAY_STEP_CAP
+    n = min(n, CHUNK * math.ceil(REPLAY_STEP_CAP / CHUNK))
+    sums = _replay_level(lam, h, phi_region, coeffs, np.linspace(0.0, T, n + 1), _stride_trapezoids)
+    trapezoid = sums[:, 0]
+    simpson = (4.0 * sums[:, 0] - sums[:, 1]) / 3.0
+    errors = _replay_errors(simpson - (4.0 * sums[:, 1] - sums[:, 2]) / 3.0, scales)
+    while not np.all(errors <= target):
+        if 2 * n > REPLAY_STEP_CAP:
+            capped = True
+            break
+        mid = (np.arange(n) + 0.5) * (T / n)
+        midpoint = _replay_level(lam, h, phi_region, coeffs, mid, _midpoint_rule(mid[0], mid[-1]))
+        coarse = trapezoid
+        trapezoid = 0.5 * (coarse + midpoint[:, 0])
+        refined = (4.0 * trapezoid - coarse) / 3.0
+        previous, errors = errors, _replay_errors(refined - simpson, scales)
+        simpson = refined
+        n *= 2
+        if np.any((errors > target) & (4.0 * errors > previous)):
+            break
+    return simpson, n, capped, errors
 
 
 def hum_control(state, region, horizon):
@@ -271,11 +366,13 @@ def hum_control(state, region, horizon):
     steering condition int_0^T f_k(t) e^(-i lambda_k t) dt = -i a_k(0) turns
     into G y0 = -i a(0) with G the closed-form Gramian.  The synthesis
     is verified by replaying the control through the forced-evolution
-    integrator on a time grid fine enough to resolve VERIFICATION_TOLERANCE
-    and by checking the duality identity (the Gramian quadratic form of y0
-    equals the observed energy of y).  The replay takes at most
-    REPLAY_STEP_CAP steps (rounded up to whole chunks); the result records
-    the step count and whether the cap cut it short.
+    integrator and by checking the duality identity (the Gramian quadratic
+    form of y0 equals the observed energy of y), both quadratures fed by one
+    stream of control samples.  The replay doubles its steps until
+    a-posteriori error estimates of both resolve VERIFICATION_TOLERANCE
+    with a factor 100 to spare, until the estimates stop shrinking (their
+    rounding floor), or until REPLAY_STEP_CAP; the result records the step
+    count, whether the cap cut it short, and the last estimates.
 
     Raises UncontrollableError when the observability constant is
     numerically zero, IllConditionedError when the Gramian condition number
@@ -317,48 +414,14 @@ def hum_control(state, region, horizon):
     y_report = (np.exp(1j * np.outer(t_report, lam)) * coeffs) @ phi_region.T
     control = SourceSignal(values=y_report, dt=T / 1000.0)
 
-    # Verification integration: Simpson error ~ T (w dt)^4 / 180 * F with w
-    # the largest eigenvalue spread and F the forcing scale.  Steps are a
-    # multiple of the chunk so every block has an even interval count.
-    omega = max(float(lam[-1] - lam[0]), 1.0)
-    fscale = max(float(np.linalg.norm(coeffs)) * math.sqrt(K), 1.0)
-    target = max(VERIFICATION_TOLERANCE * u0_norm, 1e-300)
-    capped = False
-    if u0_norm == 0.0:  # zero datum: zero control, nothing to resolve
-        n_steps = CHUNK
-    else:
-        dt = (180.0 * target / (T * omega**4 * fscale)) ** 0.25
-        needed = math.ceil(T / dt)
-        capped = needed > REPLAY_STEP_CAP
-        n_steps = int(min(max(needed, 2048), REPLAY_STEP_CAP))
-        n_steps = CHUNK * math.ceil(n_steps / CHUNK)
-    times = np.linspace(0.0, T, n_steps + 1)
-    blocks = _control_chunks(lam, coeffs, phi_region, times)
-    integral = _forced_increment(lam, spectrum.h, phi_region, blocks)
-    a_final = np.exp(1j * lam * T) * (a0 - 1j * integral)
-    final_norm = float(np.linalg.norm(a_final))
-
-    # Duality identity: Gramian quadratic form of y0 against the observed
-    # energy of the trajectory y, quadrature by composite Simpson.
+    # One replay gives the forcing integral and, for the duality identity,
+    # the observed energy of y, against the Gramian quadratic form of y0.
     lhs = float(np.real(np.vdot(coeffs, steering @ coeffs)))
-    n_q = int(min(max(2 * math.ceil(10.0 * T * max(lam[-1], 1.0)), 20_000), 400_000))
-    if n_q % 2:
-        n_q += 1
-    t_q = np.linspace(0.0, T, n_q + 1)
-    w = _simpson_weights(n_q)
-    rhs = 0.0
-    quadrature = _control_chunks(lam, coeffs, phi_region, t_q)
-    for start, (t, y) in zip(range(0, n_q, CHUNK), quadrature):
-        # |y|^2 summed over the nodes, from the (re, im) columns of y.T
-        parts = y.T.view(float)
-        squares = np.einsum("ij,ij->j", parts, parts)
-        dens = spectrum.h * (squares[0::2] + squares[1::2])
-        stop = start + len(t)
-        if stop <= n_q:  # last sample reappears as the next chunk's first
-            rhs += float(np.sum(w[start : stop - 1] * dens[:-1]))
-        else:
-            rhs += float(np.sum(w[start:stop] * dens))
-    rhs *= (T / n_q) / 3.0
+    scales = np.array([u0_norm, abs(lhs)])
+    sums, n_steps, capped, errors = _replay(lam, spectrum.h, phi_region, coeffs, T, scales)
+    a_final = np.exp(1j * lam * T) * (a0 - 1j * sums[:-1])
+    final_norm = float(np.linalg.norm(a_final))
+    rhs = float(sums[-1].real)
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
     return ControlResult(
@@ -373,4 +436,6 @@ def hum_control(state, region, horizon):
         region=region.snapped(spectrum.grid),
         replay_steps=n_steps,
         replay_capped=capped,
+        replay_error_estimate=float(errors[0]),
+        identity_error_estimate=float(errors[1]),
     )

@@ -4,10 +4,11 @@ All evolution happens on eigenbasis coefficients, so the free flows are exact
 (phase rotations); time discretization enters only through the forcing
 quadrature of the controlled Schrodinger equation, handled by an exponential
 integrator with composite Simpson (or trapezoidal) interaction-picture
-quadrature.  Its kernel does real arithmetic where it can: the projection of
-node samples onto the modes is one real matrix product on interleaved
-(re, im) columns, and the phases e^(-i lambda t) on a uniform time grid come
-from two small exp tables by angle addition.
+quadrature; the HUM replay's step doubling passes per-block weights of its
+own.  Its kernel does real arithmetic where it can: the projection of node
+samples onto the modes is one real matrix product on interleaved (re, im)
+columns, and the phases e^(-i lambda t) on a uniform time grid come from
+two small exp tables by angle addition.
 """
 
 from dataclasses import dataclass, replace
@@ -152,6 +153,8 @@ def _phases(lam, times):
     """
     lam = np.asarray(lam, dtype=float)
     n = len(times)
+    if n == 1:  # no step to build tables from
+        return np.exp(1j * np.multiply.outer(lam, times))
     dt = (times[-1] - times[0]) / (n - 1)
     starts = times[0] + (_PHASE_STRIDE * dt) * np.arange(-(-n // _PHASE_STRIDE))
     coarse = np.exp(1j * np.multiply.outer(lam, starts))  # (K, ceil(n / S))
@@ -159,33 +162,51 @@ def _phases(lam, times):
     return (coarse[:, :, None] * fine[:, None, :]).reshape(len(lam), -1)[:, :n]
 
 
-def _forced_increment(lam, h, phi_region, blocks):
+def _trapezoid_weights(times, stride=1):
+    """Trapezoid weights over every `stride`-th sample of a uniform block.
+
+    `stride` must divide the interval count, so both end samples carry
+    weight and blocks sharing their endpoints compose exactly.
+    """
+    # the mean step: a first difference of late samples would carry a
+    # rounding error of eps * t / dt into every weight of the block
+    dt = (times[-1] - times[0]) / (len(times) - 1)
+    w = np.zeros(len(times))
+    w[::stride] = stride * dt
+    w[[0, -1]] *= 0.5
+    return w
+
+
+def _simpson_or_trapezoid(times):
+    """Composite Simpson weights over an even interval count, else trapezoid."""
+    intervals = len(times) - 1
+    if intervals >= 2 and intervals % 2 == 0:
+        return ((times[-1] - times[0]) / (3.0 * intervals)) * _simpson_weights(intervals)
+    return _trapezoid_weights(times)
+
+
+def _forced_increment(lam, h, phi_region, blocks, *, rule=_simpson_or_trapezoid):
     """Quadrature of f_k(t) e^(-i lambda_k t) over sample blocks.
 
-    `blocks` yields (times, samples) pairs covering [0, T] contiguously with
-    shared endpoints; f_k(t_j) = h * sum_{i in region} samples[j,i] phi_k(x_i).
-    Blocks with an even number of uniform intervals use composite Simpson
-    (O(dt^4)); others fall back to the trapezoidal rule (O(dt^2)).  Shared
-    endpoints compose exactly under either rule.  The projection runs as one
-    real matrix product on the interleaved (re, im) columns of samples.T,
-    which costs no copy when samples.T is already a C-ordered complex array
-    (as the HUM replay's blocks are); the quadrature weights, h included,
-    are one matrix-vector product.
+    `blocks` yields (times, samples) pairs covering their time span
+    contiguously with shared endpoints; f_k(t_j) = h * sum_{i in region}
+    samples[j,i] phi_k(x_i).  `rule` maps a block's uniform times to its
+    quadrature weights, a vector or one column per sum wanted; the result
+    has the same trailing shape.  The default takes composite Simpson
+    (O(dt^4)) on blocks with an even number of intervals and the
+    trapezoidal rule (O(dt^2)) on the others; shared endpoints compose
+    exactly under either.  The projection runs as one real matrix product on
+    the interleaved (re, im) columns of samples.T, which costs no copy when
+    samples.T is already a C-ordered complex array (as the HUM replay's
+    blocks are); the weights, h included, are one matrix product.
     """
-    total = np.zeros(len(lam), dtype=complex)
+    total = 0.0
     for times, samples in blocks:
         columns = np.ascontiguousarray(samples.T, dtype=complex)  # (m, n_t)
         f = (phi_region.T @ columns.view(float)).view(complex)  # (K, n_t)
-        intervals = len(times) - 1
-        # the mean step: a first difference of late samples would carry a
-        # rounding error of eps * t / dt into every weight of the block
-        dt = (times[-1] - times[0]) / intervals
-        if intervals >= 2 and intervals % 2 == 0:
-            weights = (h * dt / 3.0) * _simpson_weights(intervals)
-        else:
-            weights = np.full(len(times), h * dt)
-            weights[[0, -1]] *= 0.5
-        total += (f * _phases(-lam, times)) @ weights
+        del samples, columns  # the block may be freed before the next is sampled
+        f *= _phases(-lam, times)
+        total = total + f @ (h * rule(times))
     return total
 
 

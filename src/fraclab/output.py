@@ -146,7 +146,8 @@ def verify_manifest(directory):
     drift; the manifest itself is not re-checked (it holds the digests).  An
     unreadable or malformed manifest raises OSError; so does an entry that is
     not a plain file name, since write_manifest never writes one and a path
-    would reach outside the run directory.
+    would reach outside the run directory, and an entry that a symbolic link
+    resolves to a file outside it.
     """
     path = os.path.join(directory, MANIFEST_NAME)
     with open(path, encoding="utf-8") as handle:
@@ -158,9 +159,13 @@ def verify_manifest(directory):
         entries = [(str(e["name"]), e["sha256"]) for e in manifest.get("files", [])]
     except (AttributeError, KeyError, TypeError):
         raise OSError(f"malformed manifest {path}: expected a list of name/sha256 files") from None
+    root = os.path.realpath(directory)
     for name, _ in entries:
         if os.path.basename(name) != name or name in ("", ".", ".."):
             raise OSError(f"malformed manifest {path}: entry {name!r} is not a plain file name")
+        target = os.path.realpath(os.path.join(directory, name))
+        if os.path.commonpath([root, target]) != root:
+            raise OSError(f"manifest {path}: entry {name!r} resolves outside the run directory")
     ok = True
     lines = []
     for name, sha256 in entries:

@@ -15,6 +15,7 @@ import pytest
 from fraclab import (
     Grid,
     ModalState,
+    NumericalError,
     ObservationRegion,
     assemble_operator,
     compute_spectrum,
@@ -342,6 +343,30 @@ class TestCliErrors:
         assert err.startswith("fraclab: i/o error: malformed manifest")
         assert repr(name) in err
 
+    def test_manifest_entry_linked_outside_run_dir_exits_4(self, tmp_path, capsys):
+        # a plain name whose symbolic link leads out of the run directory,
+        # next to one whose link stays inside and verifies as usual
+        outside = tmp_path / "outside.txt"
+        outside.write_text("elsewhere\n")
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "inside.txt").write_text("here\n")
+        (run / "alias.txt").symlink_to("inside.txt")
+        entries = [{"name": "alias.txt", "sha256": hashlib.sha256(b"here\n").hexdigest()}]
+        (run / "manifest.json").write_text(json.dumps({"files": entries}))
+        assert cli.main(["spectrum", "--verify", "--out", str(run)]) == 0
+        assert capsys.readouterr().out == "ok       alias.txt\nverify: ok\n"
+
+        (run / "link.txt").symlink_to("../outside.txt")
+        digest = hashlib.sha256(outside.read_bytes()).hexdigest()
+        entries.append({"name": "link.txt", "sha256": digest})
+        (run / "manifest.json").write_text(json.dumps({"files": entries}))
+        assert cli.main(["spectrum", "--verify", "--out", str(run)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fraclab: i/o error: manifest")
+        assert "'link.txt' resolves outside the run directory" in err
+
     def test_uncontrollable_run_exits_3_with_structured_report(self, tmp_path):
         cfg = tmp_path / "hum.ini"
         cfg.write_text(
@@ -417,6 +442,10 @@ class TestCliHum:
         report = json.loads((out / "hum.json").read_text())
         assert report["replay_steps"] == result.replay_steps
         assert report["replay_capped"] is False
+        assert report["replay_error_estimate"] == result.replay_error_estimate
+        assert report["identity_error_estimate"] == result.identity_error_estimate
+        assert report["replay_error_estimate"] <= cli.VERIFICATION_TOLERANCE / 100.0
+        assert report["identity_error_estimate"] <= cli.VERIFICATION_TOLERANCE / 100.0
         idx = region.node_indices(spectrum.grid)
         header, rows = read_csv(out / "control.csv")
         assert header[0] == "t"
@@ -430,7 +459,7 @@ class TestCliHum:
 
     def test_failed_replay_exits_3(self, tmp_path, capsys, monkeypatch):
         replay = control._forced_increment
-        monkeypatch.setattr(control, "_forced_increment", lambda *a: replay(*a) + 1e-6)
+        monkeypatch.setattr(control, "_forced_increment", lambda *a, **k: replay(*a, **k) + 1e-6)
         out = tmp_path / "o"
         assert cli.main([*self.HUM_ARGS, "--out", str(out)]) == 3
         captured = capsys.readouterr()
@@ -452,6 +481,48 @@ class TestCliHum:
         assert diagnostics["replay_capped"] is True
         assert diagnostics["relative_final_norm"] <= control.VERIFICATION_TOLERANCE
         assert "step cap" in captured.err
+
+    def test_first_level_beyond_cap_exits_3(self, tmp_path, capsys):
+        # omega * T ~ 1e8 asks for far more first-level steps than the cap:
+        # the replay runs at the cap and says so
+        args = ["hum", "--T", "1e6", "--n", "64", "--modes", "5", "--no-timestamp"]
+        assert cli.main([*args, "--out", str(tmp_path / "o")]) == 3
+        captured = capsys.readouterr()
+        diagnostics = json.loads(captured.out)["error"]["diagnostics"]
+        assert diagnostics["replay_capped"] is True
+        cap = control.CHUNK * math.ceil(control.REPLAY_STEP_CAP / control.CHUNK)
+        assert diagnostics["replay_steps"] == cap
+        assert "step cap" in captured.err
+
+    def test_ill_conditioned_replay_stops_at_rounding_floor(self, tmp_path, capsys):
+        # below the minimal control time the steering datum is large and the
+        # replay's rounding floor sits above 1e-9: step doubling stops there
+        # instead of running on toward the cap
+        args = ["hum", "--beta", "0.5", "--modes", "40", "--T", "1", "--n", "255", "--no-timestamp"]
+        assert cli.main([*args, "--out", str(tmp_path / "o")]) == 3
+        captured = capsys.readouterr()
+        diagnostics = json.loads(captured.out)["error"]["diagnostics"]
+        assert diagnostics["replay_capped"] is False
+        assert diagnostics["replay_steps"] <= 65536
+        assert diagnostics["relative_final_norm"] > control.VERIFICATION_TOLERANCE
+        assert "relative_final_norm" in captured.err
+
+    @pytest.mark.parametrize("key", ["replay_error_estimate", "identity_error_estimate"])
+    def test_error_estimate_beyond_tolerance_fails(self, key):
+        report = {
+            "relative_final_norm": 1e-13,
+            "identity_residual": 1e-14,
+            "replay_error_estimate": 1e-12,
+            "identity_error_estimate": 1e-12,
+            "replay_steps": 16384,
+            "replay_capped": False,
+        }
+        cli._check_hum_verification(report)
+        report[key] = 2.0 * control.VERIFICATION_TOLERANCE
+        with pytest.raises(NumericalError) as info:
+            cli._check_hum_verification(report)
+        assert str(info.value) == f"hum verification failed: {key} = 2.000e-09 exceeds 1e-09"
+        assert info.value.diagnostics[key] == report[key]
 
     def test_control_csv_toggle(self, tmp_path):
         cfg = tmp_path / "hum.ini"

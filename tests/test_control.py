@@ -26,7 +26,8 @@ from fraclab import (
 )
 from fraclab import control
 from fraclab.config import SharpnessConfig
-from fraclab.control import CHUNK, _control_chunks
+from fraclab.control import CHUNK, VERIFICATION_TOLERANCE, _control_chunks
+from fraclab.dynamics import _simpson_or_trapezoid
 from fraclab.errors import IllConditionedError, UncontrollableError
 
 RNG = np.random.default_rng(20260823)
@@ -379,3 +380,78 @@ class TestHumControl:
         with pytest.raises(IllConditionedError) as info:
             hum_control(state, region, 1.0)
         assert info.value.diagnostics["condition"] > 1e12
+
+class TestAdaptiveReplay:
+    # Steps of the fixed fine grid that the step-doubling replay is checked
+    # against: four times the most any of the configurations below accepts.
+    FINE_STEPS = 2**18
+
+    # the three hum configurations of the dichotomy benchmark workload
+    @pytest.fixture(
+        scope="class",
+        params=[(0.5, 3.0), (0.75, 1.0), (0.9, 1.0)],
+        ids=["b0.5_T3", "b0.75_T1", "b0.9_T1"],
+    )
+    @staticmethod
+    def run(request, get_spectrum):
+        beta, T = request.param
+        spectrum = get_spectrum(beta, 1024, 40)
+        region = ObservationRegion.boundary_layers(0.2)
+        rng = np.random.default_rng(int(100 * beta))
+        a0 = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        state = ModalState(coefficients=a0 / np.linalg.norm(a0), spectrum=spectrum)
+        # the block times of each call of the replay kernel
+        calls = []
+        kernel = control._forced_increment
+
+        def recording(lam, h, phi_region, blocks, **kwargs):
+            times = []
+            calls.append(times)
+
+            def seen():
+                for t, samples in blocks:
+                    times.append(t)
+                    yield t, samples
+
+            return kernel(lam, h, phi_region, seen(), **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(control, "_forced_increment", recording)
+            result = hum_control(state, region, T)
+        return state, region, T, result, calls
+
+    def test_accepted_sums_match_fine_replay(self, run):
+        state, region, T, result, _ = run
+        spectrum = state.spectrum
+        lam = spectrum.eigenvalues[:40]
+        phi_region = spectrum.vectors[region.node_indices(spectrum.grid), :40]
+        coeffs = result.hum_coefficients
+        u0_norm = np.linalg.norm(state.coefficients)
+        scales = np.array([u0_norm, result.identity_lhs])
+        sums, steps, capped, errors = control._replay(lam, spectrum.h, phi_region, coeffs, T, scales)
+        assert (steps, capped) == (result.replay_steps, False)
+        assert 4 * steps <= self.FINE_STEPS
+        fine = np.linspace(0.0, T, self.FINE_STEPS + 1)
+        want = control._replay_level(
+            lam, spectrum.h, phi_region, coeffs, fine, lambda t: _simpson_or_trapezoid(t)[:, None]
+        )[:, 0]
+        replay_error = np.linalg.norm(sums[:-1] - want[:-1]) / u0_norm
+        energy_error = abs(sums[-1] - want[-1]) / result.identity_lhs
+        assert replay_error <= VERIFICATION_TOLERANCE / 100.0
+        assert energy_error <= VERIFICATION_TOLERANCE / 100.0
+        # the estimates bound the errors they estimate, and are reported
+        assert replay_error <= errors[0] == result.replay_error_estimate
+        assert energy_error <= errors[1] == result.identity_error_estimate
+        assert result.final_state_norm <= VERIFICATION_TOLERANCE * u0_norm
+        assert result.identity_residual <= VERIFICATION_TOLERANCE
+
+    def test_no_sample_is_taken_twice(self, run):
+        # blocks of one call share endpoints, so a call samples its interval
+        # count plus one; over all levels that is the final grid, once
+        _, _, T, result, calls = run
+        assert len(calls) >= 2  # the first level and at least one of midpoints
+        assert sum(sum(len(t) - 1 for t in times) + 1 for times in calls) == result.replay_steps + 1
+        taken = np.unique(np.concatenate([t for times in calls for t in times]))
+        grid = np.linspace(0.0, T, result.replay_steps + 1)
+        assert len(taken) == len(grid)
+        assert np.max(np.abs(taken - grid)) <= 4.0 * np.finfo(float).eps * T

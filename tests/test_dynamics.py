@@ -17,7 +17,7 @@ from fraclab import (
     wave_energy,
     wave_evolve,
 )
-from fraclab.dynamics import _forced_increment, _phases
+from fraclab.dynamics import _forced_increment, _phases, _trapezoid_weights
 from fraclab.errors import FraclabError
 
 RNG = np.random.default_rng(20260823)
@@ -258,7 +258,7 @@ def _oracle_increment(lam, h, phi_region, blocks):
 class TestReplayKernel:
     EPS = np.finfo(float).eps
 
-    @pytest.mark.parametrize("n_t", [2, 3, 64, 65, 8193])
+    @pytest.mark.parametrize("n_t", [1, 2, 3, 64, 65, 8193])
     def test_phases_match_direct_exponentials(self, n_t):
         lam = np.array([0.0, 1.0, 37.5, 1234.5678, 15712.0])
         for times in (np.linspace(0.1, 3.0, n_t), 2.25 + 0.75 / 8192 * np.arange(n_t)):
@@ -302,3 +302,21 @@ class TestReplayKernel:
         assert np.max(np.abs(split - whole)) <= 1e-13 * np.max(np.abs(whole))
         want = _oracle_increment(lam, h, phi_region, blocks)
         assert np.max(np.abs(split - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_rule_columns_give_one_sum_each(self):
+        # a rule with several weight columns gives one quadrature per
+        # column: here trapezoid sums at strides 1 and 2, over two blocks
+        # whose shared endpoint lies on both stride grids
+        lam, h, phi_region, times, samples = self._problem(65, True, "c_ordered")
+        blocks = [(times[:33], samples[:33]), (times[32:], samples[32:])]
+
+        def rule(t):
+            return np.stack([_trapezoid_weights(t), _trapezoid_weights(t, 2)], axis=1)
+
+        got = _forced_increment(lam, h, phi_region, blocks, rule=rule)
+        assert got.shape == (len(lam), 2)
+        g = h * (samples @ phi_region) * np.exp(-1j * np.outer(times, lam))
+        for column, stride in enumerate((1, 2)):
+            sub = g[::stride]
+            want = 0.01 * stride * (sub.sum(axis=0) - 0.5 * (sub[0] + sub[-1]))
+            assert np.max(np.abs(got[:, column] - want)) <= 1e-13 * np.max(np.abs(want))
