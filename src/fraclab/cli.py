@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -34,7 +35,6 @@ from .dynamics import (
 )
 from .errors import ConfigError, FraclabError, NumericalError
 from .identity import (
-    SKIP,
     _layer_width,
     eigen_pohozaev_check,
     schrodinger_pohozaev_report,
@@ -57,14 +57,6 @@ def _spectrum_for(beta, n, modes):
 def _check_span(modes, n):
     if modes > n:
         raise ConfigError(f"modes = {modes} exceeds the number of interior nodes n = {n}")
-
-
-def _check_trace_grid(n):
-    need = 2 * (_layer_width(n) + SKIP)
-    if n < need:
-        raise ConfigError(
-            f"n = {n} is too coarse for boundary-layer fitting (needs at least {need} nodes)"
-        )
 
 
 def _make_datum(spec, modes, seed):
@@ -321,17 +313,16 @@ def cmd_hum(cfg, emitter, stamp, prefix=""):
 
 def cmd_pohozaev(cfg, emitter, stamp, prefix=""):
     _check_span(cfg.modes, cfg.n)
-    _check_trace_grid(cfg.n)
+    try:  # the layer-fit rule, checked before the eigensolve
+        _layer_width(cfg.n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     sp = _spectrum_for(cfg.beta, cfg.n, cfg.modes)
     a = _make_datum(cfg.datum, cfg.modes, cfg.seed)
     state = ModalState(coefficients=a, spectrum=sp)
-    report = schrodinger_pohozaev_report(state, cfg.horizon, cfg.time_intervals)
+    report = schrodinger_pohozaev_report(state, cfg.horizon)
     active = [k + 1 for k in range(cfg.modes) if abs(a[k]) > 0.0]
-    checks = [
-        {"mode": k, "lhs": c.lhs, "rhs": c.rhs, "residual": c.residual}
-        for k in active[:6]
-        for c in (eigen_pohozaev_check(sp, k),)
-    ]
+    checks = [asdict(eigen_pohozaev_check(sp, k)) for k in active[:6]]
     ratio = None
     if np.linalg.norm(a) > 0.0:
         ratio = two_sided_estimate_ratio(state, report.trace_integral)
@@ -340,7 +331,6 @@ def cmd_pohozaev(cfg, emitter, stamp, prefix=""):
         "n": cfg.n,
         "modes": cfg.modes,
         "T": cfg.horizon,
-        "time_intervals": cfg.time_intervals,
         "datum": cfg.datum,
         "seed": cfg.seed,
         "lhs": report.lhs,
@@ -395,11 +385,8 @@ def cmd_sweep(config, emitter, stamp, jobs=None):
         line = runner(getattr(cell, cfg.command), buffer, stamp, prefix=prefix)
         return buffer, line
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(run_cell, betas, prefixes))
-    else:
-        cells = [run_cell(b, p) for b, p in zip(betas, prefixes)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        cells = list(pool.map(run_cell, betas, prefixes))
     for buffer, _ in cells:  # single writer, deterministic cell order
         emitter.absorb(buffer)
     lines = [line for _, line in cells]

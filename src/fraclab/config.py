@@ -3,8 +3,10 @@
 Sections mirror the CLI subcommands; keys before any section header act as
 global defaults for every section that accepts them.  Unknown sections,
 unknown keys, malformed numbers, and out-of-range values are all rejected
-with the offending line number.  An empty text yields the documented
-defaults (beta=0.5, n=1024, modes=10, T=4, epsilon=0.2).
+with the offending line number.  An empty text yields each section's
+defaults, the field defaults of its dataclass below; they differ between
+sections (hum: beta=0.6, modes=20, T=1; the table commands: a list of
+orders and of mode counts).
 """
 
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -69,9 +71,6 @@ _parse_horizon = _checked(float, lambda t: t > 0.0, "T must be positive")
 _parse_epsilon = _checked(float, lambda e: 0.0 < e < 1.0, "epsilon must lie in (0, 1)")
 _parse_seed = _checked(int, lambda s: s >= 0, "seed must be a nonnegative integer")
 _parse_samples = _checked(int, lambda s: s >= 2, "samples must be at least 2")
-_parse_intervals = _checked(
-    int, lambda m: m >= 2 and m % 2 == 0, "time_intervals must be even and >= 2"
-)
 
 
 def _parse_equation(text):
@@ -194,7 +193,6 @@ class PohozaevConfig:
     n: int = 1024
     modes: int = 10
     horizon: float = 4.0
-    time_intervals: int = 512
     datum: str = "1,3"
     seed: int = 0
 
@@ -230,7 +228,6 @@ _KEY_SPECS = {
     "epsilon": ("epsilon", _parse_epsilon),
     "seed": ("seed", _parse_seed),
     "samples": ("samples", _parse_samples),
-    "time_intervals": ("time_intervals", _parse_intervals),
     "equation": ("equation", _parse_equation),
     "datum": ("datum", _parse_datum),
     "control_csv": ("control_csv", _parse_bool),

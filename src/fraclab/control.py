@@ -116,40 +116,25 @@ def schrodinger_gramian(spectrum, region, horizon, modes):
     return Gramian(entries=R * mu, modes=k)
 
 
-def _sin_average(omega, T):
-    # int_0^T sin(omega t) dt = (1 - cos(omega T)) / omega; writing the
-    # numerator as 2 sin^2(omega T / 2) avoids cancellation, and the
-    # T^2/2 * omega * sinc^2 form extends it smoothly through omega = 0
-    x = omega * T
-    return 0.5 * T * x * np.sinc(x / (2.0 * np.pi)) ** 2
-
-
-def _cos_average(omega, T):
-    # int_0^T cos(omega t) dt, stable near omega = 0
-    x = omega * T
-    return T * np.sinc(x / np.pi)
-
-
 def wave_gramian(spectrum, region, horizon, modes):
     """Wave observability Gramian over stacked data z = (lambda_k a_k ; b_k).
 
     z^H G z equals int_0^T h * sum_{i in region} |u_t(x_i,t)|^2 dt for the
     wave solution with position coefficients a and velocity coefficients b,
-    while z^H z is the conserved energy.  Assembled from closed-form
-    trigonometric time integrals.
+    while z^H z is the conserved energy.  The trigonometric time integrals
+    come in closed form from the phase averages of the frequencies
+    -lambda_k and lambda_k.
     """
     k = int(modes)
     R = region_mass_matrix(spectrum, region, k)
     lam = spectrum.eigenvalues[:k]
-    T = float(horizon)
-    if T <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    diff = lam[:, None] - lam[None, :]
-    summ = lam[:, None] + lam[None, :]
+    mu = phase_average_matrix(np.concatenate([-lam, lam]), horizon)
+    S = mu[:k, k:]  # int e^(i (l_j + l_k) t)
+    D = mu[k:, k:]  # int e^(i (l_k - l_j) t)
     # int sin(l_j t) sin(l_k t), int cos cos, int sin(l_j t) cos(l_k t)
-    ss = 0.5 * (_cos_average(diff, T) - _cos_average(summ, T))
-    cc = 0.5 * (_cos_average(diff, T) + _cos_average(summ, T))
-    sc = 0.5 * (_sin_average(summ, T) + _sin_average(diff, T))
+    ss = 0.5 * (D.real - S.real)
+    cc = 0.5 * (D.real + S.real)
+    sc = 0.5 * (S.imag - D.imag)
     top = np.concatenate([R * ss, -(R * sc)], axis=1)
     bottom = np.concatenate([-(R * sc).T, R * cc], axis=1)
     return Gramian(entries=np.concatenate([top, bottom], axis=0), modes=k)

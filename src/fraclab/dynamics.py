@@ -128,16 +128,6 @@ def schrodinger_evolve(state, duration):
     return replace(state, coefficients=a)
 
 
-def _simpson_weights(intervals):
-    """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 over an even interval count."""
-    if intervals < 2 or intervals % 2:
-        raise ValueError(f"time_intervals must be even and >= 2, got {intervals}")
-    w = np.ones(intervals + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
-
-
 # Fine steps per coarse step of the phase tables in _phases.
 _PHASE_STRIDE = 64
 
@@ -178,11 +168,15 @@ def _trapezoid_weights(times, stride=1):
 
 
 def _simpson_or_trapezoid(times):
-    """Composite Simpson weights over an even interval count, else trapezoid."""
+    """Composite Simpson weights (dt/3) * (1, 4, 2, ..., 2, 4, 1) over an even
+    interval count, else trapezoid."""
     intervals = len(times) - 1
-    if intervals >= 2 and intervals % 2 == 0:
-        return ((times[-1] - times[0]) / (3.0 * intervals)) * _simpson_weights(intervals)
-    return _trapezoid_weights(times)
+    if intervals < 2 or intervals % 2:
+        return _trapezoid_weights(times)
+    w = np.ones(intervals + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return ((times[-1] - times[0]) / (3.0 * intervals)) * w
 
 
 def _forced_increment(lam, h, phi_region, blocks, *, rule=_simpson_or_trapezoid):

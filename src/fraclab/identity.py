@@ -5,7 +5,8 @@ like d(x)^beta with d the distance to the endpoint, so the classical normal
 derivative is replaced by the coefficient of that power.  The module extracts
 those coefficients by an extrapolating two-power fit on a thin layer of nodes,
 then uses them in the algebraic identity satisfied by eigenfunctions and in
-the space-time identity satisfied by free Schrodinger trajectories.
+the space-time identity satisfied by free Schrodinger trajectories, whose
+trace integral is a closed-form quadratic form like the interior Gramian.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _simpson_weights
+from .control import phase_average_matrix
 
 __all__ = [
     "BoundaryTrace",
@@ -31,7 +32,14 @@ SKIP = 2
 
 
 def _layer_width(n):
-    return max(8, n // 64)
+    # nodes per fitting layer; both layers and their skipped nodes must fit
+    m = max(8, n // 64)
+    need = 2 * (m + SKIP)
+    if n < need:
+        raise ValueError(
+            f"n = {n} is too coarse for boundary-layer fitting (needs at least {need} nodes)"
+        )
+    return m
 
 
 def _second_exponent(beta):
@@ -54,10 +62,6 @@ class _TraceOperator:
 def _trace_operator(grid, beta):
     n = grid.n_interior
     m = _layer_width(n)
-    if n < 2 * (m + SKIP):
-        raise ValueError(
-            f"grid with {n} interior nodes is too coarse for a boundary layer of {m} nodes"
-        )
     exponents = (float(beta), _second_exponent(beta))
     h = grid.h
     dist = h * np.arange(SKIP + 1, SKIP + m + 1, dtype=float)
@@ -133,6 +137,7 @@ class PohozaevCheck:
     lhs: float
     rhs: float
     residual: float
+    fit_residuals: tuple  # (left, right) relative misfits of the layer fits
 
 
 def eigen_pohozaev_check(spectrum, mode):
@@ -144,12 +149,13 @@ def eigen_pohozaev_check(spectrum, mode):
     k = int(mode)
     if not 1 <= k <= spectrum.modes:
         raise ValueError(f"mode must lie in [1, {spectrum.modes}], got {mode}")
-    phi = spectrum.vectors[:, k - 1]
-    lhs = boundary_trace(phi, spectrum.grid, spectrum.beta).squared_sum
+    trace = boundary_trace(spectrum.vectors[:, k - 1], spectrum.grid, spectrum.beta)
+    lhs = trace.squared_sum
     gamma = math.gamma(1.0 + spectrum.beta)
     rhs = 2.0 * spectrum.beta * float(spectrum.eigenvalues[k - 1]) / gamma**2
     residual = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return PohozaevCheck(mode=k, lhs=lhs, rhs=rhs, residual=residual)
+    fits = (trace.left_residual, trace.right_residual)
+    return PohozaevCheck(mode=k, lhs=lhs, rhs=rhs, residual=residual, fit_residuals=fits)
 
 
 def _first_derivative(values, h):
@@ -168,25 +174,21 @@ def _virial_term(u, grid):
     return grid.h * np.sum(np.conj(u) * grid.nodes * du)
 
 
-def _trace_integral(state, T, intervals):
+def _trace_integral(state, T):
     """int_0^T (|d_left|^2 + |d_right|^2) dt along the free trajectory of `state`.
 
-    Composite Simpson over `intervals` steps.  Traces are extracted per
-    snapshot from layer values only, so the cost stays linear in the number
-    of nodes sampled.
+    Each trace is a trigonometric polynomial d(t) = sum_k l_k a_k e^(i lambda_k t)
+    with l_k the layer-fit trace of mode k, so the integral is exact: the
+    interior Gramian's quadratic form a^H (R * mu) a with the region mass
+    matrix R replaced by L^T L, L the 2 x K matrix of left and right traces.
     """
-    w = _simpson_weights(intervals)
     spectrum = state.spectrum
     op = _trace_operator(spectrum.grid, spectrum.beta)
-    lam = state.eigenvalues
-    phi_left = spectrum.vectors[op.left_slice, : state.modes]
-    phi_right = spectrum.vectors[op.right_slice, : state.modes][::-1]
-    times = np.linspace(0.0, T, intervals + 1)
-    phases = np.exp(1j * np.outer(times, lam)) * state.coefficients
-    left = (op.pinv @ (phi_left @ phases.T))[0]
-    right = (op.pinv @ (phi_right @ phases.T))[0]
-    dens = np.abs(left) ** 2 + np.abs(right) ** 2
-    return float(np.sum(w * dens)) * (T / intervals) / 3.0
+    phi = spectrum.vectors[:, : state.modes]
+    L = np.stack([op.pinv[0] @ phi[op.left_slice], op.pinv[0] @ phi[op.right_slice][::-1]])
+    mu = phase_average_matrix(state.eigenvalues, T)
+    a = state.coefficients
+    return float(np.real(np.conj(a) @ ((L.T @ L) * mu) @ a))
 
 
 @dataclass(frozen=True)
@@ -201,19 +203,20 @@ class PohozaevReport:
     trace_integral: float  # int_0^T (|d_left|^2 + |d_right|^2) dt
 
 
-def schrodinger_pohozaev_report(state, duration, time_intervals):
+def schrodinger_pohozaev_report(state, duration):
     """Balance Gamma(1+beta)^2 int (|d_left|^2 + |d_right|^2) dt against the bulk.
 
     The bulk side is 2 beta T sum lambda |a|^2 (conserved under the free
     flow) plus the boundary-in-time term Im h sum conj(u) x du/dx evaluated
-    at T minus its value at 0.  The trace integral uses composite Simpson on
-    per-snapshot layer fits; the report keeps it for two_sided_estimate_ratio.
+    at T minus its value at 0.  The trace integral is evaluated in closed form
+    from the layer-fit traces of the modes; the report keeps it for
+    two_sided_estimate_ratio.
     """
     spectrum = state.spectrum
     T = float(duration)
     if T <= 0.0:
         raise ValueError(f"duration must be positive, got {duration}")
-    integral = _trace_integral(state, T, int(time_intervals))
+    integral = _trace_integral(state, T)
     lhs = math.gamma(1.0 + spectrum.beta) ** 2 * integral
 
     a = state.coefficients

@@ -290,7 +290,7 @@ def test_criterion_09_trajectory_boundary_identity(get_spectrum):
         coefficients=np.array([(1.0 + 1.0j) / np.sqrt(2.0), 0.0, 0.0]),
         spectrum=spectrum,
     )
-    report = schrodinger_pohozaev_report(single, 1.0, 512)
+    report = schrodinger_pohozaev_report(single, 1.0)
     scale = max(abs(report.lhs), abs(report.rhs))
     assert abs(report.cross_term) <= 1e-10 * scale
     static = eigen_pohozaev_check(spectrum, 1)
@@ -307,7 +307,7 @@ def test_criterion_09_trajectory_boundary_identity(get_spectrum):
             state = ModalState(
                 coefficients=coeffs, spectrum=get_spectrum(0.5, n, 3)
             )
-            rep = schrodinger_pohozaev_report(state, 1.0, 512)
+            rep = schrodinger_pohozaev_report(state, 1.0)
             residuals.append(rep.residual)
             results[(label, n)] = rep
         assert all(r < 0.10 for r in residuals)
@@ -340,7 +340,7 @@ def test_criterion_10_two_sided_boundary_observability(get_spectrum):
             c = np.zeros(5)
             c[k] = 1.0
             state = ModalState(coefficients=c, spectrum=spectrum)
-            report = schrodinger_pohozaev_report(state, T, 128)
+            report = schrodinger_pohozaev_report(state, T)
             ratio = two_sided_estimate_ratio(state, report.trace_integral)
             assert abs(ratio / analytic[k] - 1.0) < single_tol
 
@@ -350,7 +350,7 @@ def test_criterion_10_two_sided_boundary_observability(get_spectrum):
         for _ in range(20):
             a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             state = ModalState(coefficients=a, spectrum=spectrum)
-            report = schrodinger_pohozaev_report(state, T, 256)
+            report = schrodinger_pohozaev_report(state, T)
             ratios.append(two_sided_estimate_ratio(state, report.trace_integral))
         assert lo < min(ratios) and max(ratios) < hi
         lines.append(

@@ -26,6 +26,8 @@ from fraclab import cli
 from fraclab import control
 from fraclab import identity
 from fraclab.config import (
+    _KEY_SPECS,
+    _SECTION_TYPES,
     MAX_NODES,
     ConfigError,
     RunConfig,
@@ -111,7 +113,7 @@ datum = zero
             ("[conduction]\n", "unknown section", 1),
             ("[spectrum]\nn = 64\nn = 128\n", "duplicate", 3),
             ("[spectrum]\nn = sixty\n", "n", 2),
-            ("[pohozaev]\ntime_intervals = 7\n", "time_intervals", 2),
+            ("[pohozaev]\ntime_intervals = 7\n", "unknown key", 2),
             ("[evolve]\nequation = heat\n", "equation", 2),
             ("[evolve]\ndatum = prime\n", "datum", 2),
             ("[observability]\nmode_counts = 8, 4\n", "mode_counts", 2),
@@ -123,6 +125,12 @@ datum = zero
             parse_config(text)
         assert fragment.lower() in str(info.value).lower()
         assert f"line {line}" in str(info.value)
+
+    def test_keys_map_exactly_the_section_fields(self):
+        # a field without a key cannot be set; a key without a field is stale
+        mapped = {field for field, _ in _KEY_SPECS.values()}
+        declared = {f.name for cls in _SECTION_TYPES.values() for f in fields(cls)}
+        assert mapped == declared
 
     def test_resolved_values_echo_file_keys(self):
         cfg = parse_config("[hum]\nT = 2.0\n")
@@ -547,8 +555,8 @@ class TestCliPohozaev:
         calls = []
         original = identity._trace_integral
 
-        def counted(state, T, intervals):
-            value = original(state, T, intervals)
+        def counted(state, T):
+            value = original(state, T)
             calls.append((state, value))
             return value
 
@@ -561,6 +569,20 @@ class TestCliPohozaev:
         energy = float(np.sum((1.0 + state.eigenvalues) * np.abs(state.coefficients) ** 2))
         payload = json.loads((out / "pohozaev.json").read_text())
         assert payload["two_sided_ratio"] == integral / energy
+
+    def test_eigen_checks_carry_fit_residuals(self, tmp_path):
+        out = tmp_path / "p"
+        args = ["pohozaev", "--n", "128", "--modes", "4", "--out", str(out), "--no-timestamp"]
+        assert cli.main(args) == 0
+        payload = json.loads((out / "pohozaev.json").read_text())
+        spectrum = compute_spectrum(assemble_operator(Grid(128), 0.5), 4)
+        assert [c["mode"] for c in payload["eigen_checks"]] == [1, 3]
+        for check in payload["eigen_checks"]:
+            trace = identity.boundary_trace(
+                spectrum.vectors[:, check["mode"] - 1], spectrum.grid, 0.5
+            )
+            assert check["fit_residuals"] == [trace.left_residual, trace.right_residual]
+            assert 0.0 < min(check["fit_residuals"]) and max(check["fit_residuals"]) < 0.1
 
 
 class TestCliEvolve:

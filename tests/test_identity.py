@@ -147,7 +147,7 @@ class TestTrajectoryReport:
         state = ModalState(
             coefficients=np.array([0.0, 0.0, 1.0]), spectrum=spectrum
         )
-        report = schrodinger_pohozaev_report(state, 1.0, time_intervals=64)
+        report = schrodinger_pohozaev_report(state, 1.0)
         scale = max(abs(report.lhs), abs(report.rhs))
         assert abs(report.cross_term) <= 1e-10 * scale
         check = eigen_pohozaev_check(spectrum, 3)
@@ -163,7 +163,7 @@ class TestTrajectoryReport:
             coefficients=np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0),
             spectrum=spectrum,
         )
-        report = schrodinger_pohozaev_report(state, 1.0, time_intervals=128)
+        report = schrodinger_pohozaev_report(state, 1.0)
         scale = max(abs(report.lhs), abs(report.rhs))
         assert abs(report.cross_term) <= 1e-12 * scale
         assert report.residual < 0.10
@@ -174,7 +174,7 @@ class TestTrajectoryReport:
             coefficients=np.array([1.0, 0.0, 1.0j]) / np.sqrt(2.0),
             spectrum=spectrum,
         )
-        report = schrodinger_pohozaev_report(state, 1.0, time_intervals=128)
+        report = schrodinger_pohozaev_report(state, 1.0)
         assert abs(report.cross_term) > 0.1
         assert report.residual < 0.10
         assert report.rhs == pytest.approx(
@@ -184,18 +184,39 @@ class TestTrajectoryReport:
     def test_zero_state_reports_zero(self, get_spectrum):
         spectrum = get_spectrum(0.5, 512, 3)
         state = ModalState(coefficients=np.zeros(3), spectrum=spectrum)
-        report = schrodinger_pohozaev_report(state, 1.0, time_intervals=64)
+        report = schrodinger_pohozaev_report(state, 1.0)
         assert report.lhs == 0.0
         assert report.rhs == 0.0
         assert report.residual == 0.0
+
+    def test_trace_integral_matches_fine_simpson_reference(self, get_spectrum):
+        # independent reference: the boundary traces d(t) of the flow, from
+        # per-mode layer fits, sampled on 2^15 + 1 uniform times and
+        # integrated by composite Simpson, whose order-4 error is ~1e-12 here
+        beta, K, T, intervals = 0.75, 40, 4.0, 2**15
+        spectrum = get_spectrum(beta, 1024, K)
+        rng = np.random.default_rng(75)
+        a = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+        state = ModalState(coefficients=a, spectrum=spectrum)
+        fits = [boundary_trace(spectrum.vectors[:, k], spectrum.grid, beta) for k in range(K)]
+        times = np.linspace(0.0, T, intervals + 1)
+        flow = np.exp(1j * np.outer(times, spectrum.eigenvalues[:K])) * a
+        density = sum(
+            np.abs(flow @ np.array([getattr(fit, side) for fit in fits])) ** 2
+            for side in ("left", "right")
+        )
+        w = np.ones(intervals + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        reference = T / (3.0 * intervals) * float(w @ density)
+        report = schrodinger_pohozaev_report(state, T)
+        assert report.trace_integral == pytest.approx(reference, rel=1e-10)
 
     def test_validation(self, get_spectrum):
         spectrum = get_spectrum(0.5, 512, 3)
         state = ModalState(coefficients=np.ones(3), spectrum=spectrum)
         with pytest.raises(ValueError):
-            schrodinger_pohozaev_report(state, 0.0, time_intervals=64)
-        with pytest.raises(ValueError):
-            schrodinger_pohozaev_report(state, 1.0, time_intervals=7)
+            schrodinger_pohozaev_report(state, 0.0)
 
 
 class TestTwoSidedEstimate:
@@ -204,7 +225,7 @@ class TestTwoSidedEstimate:
         state = ModalState(
             coefficients=np.array([1.0, 0.0]), spectrum=spectrum
         )
-        report = schrodinger_pohozaev_report(state, 1.0, time_intervals=64)
+        report = schrodinger_pohozaev_report(state, 1.0)
         ratio = two_sided_estimate_ratio(state, report.trace_integral)
         lam = spectrum.eigenvalues[0]
         gamma = math.gamma(1.5)
@@ -217,7 +238,7 @@ class TestTwoSidedEstimate:
             coefficients=np.array([1.0, 0.0]), spectrum=spectrum
         )
         short, long = (
-            two_sided_estimate_ratio(state, schrodinger_pohozaev_report(state, T, 64).trace_integral)
+            two_sided_estimate_ratio(state, schrodinger_pohozaev_report(state, T).trace_integral)
             for T in (1.0, 2.0)
         )
         assert long == pytest.approx(2.0 * short, rel=1e-10)
