@@ -15,7 +15,6 @@ from .errors import ConfigError
 
 __all__ = [
     "SpectrumConfig",
-    "GapsConfig",
     "EvolveConfig",
     "ObservabilityConfig",
     "SharpnessConfig",
@@ -95,21 +94,22 @@ def _parse_datum(text):
     return ",".join(str(k) for k in modes)
 
 
+def _comma_list(key, text):
+    parts = [p.strip() for p in text.split(",")]
+    if "" in parts:
+        raise ValueError(f"{key} must be a comma list without empty entries, got {text}")
+    return parts
+
+
 def _parse_betas(text):
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("betas must be a nonempty comma list")
-    vals = tuple(_order("betas")(p) for p in parts)
+    vals = tuple(_order("betas")(p) for p in _comma_list("betas", text))
     if len(set(vals)) != len(vals):
         raise ValueError(f"betas must be distinct, got {text}")
     return vals
 
 
 def _parse_mode_counts(text):
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("mode_counts must be a nonempty comma list")
-    vals = tuple(_positive_int("mode_counts")(p) for p in parts)
+    vals = tuple(_positive_int("mode_counts")(p) for p in _comma_list("mode_counts", text))
     if sorted(set(vals)) != list(vals):
         raise ValueError(f"mode_counts must be strictly increasing, got {text}")
     return vals
@@ -133,13 +133,6 @@ def _parse_command(text):
 
 @dataclass(frozen=True)
 class SpectrumConfig:
-    beta: float = 0.5
-    n: int = 1024
-    modes: int = 10
-
-
-@dataclass(frozen=True)
-class GapsConfig:
     beta: float = 0.5
     n: int = 1024
     modes: int = 10
@@ -207,7 +200,7 @@ class SweepConfig:
 @dataclass(frozen=True)
 class RunConfig:
     spectrum: SpectrumConfig = SpectrumConfig()
-    gaps: GapsConfig = GapsConfig()
+    gaps: SpectrumConfig = SpectrumConfig()
     evolve: EvolveConfig = EvolveConfig()
     observability: ObservabilityConfig = ObservabilityConfig()
     sharpness: SharpnessConfig = SharpnessConfig()

@@ -7,9 +7,9 @@ eigenvalue is the best observability constant on that span, and its inverse
 drives the control synthesis: the control is the restriction to the region of
 a free trajectory whose datum solves the Gramian system, verified by
 replaying the nodal control samples through the forced-evolution kernel of
-`dynamics` with step doubling, under an a-posteriori error estimate; the
-samples come block by block from one real matrix product of the region
-eigenvectors with the table-built modal trajectory.  Wave
+`dynamics` under two composite Gauss-Legendre rules, whose difference is an
+a-posteriori error estimate; the samples come block by block from one real
+matrix product of the region eigenvectors with the modal trajectory.  Wave
 dynamics get the analogous 2K x 2K Gramian over stacked (position, velocity)
 data.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dynamics import ModalState, SourceSignal, _forced_increment, _phases, _trapezoid_weights
+from .dynamics import ModalState, SourceSignal, _forced_increment
 from .errors import IllConditionedError, NumericalError, UncontrollableError
 from .regions import ObservationRegion
 
@@ -49,12 +49,14 @@ VANISHING_DECAY = 1e-2
 # Relative accuracy, against the datum norm, that the HUM replay resolves.
 VERIFICATION_TOLERANCE = 1e-9
 
-# Time steps per block of the HUM replay; its first level is whole blocks.
+# Gauss-Legendre nodes per panel of the HUM replay's composite rules.
+PANEL_NODES = 32
+
+# Time samples per block of the HUM replay, a multiple of PANEL_NODES.
 CHUNK = 8192
 
-# Most steps the HUM replay takes: step doubling stops short of it, and a
-# first level beyond it runs at the cap rounded up to whole blocks.  Either
-# way ControlResult.replay_capped is set.
+# Most samples the HUM replay's accepted rule may take; beyond it the replay
+# takes none and sets ControlResult.replay_capped.
 REPLAY_STEP_CAP = 2_000_000
 
 
@@ -245,37 +247,18 @@ class ControlResult:
 
 
 def _control_chunks(lam, coeffs, phi_region, times):
-    # Free trajectory from datum `coeffs` sampled on region nodes, in blocks
-    # sharing endpoint samples so per-block quadrature weights compose exactly.
-    # One real product of the eigenvectors with the interleaved (re, im)
-    # columns of the modal trajectory gives y.T as an (m, n_t) C-ordered
-    # complex array; the block yielded is its transpose, a view.  The modal
-    # trajectory (K, n_t) is a temporary of the one expression, so this
-    # generator holds nothing while the consumer works on the block.
-    for start in range(0, len(times) - 1, CHUNK):
-        t = times[start : start + CHUNK + 1]
-        yield t, (phi_region @ (coeffs[:, None] * _phases(lam, t)).view(float)).view(complex).T
-
-
-def _stride_trapezoids(times):
-    # Trapezoid sums at strides 1, 2 and 4 over a block of 4j intervals: the
-    # first replay level's own samples then give Simpson on dt and on 2 dt.
-    return np.stack([_trapezoid_weights(times, stride) for stride in (1, 2, 4)], axis=1)
-
-
-def _midpoint_rule(first, last):
-    # Midpoint sum dt * sum f over a level of new midpoints running from
-    # `first` to `last`: trapezoid weights on each block, doubled at the two
-    # samples that end the level, which no neighbouring block shares.
-    def rule(times):
-        w = _trapezoid_weights(times)
-        if times[0] == first:
-            w[0] *= 2.0
-        if times[-1] == last:
-            w[-1] *= 2.0
-        return w[:, None]
-
-    return rule
+    # Free trajectory from datum `coeffs` sampled on region nodes, in disjoint
+    # blocks of CHUNK times.  One real product of the eigenvectors with the
+    # interleaved (re, im) columns of the modal trajectory gives y.T as an
+    # (m, n_t) C-ordered complex array; the block yielded is its transpose, a
+    # view.  The modal trajectory (K, n_t) is a temporary of the one
+    # expression, so this generator holds nothing while the consumer works on
+    # the block.
+    for start in range(0, len(times), CHUNK):
+        t = times[start : start + CHUNK]
+        yield t, (
+            phi_region @ (coeffs[:, None] * np.exp(1j * np.multiply.outer(lam, t))).view(float)
+        ).view(complex).T
 
 
 def _with_energy(blocks, h, rule, energy):
@@ -290,57 +273,46 @@ def _with_energy(blocks, h, rule, energy):
         del y
 
 
-def _replay_level(lam, h, phi_region, coeffs, times, rule):
-    # Sums of one replay level, one column per weight column of `rule`: the
-    # forcing integral in the first len(lam) rows, the observed energy last.
+def _replay_sums(lam, h, phi_region, coeffs, horizon, panels):
+    # Composite Gauss-Legendre sums over `panels` equal panels of [0, T]:
+    # the forcing integral in the first len(lam) entries, the observed
+    # energy last.  Blocks hold whole panels, as CHUNK is a multiple of
+    # PANEL_NODES, so each block's weights are the panel weights repeated.
+    nodes, weights = np.polynomial.legendre.leggauss(PANEL_NODES)
+    width = horizon / panels
+    times = (width * (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0))).ravel()
+    weights = 0.5 * width * weights
+
+    def rule(t):
+        return np.tile(weights, len(t) // PANEL_NODES)
+
     energy = []
     blocks = _with_energy(_control_chunks(lam, coeffs, phi_region, times), h, rule, energy)
-    integrals = _forced_increment(lam, h, phi_region, blocks, rule=rule)
-    return np.vstack([integrals, np.sum(energy, axis=0)])
-
-
-def _replay_errors(difference, scales):
-    # Error estimates of the forcing integral (norm) and the energy (modulus)
-    # from the difference of two Simpson sums, relative to their scales.
-    errors = np.array([np.linalg.norm(difference[:-1]), abs(difference[-1])])
-    return errors / np.maximum(scales, 1e-300)
+    integral = _forced_increment(lam, h, phi_region, blocks, rule=rule)
+    return np.append(integral, np.sum(energy))
 
 
 def _replay(lam, h, phi_region, coeffs, horizon, scales):
-    # Step doubling on Romberg sums.  The first level takes the fewest whole
-    # chunks with omega * dt <= 1/2 (omega the eigenvalue spread); each later
-    # level samples only the new midpoints, so no sample is taken twice.
-    # With trapezoid sums T_N and midpoint sums M_N, T_2N = (T_N + M_N) / 2
-    # and Simpson S_2N = (4 T_2N - T_N) / 3; |S_2N - S_N| estimates the error
-    # of S_N at no extra samples.  Doubling stops once both relative
-    # estimates are within VERIFICATION_TOLERANCE / 100, when one that is not
-    # shrinks by less than 4x (the rounding floor), or at REPLAY_STEP_CAP.
-    # Returns the Simpson sums, the step count, whether the cap cut the
-    # replay short, and the last relative error estimates.
+    # Every integrand is a trigonometric polynomial with frequencies in
+    # [-omega, omega], omega the eigenvalue spread.  A PANEL_NODES-point
+    # Gauss-Legendre panel of length H resolves it to rounding once omega * H
+    # is well below 2 * PANEL_NODES, so the coarse rule takes the fewest
+    # panels with omega * H <= PANEL_NODES and the accepted rule twice as
+    # many; |accepted - coarse| estimates the error of the coarse sums and
+    # so bounds that of the accepted ones.  A replay whose accepted rule
+    # exceeds REPLAY_STEP_CAP samples nothing and reports NaN.  Returns the
+    # accepted sums, their sample count, whether the cap refused the replay,
+    # and the relative error estimates.
     T = float(horizon)
-    target = VERIFICATION_TOLERANCE / 100.0
-    n = CHUNK * max(1, math.ceil(2.0 * float(lam[-1] - lam[0]) * T / CHUNK))
-    capped = n > REPLAY_STEP_CAP
-    n = min(n, CHUNK * math.ceil(REPLAY_STEP_CAP / CHUNK))
-    sums = _replay_level(lam, h, phi_region, coeffs, np.linspace(0.0, T, n + 1), _stride_trapezoids)
-    trapezoid = sums[:, 0]
-    simpson = (4.0 * sums[:, 0] - sums[:, 1]) / 3.0
-    errors = _replay_errors(simpson - (4.0 * sums[:, 1] - sums[:, 2]) / 3.0, scales)
-    while not np.all(errors <= target):
-        if 2 * n > REPLAY_STEP_CAP:
-            capped = True
-            break
-        mid = (np.arange(n) + 0.5) * (T / n)
-        midpoint = _replay_level(lam, h, phi_region, coeffs, mid, _midpoint_rule(mid[0], mid[-1]))
-        coarse = trapezoid
-        trapezoid = 0.5 * (coarse + midpoint[:, 0])
-        refined = (4.0 * trapezoid - coarse) / 3.0
-        previous, errors = errors, _replay_errors(refined - simpson, scales)
-        simpson = refined
-        n *= 2
-        if np.any((errors > target) & (4.0 * errors > previous)):
-            break
-    return simpson, n, capped, errors
+    panels = max(1, math.ceil(float(lam[-1] - lam[0]) * T / PANEL_NODES))
+    steps = 2 * panels * PANEL_NODES
+    if steps > REPLAY_STEP_CAP:
+        return np.full(len(lam) + 1, np.nan, dtype=complex), steps, True, np.full(2, np.nan)
+    coarse = _replay_sums(lam, h, phi_region, coeffs, T, panels)
+    sums = _replay_sums(lam, h, phi_region, coeffs, T, 2 * panels)
+    difference = sums - coarse
+    errors = np.array([np.linalg.norm(difference[:-1]), abs(difference[-1])])
+    return sums, steps, False, errors / np.maximum(scales, 1e-300)
 
 
 def hum_control(state, region, horizon):
@@ -353,11 +325,12 @@ def hum_control(state, region, horizon):
     is verified by replaying the control through the forced-evolution
     integrator and by checking the duality identity (the Gramian quadratic
     form of y0 equals the observed energy of y), both quadratures fed by one
-    stream of control samples.  The replay doubles its steps until
-    a-posteriori error estimates of both resolve VERIFICATION_TOLERANCE
-    with a factor 100 to spare, until the estimates stop shrinking (their
-    rounding floor), or until REPLAY_STEP_CAP; the result records the step
-    count, whether the cap cut it short, and the last estimates.
+    stream of control samples.  The replay sums both quadratures under two
+    composite Gauss-Legendre rules, the second on twice the panels of the
+    first, and records the second's sample count and the relative
+    differences of the two as a-posteriori error estimates.  When the second
+    rule would exceed REPLAY_STEP_CAP samples, nothing is sampled: the
+    result says so and carries NaN sums and estimates.
 
     Raises UncontrollableError when the observability constant is
     numerically zero, IllConditionedError when the Gramian condition number

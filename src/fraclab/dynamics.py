@@ -4,11 +4,9 @@ All evolution happens on eigenbasis coefficients, so the free flows are exact
 (phase rotations); time discretization enters only through the forcing
 quadrature of the controlled Schrodinger equation, handled by an exponential
 integrator with composite Simpson (or trapezoidal) interaction-picture
-quadrature; the HUM replay's step doubling passes per-block weights of its
-own.  Its kernel does real arithmetic where it can: the projection of node
-samples onto the modes is one real matrix product on interleaved (re, im)
-columns, and the phases e^(-i lambda t) on a uniform time grid come from
-two small exp tables by angle addition.
+quadrature; the HUM replay passes Gauss-Legendre weights of its own.  The
+kernel projects node samples onto the modes by one real matrix product on
+interleaved (re, im) columns.
 """
 
 from dataclasses import dataclass, replace
@@ -128,51 +126,16 @@ def schrodinger_evolve(state, duration):
     return replace(state, coefficients=a)
 
 
-# Fine steps per coarse step of the phase tables in _phases.
-_PHASE_STRIDE = 64
-
-
-def _phases(lam, times):
-    """The (K, n_t) array e^(i lambda_k t_j) over uniformly spaced `times`.
-
-    With t_j = t_0 + (a S + b) dt, angle addition splits each phase into
-    e^(i lambda (t_0 + a S dt)) * e^(i lambda b dt): two small exp tables over
-    the coarse steps a and the offsets b < S, and one broadcast product, in
-    place of an exp per (mode, sample).  The tables agree with the direct
-    exponentials to the rounding level of the argument, eps * |lambda| * t.
-    """
-    lam = np.asarray(lam, dtype=float)
-    n = len(times)
-    if n == 1:  # no step to build tables from
-        return np.exp(1j * np.multiply.outer(lam, times))
-    dt = (times[-1] - times[0]) / (n - 1)
-    starts = times[0] + (_PHASE_STRIDE * dt) * np.arange(-(-n // _PHASE_STRIDE))
-    coarse = np.exp(1j * np.multiply.outer(lam, starts))  # (K, ceil(n / S))
-    fine = np.exp(1j * np.multiply.outer(lam, dt * np.arange(_PHASE_STRIDE)))  # (K, S)
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(lam), -1)[:, :n]
-
-
-def _trapezoid_weights(times, stride=1):
-    """Trapezoid weights over every `stride`-th sample of a uniform block.
-
-    `stride` must divide the interval count, so both end samples carry
-    weight and blocks sharing their endpoints compose exactly.
-    """
-    # the mean step: a first difference of late samples would carry a
-    # rounding error of eps * t / dt into every weight of the block
-    dt = (times[-1] - times[0]) / (len(times) - 1)
-    w = np.zeros(len(times))
-    w[::stride] = stride * dt
-    w[[0, -1]] *= 0.5
-    return w
-
-
 def _simpson_or_trapezoid(times):
     """Composite Simpson weights (dt/3) * (1, 4, 2, ..., 2, 4, 1) over an even
-    interval count, else trapezoid."""
+    interval count, else trapezoid, on uniform `times`."""
     intervals = len(times) - 1
     if intervals < 2 or intervals % 2:
-        return _trapezoid_weights(times)
+        # the mean step: a first difference of late samples would carry a
+        # rounding error of eps * t / dt into every weight of the block
+        w = np.full(intervals + 1, (times[-1] - times[0]) / intervals)
+        w[[0, -1]] *= 0.5
+        return w
     w = np.ones(intervals + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -182,24 +145,23 @@ def _simpson_or_trapezoid(times):
 def _forced_increment(lam, h, phi_region, blocks, *, rule=_simpson_or_trapezoid):
     """Quadrature of f_k(t) e^(-i lambda_k t) over sample blocks.
 
-    `blocks` yields (times, samples) pairs covering their time span
-    contiguously with shared endpoints; f_k(t_j) = h * sum_{i in region}
-    samples[j,i] phi_k(x_i).  `rule` maps a block's uniform times to its
-    quadrature weights, a vector or one column per sum wanted; the result
-    has the same trailing shape.  The default takes composite Simpson
-    (O(dt^4)) on blocks with an even number of intervals and the
-    trapezoidal rule (O(dt^2)) on the others; shared endpoints compose
-    exactly under either.  The projection runs as one real matrix product on
-    the interleaved (re, im) columns of samples.T, which costs no copy when
-    samples.T is already a C-ordered complex array (as the HUM replay's
-    blocks are); the weights, h included, are one matrix product.
+    `blocks` yields (times, samples) pairs; f_k(t_j) = h * sum_{i in region}
+    samples[j,i] phi_k(x_i).  `rule` maps a block's times to its quadrature
+    weights, and the block sums add up.  The default takes composite
+    Simpson (O(dt^4)) on uniform blocks with an even number of intervals
+    and the trapezoidal rule (O(dt^2)) on the others; blocks sharing their
+    endpoints compose exactly under either.  The projection runs as one
+    real matrix product on the interleaved (re, im) columns of samples.T,
+    which costs no copy when samples.T is already a C-ordered complex array
+    (as the HUM replay's blocks are); the weights, h included, are one
+    matrix product.
     """
     total = 0.0
     for times, samples in blocks:
         columns = np.ascontiguousarray(samples.T, dtype=complex)  # (m, n_t)
         f = (phi_region.T @ columns.view(float)).view(complex)  # (K, n_t)
         del samples, columns  # the block may be freed before the next is sampled
-        f *= _phases(-lam, times)
+        f *= np.exp(-1j * np.multiply.outer(lam, times))
         total = total + f @ (h * rule(times))
     return total
 

@@ -117,6 +117,10 @@ datum = zero
             ("[evolve]\nequation = heat\n", "equation", 2),
             ("[evolve]\ndatum = prime\n", "datum", 2),
             ("[observability]\nmode_counts = 8, 4\n", "mode_counts", 2),
+            ("betas = 0.5,,0.75\n", "betas must be a comma list without empty entries, got 0.5,,0.75", 1),
+            ("betas = 0.5,\n", "betas must be a comma list without empty entries, got 0.5,", 1),
+            ("[sweep]\nbetas = ,0.4\n", "betas must be a comma list without empty entries, got ,0.4", 2),
+            ("mode_counts = 5,,10\n", "mode_counts must be a comma list without empty entries, got 5,,10", 1),
             ("[spectrum]\nbeta\n", "expected", 2),
         ],
     )
@@ -481,31 +485,50 @@ class TestCliHum:
         assert "relative_final_norm" in captured.err
         assert not (out / "hum.json").exists()
 
+    @staticmethod
+    def _kernel_calls(monkeypatch):
+        calls = []
+        kernel = control._forced_increment
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(control, "_forced_increment", recording)
+        return calls
+
     def test_capped_replay_exits_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(control, "REPLAY_STEP_CAP", 100)
+        # HUM_ARGS needs one coarse panel and two accepted ones, 64 samples
+        monkeypatch.setattr(control, "REPLAY_STEP_CAP", 63)
+        calls = self._kernel_calls(monkeypatch)
         assert cli.main([*self.HUM_ARGS, "--out", str(tmp_path / "o")]) == 3
         captured = capsys.readouterr()
         diagnostics = json.loads(captured.out)["error"]["diagnostics"]
         assert diagnostics["replay_capped"] is True
-        assert diagnostics["relative_final_norm"] <= control.VERIFICATION_TOLERANCE
+        assert diagnostics["replay_steps"] == 2 * control.PANEL_NODES
         assert "step cap" in captured.err
+        assert calls == []
 
-    def test_first_level_beyond_cap_exits_3(self, tmp_path, capsys):
-        # omega * T ~ 1e8 asks for far more first-level steps than the cap:
-        # the replay runs at the cap and says so
+    def test_first_level_beyond_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        # omega * T ~ 1e8 asks for far more samples than the cap: the replay
+        # says so without taking any
+        calls = self._kernel_calls(monkeypatch)
         args = ["hum", "--T", "1e6", "--n", "64", "--modes", "5", "--no-timestamp"]
         assert cli.main([*args, "--out", str(tmp_path / "o")]) == 3
         captured = capsys.readouterr()
         diagnostics = json.loads(captured.out)["error"]["diagnostics"]
         assert diagnostics["replay_capped"] is True
-        cap = control.CHUNK * math.ceil(control.REPLAY_STEP_CAP / control.CHUNK)
-        assert diagnostics["replay_steps"] == cap
+        lam = compute_spectrum(assemble_operator(Grid(64), 0.6), 5).eigenvalues
+        panels = math.ceil(float(lam[-1] - lam[0]) * 1e6 / control.PANEL_NODES)
+        assert diagnostics["replay_steps"] == 2 * control.PANEL_NODES * panels
+        assert diagnostics["replay_steps"] > control.REPLAY_STEP_CAP
         assert "step cap" in captured.err
+        assert calls == []
 
     def test_ill_conditioned_replay_stops_at_rounding_floor(self, tmp_path, capsys):
         # below the minimal control time the steering datum is large and the
-        # replay's rounding floor sits above 1e-9: step doubling stops there
-        # instead of running on toward the cap
+        # replay's rounding floor sits above 1e-9: the run fails its
+        # verification well short of the cap
         args = ["hum", "--beta", "0.5", "--modes", "40", "--T", "1", "--n", "255", "--no-timestamp"]
         assert cli.main([*args, "--out", str(tmp_path / "o")]) == 3
         captured = capsys.readouterr()

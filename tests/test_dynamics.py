@@ -17,7 +17,7 @@ from fraclab import (
     wave_energy,
     wave_evolve,
 )
-from fraclab.dynamics import _forced_increment, _phases, _trapezoid_weights
+from fraclab.dynamics import _forced_increment
 from fraclab.errors import FraclabError
 
 RNG = np.random.default_rng(20260823)
@@ -237,12 +237,17 @@ class TestWaveFlow:
             wave_evolve(random_state(spectrum, 2), 1.0)
 
 
+def _oracle_integrand(lam, h, phi_region, times, samples):
+    # f_k(t) e^(-i lambda_k t) by a complex product and one exp per (sample, mode)
+    return h * (samples @ phi_region) * np.exp(-1j * np.outer(times, lam))
+
+
 def _oracle_increment(lam, h, phi_region, blocks):
-    # The replay kernel as it was first written: a complex product per block,
-    # one exp per (sample, mode), and the quadrature rules spelled out.
+    # The replay kernel as it was first written: the direct integrand and
+    # the quadrature rules spelled out.
     total = np.zeros(len(lam), dtype=complex)
     for times, samples in blocks:
-        g = h * (samples @ phi_region) * np.exp(-1j * np.outer(times, lam))
+        g = _oracle_integrand(lam, h, phi_region, times, samples)
         dt = times[1] - times[0]
         intervals = len(times) - 1
         if intervals % 2 == 0:
@@ -256,18 +261,6 @@ def _oracle_increment(lam, h, phi_region, blocks):
 
 
 class TestReplayKernel:
-    EPS = np.finfo(float).eps
-
-    @pytest.mark.parametrize("n_t", [1, 2, 3, 64, 65, 8193])
-    def test_phases_match_direct_exponentials(self, n_t):
-        lam = np.array([0.0, 1.0, 37.5, 1234.5678, 15712.0])
-        for times in (np.linspace(0.1, 3.0, n_t), 2.25 + 0.75 / 8192 * np.arange(n_t)):
-            got = _phases(lam, times)
-            want = np.exp(1j * np.outer(lam, times))
-            assert got.shape == (len(lam), n_t)
-            bound = 4.0 * self.EPS * (1.0 + np.abs(lam) * np.max(np.abs(times)))
-            assert np.all(np.max(np.abs(got - want), axis=1) <= bound)
-
     @staticmethod
     def _problem(n_t, complex_samples, layout):
         rng = np.random.default_rng(n_t)
@@ -303,20 +296,21 @@ class TestReplayKernel:
         want = _oracle_increment(lam, h, phi_region, blocks)
         assert np.max(np.abs(split - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_rule_columns_give_one_sum_each(self):
-        # a rule with several weight columns gives one quadrature per
-        # column: here trapezoid sums at strides 1 and 2, over two blocks
-        # whose shared endpoint lies on both stride grids
-        lam, h, phi_region, times, samples = self._problem(65, True, "c_ordered")
-        blocks = [(times[:33], samples[:33]), (times[32:], samples[32:])]
+    def test_gauss_legendre_blocks_match_oracle(self):
+        # non-uniform times with a vector rule: two blocks of two 16-node
+        # Gauss-Legendre panels each give the weighted sum of the direct
+        # integrand
+        lam, h, phi_region, _, samples = self._problem(64, True, "c_ordered")
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        width = 0.25
+        times = np.add.outer(0.3 + width * np.arange(4), 0.5 * width * (nodes + 1.0)).ravel()
+        panel_weights = 0.5 * width * weights
+        blocks = [(times[:32], samples[:32]), (times[32:], samples[32:])]
 
         def rule(t):
-            return np.stack([_trapezoid_weights(t), _trapezoid_weights(t, 2)], axis=1)
+            return np.tile(panel_weights, len(t) // 16)
 
         got = _forced_increment(lam, h, phi_region, blocks, rule=rule)
-        assert got.shape == (len(lam), 2)
-        g = h * (samples @ phi_region) * np.exp(-1j * np.outer(times, lam))
-        for column, stride in enumerate((1, 2)):
-            sub = g[::stride]
-            want = 0.01 * stride * (sub.sum(axis=0) - 0.5 * (sub[0] + sub[-1]))
-            assert np.max(np.abs(got[:, column] - want)) <= 1e-13 * np.max(np.abs(want))
+        assert got.shape == (len(lam),)
+        want = np.tile(panel_weights, 4) @ _oracle_integrand(lam, h, phi_region, times, samples)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

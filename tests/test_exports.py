@@ -1,7 +1,10 @@
-"""Each module's __all__ names what it defines, and the package re-exports it."""
+"""Each module's __all__ names what it defines, the package re-exports it, and
+importing the CLI stays light."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 import types
 
 import pytest
@@ -33,3 +36,12 @@ def test_package_reexports_exactly_the_module_lists():
     for name, names in expected.items():
         module = importlib.import_module(f"fraclab.{name}")
         assert all(getattr(fraclab, n) is getattr(module, n) for n in names)
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # quadrature nodes come from numpy; scipy.special would add to every
+    # run's start-up time
+    code = "import sys, fraclab.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
