@@ -31,11 +31,9 @@ from .spectra import (
 from .regions import ObservationRegion
 from .dynamics import (
     ModalState,
-    SourceSignal,
     WaveModalState,
     modal_invariants,
     schrodinger_evolve,
-    schrodinger_forced_evolve,
     wave_energy,
     wave_evolve,
 )

@@ -298,9 +298,9 @@ def cmd_hum(cfg, emitter, stamp, prefix=""):
     if cfg.control_csv:
         idx = region.node_indices(sp.grid)
         header = ["t"] + [f"{part}_{i + 1}" for i in idx for part in ("re", "im")]
-        values = result.control.values
+        values = result.control_samples
         table = np.empty((values.shape[0], 1 + 2 * values.shape[1]))
-        table[:, 0] = result.control.dt * np.arange(values.shape[0])
+        table[:, 0] = result.control_dt * np.arange(values.shape[0])
         table[:, 1::2] = values.real
         table[:, 2::2] = values.imag
         emitter.write(prefix + "control.csv", csv_text(header, table.tolist()))

@@ -16,11 +16,12 @@ data.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .dynamics import ModalState, SourceSignal, _forced_increment
+from .dynamics import ModalState, _forced_increment
 from .errors import IllConditionedError, NumericalError, UncontrollableError
 from .regions import ObservationRegion
 
@@ -66,6 +67,14 @@ class Gramian:
 
     entries: np.ndarray
     modes: int
+
+    @cached_property
+    def eigenvalues(self):
+        """Ascending eigenvalues of the entries, from one Hermitian solve."""
+        try:
+            return scipy.linalg.eigvalsh(self.entries)
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+            raise NumericalError(f"Gramian eigensolve failed: {exc}") from exc
 
 
 def region_mass_matrix(spectrum, region, modes):
@@ -144,16 +153,12 @@ def wave_gramian(spectrum, region, horizon, modes):
 
 def observability_constant(gramian):
     """Minimum eigenvalue of the Gramian: the best constant on the mode span."""
-    try:
-        eig = scipy.linalg.eigvalsh(gramian.entries)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalError(f"Gramian eigensolve failed: {exc}") from exc
-    return float(eig[0])
+    return float(gramian.eigenvalues[0])
 
 
 def gramian_condition(gramian):
     """Spectral condition number max|eig| / min|eig| (inf when singular)."""
-    eig = np.abs(scipy.linalg.eigvalsh(gramian.entries))
+    eig = np.abs(gramian.eigenvalues)
     lo, hi = float(eig.min()), float(eig.max())
     if lo == 0.0:
         return float("inf")
@@ -227,12 +232,15 @@ def sharpness_experiment(spectra, mode_counts, region, horizon):
 class ControlResult:
     """Synthesized HUM control with its verification record.
 
-    The two error estimates are relative: the replay's to the datum norm,
-    the duality energy's to the Gramian quadratic form identity_lhs.
+    control_samples[j, i] is the control at time j * control_dt on the i-th
+    region node, for j = 0..1000 and control_dt = T / 1000.  The two error
+    estimates are relative: the replay's to the datum norm, the duality
+    energy's to the Gramian quadratic form identity_lhs.
     """
 
     hum_coefficients: np.ndarray
-    control: SourceSignal
+    control_samples: np.ndarray
+    control_dt: float
     final_state_norm: float
     gramian_condition: float
     observability: float
@@ -342,8 +350,6 @@ def hum_control(state, region, horizon):
     spectrum = state.spectrum
     K = state.modes
     T = float(horizon)
-    if T <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
 
     g = schrodinger_gramian(spectrum, region, T, K)
     obs = observability_constant(g)
@@ -370,7 +376,6 @@ def hum_control(state, region, horizon):
     # Reported control samples on the conventional grid dt = T / 1000.
     t_report = np.linspace(0.0, T, 1001)
     y_report = (np.exp(1j * np.outer(t_report, lam)) * coeffs) @ phi_region.T
-    control = SourceSignal(values=y_report, dt=T / 1000.0)
 
     # One replay gives the forcing integral and, for the duality identity,
     # the observed energy of y, against the Gramian quadratic form of y0.
@@ -384,7 +389,8 @@ def hum_control(state, region, horizon):
 
     return ControlResult(
         hum_coefficients=coeffs,
-        control=control,
+        control_samples=y_report,
+        control_dt=T / 1000.0,
         final_state_norm=final_norm,
         gramian_condition=cond,
         observability=obs,

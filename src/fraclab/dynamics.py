@@ -2,10 +2,10 @@
 
 All evolution happens on eigenbasis coefficients, so the free flows are exact
 (phase rotations); time discretization enters only through the forcing
-quadrature of the controlled Schrodinger equation, handled by an exponential
-integrator with composite Simpson (or trapezoidal) interaction-picture
-quadrature; the HUM replay passes Gauss-Legendre weights of its own.  The
-kernel projects node samples onto the modes by one real matrix product on
+integral of the controlled Schrodinger equation, whose interaction-picture
+quadrature the kernel `_forced_increment` sums under weights its caller
+passes (the HUM replay passes composite Gauss-Legendre ones).  The kernel
+projects node samples onto the modes by one real matrix product on
 interleaved (re, im) columns.
 """
 
@@ -14,15 +14,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FraclabError
-from .regions import ObservationRegion
 from .spectra import Spectrum
 
 __all__ = [
     "ModalState",
     "WaveModalState",
-    "SourceSignal",
     "schrodinger_evolve",
-    "schrodinger_forced_evolve",
     "wave_evolve",
     "wave_energy",
     "modal_invariants",
@@ -88,31 +85,6 @@ class WaveModalState:
         return self.spectrum.eigenvalues[: self.modes]
 
 
-@dataclass(frozen=True)
-class SourceSignal:
-    """Time samples of a source/control on the observation nodes.
-
-    `values[j, i]` is the source at time j*dt on the i-th region node; the
-    samples span [0, (len-1)*dt].
-    """
-
-    values: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 2 or v.shape[0] < 2:
-            raise ValueError("source needs at least two time samples of node values")
-        if not float(self.dt) > 0.0:
-            raise ValueError(f"sample step must be positive, got {self.dt}")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "dt", float(self.dt))
-
-    @property
-    def duration(self):
-        return self.dt * (self.values.shape[0] - 1)
-
-
 def modal_invariants(state):
     """The three conserved sums (sum |a|^2, sum lambda |a|^2, sum lambda^2 |a|^2)."""
     p = np.abs(state.coefficients) ** 2
@@ -126,31 +98,12 @@ def schrodinger_evolve(state, duration):
     return replace(state, coefficients=a)
 
 
-def _simpson_or_trapezoid(times):
-    """Composite Simpson weights (dt/3) * (1, 4, 2, ..., 2, 4, 1) over an even
-    interval count, else trapezoid, on uniform `times`."""
-    intervals = len(times) - 1
-    if intervals < 2 or intervals % 2:
-        # the mean step: a first difference of late samples would carry a
-        # rounding error of eps * t / dt into every weight of the block
-        w = np.full(intervals + 1, (times[-1] - times[0]) / intervals)
-        w[[0, -1]] *= 0.5
-        return w
-    w = np.ones(intervals + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return ((times[-1] - times[0]) / (3.0 * intervals)) * w
-
-
-def _forced_increment(lam, h, phi_region, blocks, *, rule=_simpson_or_trapezoid):
+def _forced_increment(lam, h, phi_region, blocks, *, rule):
     """Quadrature of f_k(t) e^(-i lambda_k t) over sample blocks.
 
     `blocks` yields (times, samples) pairs; f_k(t_j) = h * sum_{i in region}
     samples[j,i] phi_k(x_i).  `rule` maps a block's times to its quadrature
-    weights, and the block sums add up.  The default takes composite
-    Simpson (O(dt^4)) on uniform blocks with an even number of intervals
-    and the trapezoidal rule (O(dt^2)) on the others; blocks sharing their
-    endpoints compose exactly under either.  The projection runs as one
+    weights, and the block sums add up.  The projection runs as one
     real matrix product on the interleaved (re, im) columns of samples.T,
     which costs no copy when samples.T is already a C-ordered complex array
     (as the HUM replay's blocks are); the weights, h included, are one
@@ -164,34 +117,6 @@ def _forced_increment(lam, h, phi_region, blocks, *, rule=_simpson_or_trapezoid)
         f *= np.exp(-1j * np.multiply.outer(lam, times))
         total = total + f @ (h * rule(times))
     return total
-
-
-def schrodinger_forced_evolve(state, source, region):
-    """Solve i u_t + A u = source on the region over the source's time span.
-
-    Modal form a_k' = i lambda_k a_k - i f_k(t) with f_k the L2 projection
-    of the source restricted to the region nodes.  The interaction-picture
-    integral is evaluated on the sample grid by composite Simpson when the
-    sample count allows it (odd count, even intervals) and the trapezoidal
-    rule otherwise; with a vanishing source this reduces exactly to the free
-    flow.
-    """
-    if not isinstance(source, SourceSignal):
-        raise TypeError("source must be a SourceSignal")
-    if not isinstance(region, ObservationRegion):
-        raise TypeError("region must be an ObservationRegion")
-    idx = region.node_indices(state.spectrum.grid)
-    if source.values.shape[1] != len(idx):
-        raise ValueError(
-            f"source carries {source.values.shape[1]} node columns, region has {len(idx)} nodes"
-        )
-    T = source.duration
-    lam = state.eigenvalues
-    phi_region = state.spectrum.vectors[idx, : state.modes]
-    times = source.dt * np.arange(source.values.shape[0])
-    integral = _forced_increment(lam, state.spectrum.h, phi_region, [(times, source.values)])
-    a = np.exp(1j * lam * T) * (state.coefficients - 1j * integral)
-    return replace(state, coefficients=a)
 
 
 def wave_evolve(state, duration):

@@ -56,16 +56,14 @@ class _TraceOperator:
     right_slice: slice
     design: np.ndarray  # (m, 2) powers of distance to the nearer endpoint
     pinv: np.ndarray
-    exponents: tuple
 
 
 def _trace_operator(grid, beta):
     n = grid.n_interior
     m = _layer_width(n)
-    exponents = (float(beta), _second_exponent(beta))
     h = grid.h
     dist = h * np.arange(SKIP + 1, SKIP + m + 1, dtype=float)
-    design = np.column_stack([dist ** exponents[0], dist ** exponents[1]])
+    design = np.column_stack([dist ** float(beta), dist ** _second_exponent(beta)])
     pinv = np.linalg.pinv(design)
     # both layers share one design: callers read the right layer reversed,
     # nodes nearest x = +1 first, so it sits at the same distances as the left
@@ -74,7 +72,6 @@ def _trace_operator(grid, beta):
         right_slice=slice(n - SKIP - m, n - SKIP),
         design=design,
         pinv=pinv,
-        exponents=exponents,
     )
 
 
@@ -86,7 +83,6 @@ class BoundaryTrace:
     right: complex
     left_residual: float
     right_residual: float
-    exponents: tuple
 
     @property
     def squared_sum(self):
@@ -125,7 +121,6 @@ def boundary_trace(values, grid, beta):
         right=right,
         left_residual=left_res,
         right_residual=right_res,
-        exponents=op.exponents,
     )
 
 

@@ -450,7 +450,6 @@ class TestCliHum:
         a0 = cli._make_datum("random", modes, seed)
         state = ModalState(coefficients=a0, spectrum=spectrum)
         result = hum_control(state, region, T)
-        control = result.control
         report = json.loads((out / "hum.json").read_text())
         assert report["replay_steps"] == result.replay_steps
         assert report["replay_capped"] is False
@@ -465,9 +464,9 @@ class TestCliHum:
         assert header[2::2] == [f"im_{i + 1}" for i in idx]
         table = np.array(rows, dtype=float)
         assert np.any(table[:, 1:] != 0.0)
-        np.testing.assert_array_equal(table[:, 0], [r * control.dt for r in range(len(rows))])
-        np.testing.assert_array_equal(table[:, 1::2], control.values.real)
-        np.testing.assert_array_equal(table[:, 2::2], control.values.imag)
+        np.testing.assert_array_equal(table[:, 0], [r * result.control_dt for r in range(len(rows))])
+        np.testing.assert_array_equal(table[:, 1::2], result.control_samples.real)
+        np.testing.assert_array_equal(table[:, 2::2], result.control_samples.imag)
 
     def test_failed_replay_exits_3(self, tmp_path, capsys, monkeypatch):
         replay = control._forced_increment

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fraclab import (
     ControlResult,
@@ -11,7 +12,6 @@ from fraclab import (
     Grid,
     ModalState,
     ObservationRegion,
-    SourceSignal,
     assemble_operator,
     compute_spectrum,
     gramian_condition,
@@ -19,7 +19,6 @@ from fraclab import (
     observability_constant,
     phase_average_matrix,
     region_mass_matrix,
-    schrodinger_forced_evolve,
     schrodinger_gramian,
     sharpness_experiment,
     wave_gramian,
@@ -27,10 +26,25 @@ from fraclab import (
 from fraclab import control
 from fraclab.config import SharpnessConfig
 from fraclab.control import CHUNK, VERIFICATION_TOLERANCE, _control_chunks
-from fraclab.dynamics import _forced_increment, _simpson_or_trapezoid
+from fraclab.dynamics import _forced_increment
 from fraclab.errors import IllConditionedError, UncontrollableError
+from oracles import forced_evolve, simpson_or_trapezoid
 
 RNG = np.random.default_rng(20260823)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Shapes of the matrices passed to scipy.linalg.eigvalsh, in call order."""
+    shapes = []
+    solve = scipy.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", counting)
+    return shapes
 
 # the region covering every interior node
 WHOLE = ObservationRegion(((-1.0, 1.0),))
@@ -214,6 +228,13 @@ class TestGramianScalars:
         assert observability_constant(g) == pytest.approx(0.25)
         assert gramian_condition(g) == pytest.approx(16.0)
 
+    def test_constant_and_condition_share_one_eigensolve(self, get_spectrum, eigensolves):
+        spectrum = get_spectrum(0.5, 64, 6)
+        g = schrodinger_gramian(spectrum, ObservationRegion.boundary_layers(0.25), 2.0, 6)
+        assert observability_constant(g) == g.eigenvalues[0]
+        assert gramian_condition(g) == np.max(np.abs(g.eigenvalues)) / np.min(np.abs(g.eigenvalues))
+        assert eigensolves == [(6, 6)]
+
 
 class TestSharpness:
     @pytest.fixture(scope="class")
@@ -269,6 +290,14 @@ class TestSharpness:
         table = sharpness_experiment({0.5: get_spectrum(0.5, 64, 40)}, tuple(cells), region, 1.0)
         assert table.resolved.tolist() == [[True, False, True, False]]
 
+    def test_one_eigensolve_per_gramian(self, get_spectrum, eigensolves):
+        # B orders x C counts Gramians, each solved once for both its
+        # constant and its condition number
+        region = ObservationRegion.boundary_layers(0.2)
+        spectra = {b: get_spectrum(b, 64, 12) for b in (0.25, 0.5, 0.75)}
+        sharpness_experiment(spectra, (3, 6, 12), region, 2.0)
+        assert sorted(eigensolves) == sorted([(k, k) for k in (3, 6, 12)] * 3)
+
     def test_validation(self, get_spectrum):
         region = ObservationRegion.boundary_layers(0.2)
         spectra = {0.5: get_spectrum(0.5, 64, 12)}
@@ -303,10 +332,8 @@ class TestHumControl:
         spectrum, region, state = setup
         result = hum_control(state, region, 1.0)
         n_nodes = len(region.node_indices(spectrum.grid))
-        assert isinstance(result.control, SourceSignal)
-        assert result.control.values.shape == (1001, n_nodes)
-        assert result.control.dt == pytest.approx(1e-3)
-        assert result.control.duration == pytest.approx(1.0)
+        assert result.control_samples.shape == (1001, n_nodes)
+        assert result.control_dt == pytest.approx(1e-3)
 
     def test_replay_through_integrator(self, setup):
         # independent replay: feeding the reported control samples back
@@ -315,8 +342,8 @@ class TestHumControl:
         # tolerance reflects its own quadrature error
         spectrum, region, state = setup
         result = hum_control(state, region, 1.0)
-        out = schrodinger_forced_evolve(state, result.control, region)
-        assert np.linalg.norm(out.coefficients) < 1e-6
+        out = forced_evolve(state, result.control_samples, result.control_dt, region)
+        assert np.linalg.norm(out) < 1e-6
 
     def test_control_chunks_match_oracle(self, setup):
         # the free trajectory y(t_j, x_i) = sum_k c_k e^(i lambda_k t_j) phi_k(x_i)
@@ -345,7 +372,12 @@ class TestHumControl:
         zero = ModalState(coefficients=np.zeros(8), spectrum=spectrum)
         result = hum_control(zero, region, 1.0)
         assert result.final_state_norm == 0.0
-        assert np.all(result.control.values == 0.0)
+        assert np.all(result.control_samples == 0.0)
+
+    def test_one_eigensolve(self, setup, eigensolves):
+        spectrum, region, state = setup
+        hum_control(state, region, 1.0)
+        assert eigensolves == [(8, 8)]
 
     def test_validation(self, setup):
         spectrum, region, state = setup
@@ -428,8 +460,8 @@ class TestAdaptiveReplay:
         for start in range(0, self.FINE_STEPS, CHUNK):
             t = fine[start : start + CHUNK + 1]
             y = (np.exp(1j * np.outer(t, lam)) * coeffs) @ phi_region.T
-            w = _simpson_or_trapezoid(t)
-            integral = integral + _forced_increment(lam, h, phi_region, [(t, y)])
+            w = simpson_or_trapezoid(t)
+            integral = integral + _forced_increment(lam, h, phi_region, [(t, y)], rule=simpson_or_trapezoid)
             energy += h * np.sum(np.abs(y) ** 2, axis=1) @ w
         return integral, energy
 

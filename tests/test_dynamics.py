@@ -9,16 +9,15 @@ import scipy.integrate
 from fraclab import (
     ModalState,
     ObservationRegion,
-    SourceSignal,
     WaveModalState,
     modal_invariants,
     schrodinger_evolve,
-    schrodinger_forced_evolve,
     wave_energy,
     wave_evolve,
 )
 from fraclab.dynamics import _forced_increment
 from fraclab.errors import FraclabError
+from oracles import forced_evolve, simpson_or_trapezoid
 
 RNG = np.random.default_rng(20260823)
 
@@ -84,10 +83,9 @@ class TestForcedFlow:
         region = ObservationRegion.boundary_layers(0.3)
         n_nodes = len(region.node_indices(spectrum.grid))
         state = random_state(spectrum, 6)
-        source = SourceSignal(values=np.zeros((41, n_nodes)), dt=0.025)
-        forced = schrodinger_forced_evolve(state, source, region)
-        free = schrodinger_evolve(state, source.duration)
-        np.testing.assert_allclose(forced.coefficients, free.coefficients, rtol=1e-15)
+        forced = forced_evolve(state, np.zeros((41, n_nodes)), 0.025, region)
+        free = schrodinger_evolve(state, 40 * 0.025)
+        np.testing.assert_allclose(forced, free.coefficients, rtol=1e-15)
 
     def test_constant_source_closed_form(self, get_spectrum):
         spectrum = get_spectrum(0.5, 64, 4)
@@ -97,15 +95,14 @@ class TestForcedFlow:
         profile = np.cos(spectrum.grid.nodes[idx])
         m = 2001
         dt = 1.0 / (m - 1)
-        source = SourceSignal(values=np.tile(profile, (m, 1)), dt=dt)
-        out = schrodinger_forced_evolve(state, source, region)
+        out = forced_evolve(state, np.tile(profile, (m, 1)), dt, region)
         lam = state.eigenvalues
         f = spectrum.h * (spectrum.vectors[idx, :4].T @ profile)
-        T = source.duration
+        T = dt * (m - 1)
         want = np.exp(1j * lam * T) * state.coefficients - (f / lam) * (
             np.exp(1j * lam * T) - 1.0
         )
-        np.testing.assert_allclose(out.coefficients, want, rtol=1e-10)
+        np.testing.assert_allclose(out, want, rtol=1e-10)
 
     def test_time_varying_source_against_ode_solver(self, get_spectrum):
         spectrum = get_spectrum(0.5, 64, 5)
@@ -122,8 +119,7 @@ class TestForcedFlow:
         m = 4001
         dt = 1.0 / (m - 1)
         times = dt * np.arange(m)
-        source = SourceSignal(values=np.array([node_values(t) for t in times]), dt=dt)
-        out = schrodinger_forced_evolve(state, source, region)
+        out = forced_evolve(state, np.array([node_values(t) for t in times]), dt, region)
 
         def rhs(t, y):
             a = y[:5] + 1j * y[5:]
@@ -136,37 +132,7 @@ class TestForcedFlow:
             rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-12, atol=1e-14
         )
         want = sol.y[:5, -1] + 1j * sol.y[5:, -1]
-        np.testing.assert_allclose(out.coefficients, want, rtol=1e-9, atol=1e-11)
-
-    def test_validation(self, get_spectrum):
-        spectrum = get_spectrum(0.5, 64, 4)
-        region = ObservationRegion.boundary_layers(0.3)
-        n_nodes = len(region.node_indices(spectrum.grid))
-        state = random_state(spectrum, 4)
-        good = SourceSignal(values=np.zeros((11, n_nodes)), dt=0.1)
-        with pytest.raises(TypeError):
-            schrodinger_forced_evolve(state, np.zeros((11, n_nodes)), region)
-        with pytest.raises(TypeError):
-            schrodinger_forced_evolve(state, good, (-1.0, 1.0))
-        bad_cols = SourceSignal(values=np.zeros((11, n_nodes + 2)), dt=0.1)
-        with pytest.raises(ValueError):
-            schrodinger_forced_evolve(state, bad_cols, region)
-
-
-class TestSourceSignal:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SourceSignal(values=np.zeros(8), dt=0.1)
-        with pytest.raises(ValueError):
-            SourceSignal(values=np.zeros((1, 4)), dt=0.1)
-        with pytest.raises(ValueError):
-            SourceSignal(values=np.zeros((4, 4)), dt=0.0)
-        with pytest.raises(ValueError):
-            SourceSignal(values=np.zeros((4, 4)), dt=-0.5)
-
-    def test_duration(self):
-        source = SourceSignal(values=np.zeros((11, 3)), dt=0.25)
-        assert source.duration == pytest.approx(2.5)
+        np.testing.assert_allclose(out, want, rtol=1e-9, atol=1e-11)
 
 
 class TestWaveFlow:
@@ -279,7 +245,7 @@ class TestReplayKernel:
     @pytest.mark.parametrize("n_t", [65, 64, 2], ids=["simpson", "trapezoid", "one_interval"])
     def test_forced_increment_matches_oracle(self, n_t, complex_samples, layout):
         lam, h, phi_region, times, samples = self._problem(n_t, complex_samples, layout)
-        got = _forced_increment(lam, h, phi_region, [(times, samples)])
+        got = _forced_increment(lam, h, phi_region, [(times, samples)], rule=simpson_or_trapezoid)
         want = _oracle_increment(lam, h, phi_region, [(times, samples)])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -290,8 +256,8 @@ class TestReplayKernel:
         # blocks sharing their endpoint samples give the one-block quadrature
         lam, h, phi_region, times, samples = self._problem(n_t, True, "c_ordered")
         blocks = [(times[a : b + 1], samples[a : b + 1]) for a, b in zip(cuts, cuts[1:])]
-        whole = _forced_increment(lam, h, phi_region, [(times, samples)])
-        split = _forced_increment(lam, h, phi_region, blocks)
+        whole = _forced_increment(lam, h, phi_region, [(times, samples)], rule=simpson_or_trapezoid)
+        split = _forced_increment(lam, h, phi_region, blocks, rule=simpson_or_trapezoid)
         assert np.max(np.abs(split - whole)) <= 1e-13 * np.max(np.abs(whole))
         want = _oracle_increment(lam, h, phi_region, blocks)
         assert np.max(np.abs(split - want)) <= 1e-13 * np.max(np.abs(want))

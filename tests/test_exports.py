@@ -45,3 +45,10 @@ def test_cli_import_leaves_scipy_special_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_forced_evolution_oracle_stays_out_of_the_library():
+    # the Simpson forced evolution is a test reference (tests/oracles.py);
+    # the library's replay kernel takes its caller's weights
+    dynamics = importlib.import_module("fraclab.dynamics")
+    assert {"SourceSignal", "schrodinger_forced_evolve", "_simpson_or_trapezoid"}.isdisjoint(vars(dynamics))
