@@ -17,14 +17,8 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .config import _KEY_SPECS, RunConfig, load_config, override_section, resolved_values
-from .control import (
-    VANISHING_DECAY,
-    VERIFICATION_TOLERANCE,
-    _constants_table,
-    hum_control,
-    sharpness_experiment,
-)
+from .config import _PARSERS, RunConfig, load_config, override_section
+from .control import VANISHING_DECAY, VERIFICATION_TOLERANCE, hum_control, sharpness_experiment
 from .dynamics import (
     ModalState,
     WaveModalState,
@@ -54,9 +48,14 @@ def _spectrum_for(beta, n, modes):
     return compute_spectrum(assemble_operator(Grid(n), beta), modes)
 
 
-def _check_span(modes, n):
-    if modes > n:
-        raise ConfigError(f"modes = {modes} exceeds the number of interior nodes n = {n}")
+def _check_span(cfg):
+    """Refuse a cell section whose mode span exceeds its interior nodes."""
+    if hasattr(cfg, "modes"):
+        span, largest = f"modes = {cfg.modes}", cfg.modes
+    else:  # the table commands; the parser keeps the counts ascending
+        span, largest = f"mode_counts entry {cfg.mode_counts[-1]}", cfg.mode_counts[-1]
+    if largest > cfg.n:
+        raise ConfigError(f"{span} exceeds the number of interior nodes n = {cfg.n}")
 
 
 def _make_datum(spec, modes, seed):
@@ -89,14 +88,13 @@ def _spectrum_rows(beta, lam, count):
     return rows
 
 
-def cmd_spectrum(cfg, emitter, stamp, prefix=""):
-    _check_span(cfg.modes, cfg.n)
+def cmd_spectrum(cfg, emitter):
     lam = _spectrum_for(cfg.beta, cfg.n, min(cfg.modes + 1, cfg.n)).eigenvalues
     rows = _spectrum_rows(cfg.beta, lam, cfg.modes)
-    emitter.write(prefix + "spectrum.csv", csv_text(SPECTRUM_HEADER, rows))
+    emitter.write("spectrum.csv", csv_text(SPECTRUM_HEADER, rows))
     ks = [r[0] for r in rows]
     emitter.write(
-        prefix + "spectrum.svg",
+        "spectrum.svg",
         line_plot(
             [
                 Series("numeric", tuple(ks), tuple(r[1] for r in rows), markers=True),
@@ -105,21 +103,20 @@ def cmd_spectrum(cfg, emitter, stamp, prefix=""):
             title=f"eigenvalues, beta={cfg.beta:g}, n={cfg.n}",
             xlabel="k",
             ylabel="lambda_k",
-            timestamp=stamp,
+            timestamp=emitter.stamp,
         ),
     )
     return f"spectrum: beta={cfg.beta:g} n={cfg.n} modes={cfg.modes} lambda_1={rows[0][1]:.12g}"
 
 
-def cmd_gaps(cfg, emitter, stamp, prefix=""):
+def cmd_gaps(cfg, emitter):
     if cfg.modes < 2:
         raise ConfigError("gaps needs modes >= 2")
-    _check_span(cfg.modes, cfg.n)
     lam = _spectrum_for(cfg.beta, cfg.n, cfg.modes).eigenvalues
     rows = _spectrum_rows(cfg.beta, lam, cfg.modes - 1)
-    emitter.write(prefix + "gaps.csv", csv_text(SPECTRUM_HEADER, rows))
+    emitter.write("gaps.csv", csv_text(SPECTRUM_HEADER, rows))
     emitter.write(
-        prefix + "gaps.svg",
+        "gaps.svg",
         line_plot(
             [
                 Series("gap numeric", tuple(r[0] for r in rows), tuple(r[3] for r in rows), markers=True),
@@ -128,32 +125,31 @@ def cmd_gaps(cfg, emitter, stamp, prefix=""):
             title=f"eigenvalue gaps, beta={cfg.beta:g}, n={cfg.n}",
             xlabel="k",
             ylabel="lambda_(k+1) - lambda_k",
-            timestamp=stamp,
+            timestamp=emitter.stamp,
         ),
     )
     return f"gaps: beta={cfg.beta:g} n={cfg.n} rows={len(rows)}"
 
 
-def cmd_evolve(cfg, emitter, stamp, prefix=""):
-    _check_span(cfg.modes, cfg.n)
+def cmd_evolve(cfg, emitter):
     sp = _spectrum_for(cfg.beta, cfg.n, cfg.modes)
     a = _make_datum(cfg.datum, cfg.modes, cfg.seed)
-    times = np.linspace(0.0, cfg.horizon, cfg.samples)
+    times = np.linspace(0.0, cfg.T, cfg.samples)
     if cfg.equation == "schrodinger":
         state = ModalState(coefficients=a, spectrum=sp)
         header = ("t", "mass", "energy", "energy2")
         rows = []
         for t in times:
             rows.append((float(t),) + modal_invariants(schrodinger_evolve(state, t)))
-        final = schrodinger_evolve(state, cfg.horizon)
+        final = schrodinger_evolve(state, cfg.T)
         start, end = state.coefficients, final.coefficients
     else:
         state = WaveModalState(position=a, velocity=np.zeros_like(a), spectrum=sp)
         header = ("t", "energy")
         rows = [(float(t), wave_energy(wave_evolve(state, t))) for t in times]
-        final = wave_evolve(state, cfg.horizon)
+        final = wave_evolve(state, cfg.T)
         start, end = state.position, final.position
-    emitter.write(prefix + "evolve.csv", csv_text(header, rows))
+    emitter.write("evolve.csv", csv_text(header, rows))
 
     first = rows[0][1:]
     drift = [max(abs(r[j + 1] - first[j]) for r in rows) for j in range(len(first))]
@@ -162,7 +158,7 @@ def cmd_evolve(cfg, emitter, stamp, prefix=""):
         "beta": cfg.beta,
         "n": cfg.n,
         "modes": cfg.modes,
-        "T": cfg.horizon,
+        "T": cfg.T,
         "samples": cfg.samples,
         "datum": cfg.datum,
         "seed": cfg.seed,
@@ -170,72 +166,57 @@ def cmd_evolve(cfg, emitter, stamp, prefix=""):
         "final_invariants": list(rows[-1][1:]),
         "max_invariant_drift": drift,
     }
-    emitter.write(prefix + "evolve.json", json_text(summary))
+    emitter.write("evolve.json", json_text(summary))
 
     x = sp.grid.nodes
     u0, uT = np.real(sp.vectors @ start), np.real(sp.vectors @ end)
     emitter.write(
-        prefix + "evolve.svg",
+        "evolve.svg",
         line_plot(
             [
                 Series("Re u(x, 0)", tuple(x), tuple(u0)),
-                Series(f"Re u(x, {cfg.horizon:g})", tuple(x), tuple(uT)),
+                Series(f"Re u(x, {cfg.T:g})", tuple(x), tuple(uT)),
             ],
             title=f"{cfg.equation} evolution, beta={cfg.beta:g}",
             xlabel="x",
             ylabel="u",
-            timestamp=stamp,
+            timestamp=emitter.stamp,
         ),
     )
-    return f"evolve: {cfg.equation} beta={cfg.beta:g} T={cfg.horizon:g} max_drift={max(drift):.3e}"
+    return f"evolve: {cfg.equation} beta={cfg.beta:g} T={cfg.T:g} max_drift={max(drift):.3e}"
 
 
-def _table_command(name, cfg, emitter, stamp, prefix=""):
-    largest = cfg.mode_counts[-1]  # the parser keeps the counts ascending
-    if largest > cfg.n:
-        raise ConfigError(
-            f"mode_counts entry {largest} exceeds the number of interior nodes n = {cfg.n}"
-        )
+def _table_command(name, cfg, emitter):
     region = ObservationRegion.boundary_layers(cfg.epsilon)
-    spectra = {b: _spectrum_for(b, cfg.n, largest) for b in cfg.betas}
-    if len(cfg.mode_counts) >= 2:
-        table = sharpness_experiment(spectra, cfg.mode_counts, region, cfg.horizon)
-        constants, conditions, resolved = table.constants, table.conditions, table.resolved
-        decay = [float(r) for r in table.decay_ratios]
-        verdicts = list(table.verdicts)
-    else:
-        constants, conditions, resolved = _constants_table(
-            spectra, cfg.mode_counts, region, cfg.horizon
-        )
-        decay = None
-        verdicts = None
+    spectra = {b: _spectrum_for(b, cfg.n, cfg.mode_counts[-1]) for b in cfg.betas}
+    table = sharpness_experiment(spectra, cfg.mode_counts, region, cfg.T)
     betas = sorted(cfg.betas)
-    rows = []
-    for i, b in enumerate(betas):
-        for j, k in enumerate(cfg.mode_counts):
-            rows.append(
-                (b, k, cfg.horizon, cfg.epsilon, float(constants[i, j]), float(conditions[i, j]))
-            )
-    emitter.write(prefix + f"{name}.csv", csv_text(TABLE_HEADER, rows))
+    constants, conditions = table.constants.tolist(), table.conditions.tolist()
+    rows = [
+        (b, k, cfg.T, cfg.epsilon, constants[i][j], conditions[i][j])
+        for i, b in enumerate(betas)
+        for j, k in enumerate(cfg.mode_counts)
+    ]
+    emitter.write(f"{name}.csv", csv_text(TABLE_HEADER, rows))
     summary = {
-        "betas": list(betas),
-        "mode_counts": list(cfg.mode_counts),
+        "betas": betas,
+        "mode_counts": cfg.mode_counts,
         "n": cfg.n,
-        "T": cfg.horizon,
+        "T": cfg.T,
         "epsilon": cfg.epsilon,
-        "constants": constants.tolist(),
-        "conditions": conditions.tolist(),
-        "resolved": resolved.tolist(),
-        "decay_ratios": decay,
-        "verdicts": verdicts,
+        "constants": constants,
+        "conditions": conditions,
+        "resolved": table.resolved,
+        "decay_ratios": table.decay_ratios,
+        "verdicts": table.verdicts,
         "vanishing_threshold": VANISHING_DECAY,
     }
-    emitter.write(prefix + f"{name}.json", json_text(summary))
-    if verdicts is not None:
-        printed = ", ".join(f"beta={b:g}: {v}" for b, v in zip(betas, verdicts))
+    emitter.write(f"{name}.json", json_text(summary))
+    if table.verdicts is not None:
+        printed = ", ".join(f"beta={b:g}: {v}" for b, v in zip(betas, table.verdicts))
     else:
         printed = "single cell, no verdict"
-    return f"{name}: n={cfg.n} T={cfg.horizon:g} epsilon={cfg.epsilon:g}  {printed}"
+    return f"{name}: n={cfg.n} T={cfg.T:g} epsilon={cfg.epsilon:g}  {printed}"
 
 
 def _check_hum_verification(report):
@@ -261,19 +242,18 @@ def _check_hum_verification(report):
         raise NumericalError("hum verification failed: " + "; ".join(problems), diagnostics)
 
 
-def cmd_hum(cfg, emitter, stamp, prefix=""):
-    _check_span(cfg.modes, cfg.n)
+def cmd_hum(cfg, emitter):
     sp = _spectrum_for(cfg.beta, cfg.n, cfg.modes)
     region = ObservationRegion.boundary_layers(cfg.epsilon)
     a0 = _make_datum(cfg.datum, cfg.modes, cfg.seed)
     state = ModalState(coefficients=a0, spectrum=sp)
-    result = hum_control(state, region, cfg.horizon)
+    result = hum_control(state, region, cfg.T)
     initial = float(np.linalg.norm(a0))
     report = {
         "beta": cfg.beta,
         "n": cfg.n,
         "modes": cfg.modes,
-        "T": cfg.horizon,
+        "T": cfg.T,
         "epsilon": cfg.epsilon,
         "datum": cfg.datum,
         "seed": cfg.seed,
@@ -294,7 +274,7 @@ def cmd_hum(cfg, emitter, stamp, prefix=""):
         "steering_im": result.hum_coefficients.imag.tolist(),
     }
     _check_hum_verification(report)
-    emitter.write(prefix + "hum.json", json_text(report))
+    emitter.write("hum.json", json_text(report))
     if cfg.control_csv:
         idx = region.node_indices(sp.grid)
         header = ["t"] + [f"{part}_{i + 1}" for i in idx for part in ("re", "im")]
@@ -303,16 +283,15 @@ def cmd_hum(cfg, emitter, stamp, prefix=""):
         table[:, 0] = result.control_dt * np.arange(values.shape[0])
         table[:, 1::2] = values.real
         table[:, 2::2] = values.imag
-        emitter.write(prefix + "control.csv", csv_text(header, table.tolist()))
+        emitter.write("control.csv", csv_text(header, table.tolist()))
     return (
-        f"hum: beta={cfg.beta:g} K={cfg.modes} T={cfg.horizon:g} "
+        f"hum: beta={cfg.beta:g} K={cfg.modes} T={cfg.T:g} "
         f"final/initial={report['relative_final_norm']:.3e} "
         f"condition={result.gramian_condition:.3e}"
     )
 
 
-def cmd_pohozaev(cfg, emitter, stamp, prefix=""):
-    _check_span(cfg.modes, cfg.n)
+def cmd_pohozaev(cfg, emitter):
     try:  # the layer-fit rule, checked before the eigensolve
         _layer_width(cfg.n)
     except ValueError as exc:
@@ -320,7 +299,7 @@ def cmd_pohozaev(cfg, emitter, stamp, prefix=""):
     sp = _spectrum_for(cfg.beta, cfg.n, cfg.modes)
     a = _make_datum(cfg.datum, cfg.modes, cfg.seed)
     state = ModalState(coefficients=a, spectrum=sp)
-    report = schrodinger_pohozaev_report(state, cfg.horizon)
+    report = schrodinger_pohozaev_report(state, cfg.T)
     active = [k + 1 for k in range(cfg.modes) if abs(a[k]) > 0.0]
     checks = [asdict(eigen_pohozaev_check(sp, k)) for k in active[:6]]
     ratio = None
@@ -330,7 +309,7 @@ def cmd_pohozaev(cfg, emitter, stamp, prefix=""):
         "beta": cfg.beta,
         "n": cfg.n,
         "modes": cfg.modes,
-        "T": cfg.horizon,
+        "T": cfg.T,
         "datum": cfg.datum,
         "seed": cfg.seed,
         "lhs": report.lhs,
@@ -341,7 +320,7 @@ def cmd_pohozaev(cfg, emitter, stamp, prefix=""):
         "two_sided_ratio": ratio,
         "eigen_checks": checks,
     }
-    emitter.write(prefix + "pohozaev.json", json_text(payload))
+    emitter.write("pohozaev.json", json_text(payload))
     return (
         f"pohozaev: beta={cfg.beta:g} n={cfg.n} datum={cfg.datum} "
         f"lhs={report.lhs:.6g} rhs={report.rhs:.6g} residual={report.residual:.3e}"
@@ -349,7 +328,7 @@ def cmd_pohozaev(cfg, emitter, stamp, prefix=""):
 
 
 # Each cell command reads the config section of its own name, writes its
-# artifacts under `prefix` and returns its one-line summary.
+# artifacts through the emitter and returns its one-line summary.
 _CELL_COMMANDS = {
     "spectrum": (cmd_spectrum, "eigenvalue table and plot against the asymptotic law"),
     "gaps": (cmd_gaps, "consecutive eigenvalue gaps against the asymptotic law"),
@@ -367,7 +346,7 @@ _CELL_COMMANDS = {
 }
 
 
-def cmd_sweep(config, emitter, stamp, jobs=None):
+def cmd_sweep(config, emitter, jobs=None):
     cfg = config.sweep
     workers = jobs if jobs is not None else cfg.jobs
     runner = _CELL_COMMANDS[cfg.command][0]
@@ -379,16 +358,15 @@ def cmd_sweep(config, emitter, stamp, jobs=None):
             "they must differ at 6 significant digits"
         )
 
-    def run_cell(beta, prefix):
+    def run_cell(beta):
         cell = override_section(config, cfg.command, beta=beta)
-        buffer = Emitter(directory=None, timestamp=emitter.timestamp)
-        line = runner(getattr(cell, cfg.command), buffer, stamp, prefix=prefix)
-        return buffer, line
+        buffer = Emitter(directory=None, stamp=emitter.stamp)
+        return buffer, runner(getattr(cell, cfg.command), buffer)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        cells = list(pool.map(run_cell, betas, prefixes))
-    for buffer, _ in cells:  # single writer, deterministic cell order
-        emitter.absorb(buffer)
+        cells = list(pool.map(run_cell, betas))
+    for (buffer, _), prefix in zip(cells, prefixes):  # single writer, fixed cell order
+        emitter.absorb(buffer, prefix)
     lines = [line for _, line in cells]
     lines.append(f"sweep: {cfg.command} over betas={[f'{b:g}' for b in betas]} jobs={workers}")
     return "\n".join(lines)
@@ -437,14 +415,13 @@ def _build_parser():
 
 
 def _validated_overrides(args):
-    """Flag values parsed as the same keys in a config file, by field name."""
+    """Flag values parsed as the same keys in a config file."""
     overrides = {}
     for key in (*_VALUE_FLAGS, "jobs"):
         text = getattr(args, key, None)  # only sweep has --jobs
         if text is not None:
-            field, parser = _KEY_SPECS[key]
             try:
-                overrides[field] = parser(text)
+                overrides[key] = _PARSERS[key](text)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
     return overrides
@@ -475,17 +452,16 @@ def main(argv=None):
         if args.out is None and config.out is not None:
             out_dir = config.out
         os.makedirs(out_dir, exist_ok=True)
-        emitter = Emitter(directory=out_dir, timestamp=not args.no_timestamp)
-        stamp = None if args.no_timestamp else utc_stamp()
-
+        emitter = Emitter(directory=out_dir, stamp=None if args.no_timestamp else utc_stamp())
+        section = getattr(config, config.sweep.command if args.command == "sweep" else args.command)
+        _check_span(section)
         if args.command == "sweep":
-            print(cmd_sweep(config, emitter, stamp, jobs=jobs))
-            echo = resolved_values(config.sweep)
-            echo["cell"] = resolved_values(getattr(config, config.sweep.command))
+            print(cmd_sweep(config, emitter, jobs=jobs))
+            echo = asdict(config.sweep)
+            echo["cell"] = asdict(section)
         else:
-            section = getattr(config, args.command)
-            print(_CELL_COMMANDS[args.command][0](section, emitter, stamp))
-            echo = resolved_values(section)
+            print(_CELL_COMMANDS[args.command][0](section, emitter))
+            echo = asdict(section)
         write_manifest(emitter, args.command, echo, __version__)
         print(f"wrote {len(emitter.artifacts)} files to {out_dir}")
         return 0

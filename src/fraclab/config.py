@@ -4,9 +4,11 @@ Sections mirror the CLI subcommands; keys before any section header act as
 global defaults for every section that accepts them.  Unknown sections,
 unknown keys, malformed numbers, and out-of-range values are all rejected
 with the offending line number.  An empty text yields each section's
-defaults, the field defaults of its dataclass below; they differ between
-sections (hum: beta=0.6, modes=20, T=1; the table commands: a list of
-orders and of mode counts).
+defaults as RunConfig below holds them; they differ between sections (hum:
+beta=0.6, modes=20, T=1; the table commands: a list of orders and of mode
+counts).  Section fields carry their file-key names.  gaps shares the
+spectrum class and sharpness the observability class; the sharpness
+defaults of that shared table class live on RunConfig.
 """
 
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -17,14 +19,12 @@ __all__ = [
     "SpectrumConfig",
     "EvolveConfig",
     "ObservabilityConfig",
-    "SharpnessConfig",
     "HumConfig",
     "PohozaevConfig",
     "SweepConfig",
     "RunConfig",
     "parse_config",
     "load_config",
-    "resolved_values",
     "override_section",
 ]
 
@@ -66,7 +66,7 @@ def _order(key):
 
 
 _parse_beta = _order("beta")
-_parse_horizon = _checked(float, lambda t: t > 0.0, "T must be positive")
+_parse_horizon = _checked(float, lambda t: 0.0 < t < float("inf"), "T must be positive and finite")
 _parse_epsilon = _checked(float, lambda e: 0.0 < e < 1.0, "epsilon must lie in (0, 1)")
 _parse_seed = _checked(int, lambda s: s >= 0, "seed must be a nonnegative integer")
 _parse_samples = _checked(int, lambda s: s >= 2, "samples must be at least 2")
@@ -143,7 +143,7 @@ class EvolveConfig:
     beta: float = 0.5
     n: int = 1024
     modes: int = 10
-    horizon: float = 4.0
+    T: float = 4.0
     seed: int = 0
     equation: str = "schrodinger"
     samples: int = 201
@@ -155,16 +155,7 @@ class ObservabilityConfig:
     betas: tuple = (0.5,)
     mode_counts: tuple = (5, 10, 20, 40)
     n: int = 1024
-    horizon: float = 4.0
-    epsilon: float = 0.2
-
-
-@dataclass(frozen=True)
-class SharpnessConfig:
-    betas: tuple = (0.25, 0.75)
-    mode_counts: tuple = (5, 10, 20, 30, 40)
-    n: int = 1024
-    horizon: float = 4.0
+    T: float = 4.0
     epsilon: float = 0.2
 
 
@@ -173,7 +164,7 @@ class HumConfig:
     beta: float = 0.6
     n: int = 1024
     modes: int = 20
-    horizon: float = 1.0
+    T: float = 1.0
     epsilon: float = 0.2
     seed: int = 0
     datum: str = "random"
@@ -185,7 +176,7 @@ class PohozaevConfig:
     beta: float = 0.5
     n: int = 1024
     modes: int = 10
-    horizon: float = 4.0
+    T: float = 4.0
     datum: str = "1,3"
     seed: int = 0
 
@@ -203,29 +194,31 @@ class RunConfig:
     gaps: SpectrumConfig = SpectrumConfig()
     evolve: EvolveConfig = EvolveConfig()
     observability: ObservabilityConfig = ObservabilityConfig()
-    sharpness: SharpnessConfig = SharpnessConfig()
+    sharpness: ObservabilityConfig = ObservabilityConfig(
+        betas=(0.25, 0.75), mode_counts=(5, 10, 20, 30, 40)
+    )
     hum: HumConfig = HumConfig()
     pohozaev: PohozaevConfig = PohozaevConfig()
     sweep: SweepConfig = SweepConfig()
     out: str = None
 
 
-# key name in the file -> (dataclass field, parser)
-_KEY_SPECS = {
-    "beta": ("beta", _parse_beta),
-    "betas": ("betas", _parse_betas),
-    "n": ("n", _parse_n),
-    "modes": ("modes", _positive_int("modes")),
-    "mode_counts": ("mode_counts", _parse_mode_counts),
-    "T": ("horizon", _parse_horizon),
-    "epsilon": ("epsilon", _parse_epsilon),
-    "seed": ("seed", _parse_seed),
-    "samples": ("samples", _parse_samples),
-    "equation": ("equation", _parse_equation),
-    "datum": ("datum", _parse_datum),
-    "control_csv": ("control_csv", _parse_bool),
-    "command": ("command", _parse_command),
-    "jobs": ("jobs", _positive_int("jobs")),
+# key name in the file, which is also the section field -> parser
+_PARSERS = {
+    "beta": _parse_beta,
+    "betas": _parse_betas,
+    "n": _parse_n,
+    "modes": _positive_int("modes"),
+    "mode_counts": _parse_mode_counts,
+    "T": _parse_horizon,
+    "epsilon": _parse_epsilon,
+    "seed": _parse_seed,
+    "samples": _parse_samples,
+    "equation": _parse_equation,
+    "datum": _parse_datum,
+    "control_csv": _parse_bool,
+    "command": _parse_command,
+    "jobs": _positive_int("jobs"),
 }
 
 # section name -> section dataclass, one per subcommand
@@ -233,8 +226,19 @@ _SECTION_TYPES = {f.name: f.type for f in fields(RunConfig) if is_dataclass(f.ty
 
 
 def _section_keys(section):
-    names = {f.name for f in fields(_SECTION_TYPES[section])}
-    return {key for key, (field, _) in _KEY_SPECS.items() if field in names}
+    return {f.name for f in fields(_SECTION_TYPES[section])}
+
+
+def _unknown_key(key, section, line=None):
+    allowed = ", ".join(sorted(_section_keys(section)))
+    return ConfigError(f"unknown key {key!r} in [{section}]; allowed keys: {allowed}", line=line)
+
+
+def _parsed(key, value, line):
+    try:
+        return _PARSERS[key](value)
+    except ValueError as exc:
+        raise ConfigError(str(exc), line=line) from None
 
 
 def parse_config(text):
@@ -275,39 +279,27 @@ def parse_config(text):
             if key == "out":
                 out_dir = value
                 continue
-            if key not in _KEY_SPECS:
+            if key not in _PARSERS:
                 raise ConfigError(f"unknown key {key!r}", line=lineno)
             global_items.append((key, value, lineno))
         else:
             if key not in _section_keys(section):
-                allowed = ", ".join(sorted(_section_keys(section)))
-                raise ConfigError(
-                    f"unknown key {key!r} in [{section}]; allowed keys: {allowed}", line=lineno
-                )
+                raise _unknown_key(key, section, line=lineno)
             section_items[section].append((key, value, lineno))
 
+    defaults = RunConfig()
     resolved = {}
-    for name, cls in _SECTION_TYPES.items():
+    for name in _SECTION_TYPES:
         updates = {}
         allowed = _section_keys(name)
         for key, value, lineno in global_items:
-            target = key
             if key == "beta" and "beta" not in allowed and "betas" in allowed:
-                target = "betas"
-            if target not in allowed:
-                continue
-            field, parser = _KEY_SPECS[target]
-            try:
-                updates[field] = parser(value)
-            except ValueError as exc:
-                raise ConfigError(str(exc), line=lineno) from None
+                key = "betas"
+            if key in allowed:
+                updates[key] = _parsed(key, value, lineno)
         for key, value, lineno in section_items[name]:
-            field, parser = _KEY_SPECS[key]
-            try:
-                updates[field] = parser(value)
-            except ValueError as exc:
-                raise ConfigError(str(exc), line=lineno) from None
-        resolved[name] = cls(**updates)
+            updates[key] = _parsed(key, value, lineno)
+        resolved[name] = replace(getattr(defaults, name), **updates)
     return RunConfig(out=out_dir, **resolved)
 
 
@@ -321,26 +313,15 @@ def load_config(path):
     return parse_config(text)
 
 
-def resolved_values(section_config):
-    """Flat key/value echo of a section config, file-key spelling."""
-    reverse = {field: key for key, (field, _) in _KEY_SPECS.items()}
-    echo = {}
-    for f in fields(section_config):
-        value = getattr(section_config, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        echo[reverse.get(f.name, f.name)] = value
-    return echo
-
-
 def override_section(config, command, **updates):
     """Copy of `config` with non-None updates applied to one command section.
 
     For list-typed sections a scalar `beta` update becomes a one-element
-    betas list and `modes` a one-element mode_counts list.
+    betas list and `modes` a one-element mode_counts list.  An update that
+    the section does not take is a ConfigError, as the same key in that
+    section of a config file is.
     """
-    section = getattr(config, command)
-    names = {f.name for f in fields(section)}
+    names = _section_keys(command)
     clean = {}
     for key, value in updates.items():
         if value is None:
@@ -349,6 +330,7 @@ def override_section(config, command, **updates):
             key, value = "betas", (value,)
         if key == "modes" and "modes" not in names and "mode_counts" in names:
             key, value = "mode_counts", (value,)
-        if key in names:
-            clean[key] = value
-    return replace(config, **{command: replace(section, **clean)})
+        if key not in names:
+            raise _unknown_key(key, command)
+        clean[key] = value
+    return replace(config, **{command: replace(getattr(config, command), **clean)})

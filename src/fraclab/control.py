@@ -105,8 +105,8 @@ def phase_average_matrix(eigenvalues, horizon):
     """
     lam = np.asarray(eigenvalues, dtype=float)
     T = float(horizon)
-    if T <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     delta = lam[None, :] - lam[:, None]
     x = delta * T
     # e^(ix) - 1 = 2i sin(x/2) e^(ix/2) turns the cancellation-prone ratio
@@ -165,13 +165,40 @@ def gramian_condition(gramian):
     return hi / lo
 
 
-def _constants_table(spectra, counts, region, horizon):
-    # Observability constants, Gramian conditions and whether each constant
-    # is resolved, one row per order and one column per mode count, both
-    # ascending.  A Hermitian eigensolve of a K x K Gramian resolves
-    # eigenvalues only down to about K * eps * lambda_max, so a constant
-    # counts as resolved when it is positive and the condition number stays
-    # below 1 / (K * eps); below that floor its digits are rounding noise.
+@dataclass(frozen=True)
+class SharpnessTable:
+    """Observability constants over a (beta, K) sweep with per-beta verdicts.
+
+    Rows run over the orders and columns over the mode counts, both ascending.
+    A table of one mode count has no decay ratios and no verdicts (None).
+    """
+
+    constants: np.ndarray
+    conditions: np.ndarray
+    resolved: np.ndarray  # constant above the eigensolve's rounding floor
+    decay_ratios: np.ndarray  # const at K_max over const at K_min, per beta
+    verdicts: tuple  # "vanishing" or "uniform" per beta
+
+
+def sharpness_experiment(spectra, mode_counts, region, horizon):
+    """Observability constants across one or more mode counts for several orders.
+
+    `spectra` maps each fractional order to a Spectrum holding at least
+    max(mode_counts) modes.  With two or more counts a row is classified
+    "vanishing" when the constant falls by more than a factor 100 from the
+    smallest to the largest span (the two regimes sit orders of magnitude
+    apart: below the dichotomy point the constants collapse by many decades
+    over K = 5..40, above it they settle at an order-one fraction of their
+    small-K value).
+
+    A Hermitian eigensolve of a K x K Gramian resolves eigenvalues only down
+    to about K * eps * lambda_max, so a constant counts as resolved when it
+    is positive and the condition number stays below 1 / (K * eps); below
+    that floor its digits are rounding noise.
+    """
+    counts = tuple(sorted(int(k) for k in mode_counts))
+    if not counts:
+        raise ValueError("need at least one mode count")
     betas = sorted(spectra)
     constants = np.empty((len(betas), len(counts)))
     conditions = np.empty_like(constants)
@@ -186,43 +213,14 @@ def _constants_table(spectra, counts, region, horizon):
             constants[i, j] = observability_constant(g)
             conditions[i, j] = gramian_condition(g)
     floor = 1.0 / (np.asarray(counts) * np.finfo(float).eps)
-    return constants, conditions, (constants > 0.0) & (conditions < floor)
-
-
-@dataclass(frozen=True)
-class SharpnessTable:
-    """Observability constants over a (beta, K) sweep with per-beta verdicts.
-
-    Rows run over the orders and columns over the mode counts, both ascending.
-    """
-
-    constants: np.ndarray
-    conditions: np.ndarray
-    resolved: np.ndarray  # constant above the eigensolve's rounding floor
-    decay_ratios: np.ndarray  # const at K_max over const at K_min, per beta
-    verdicts: tuple  # "vanishing" or "uniform" per beta
-
-
-def sharpness_experiment(spectra, mode_counts, region, horizon):
-    """Observability constants across mode counts for several orders.
-
-    `spectra` maps each fractional order to a Spectrum holding at least
-    max(mode_counts) modes.  A row is classified "vanishing" when the
-    constant falls by more than a factor 100 from the smallest to the
-    largest span (the two regimes sit orders of magnitude apart: below the
-    dichotomy point the constants collapse by many decades over K = 5..40,
-    above it they settle at an order-one fraction of their small-K value).
-    """
-    counts = tuple(sorted(int(k) for k in mode_counts))
-    if len(counts) < 2:
-        raise ValueError("need at least two mode counts")
-    constants, conditions, resolved = _constants_table(spectra, counts, region, horizon)
-    decay = constants[:, -1] / constants[:, 0]
-    verdicts = tuple("vanishing" if r < VANISHING_DECAY else "uniform" for r in decay)
+    decay = verdicts = None
+    if len(counts) >= 2:
+        decay = constants[:, -1] / constants[:, 0]
+        verdicts = tuple("vanishing" if r < VANISHING_DECAY else "uniform" for r in decay)
     return SharpnessTable(
         constants=constants,
         conditions=conditions,
-        resolved=resolved,
+        resolved=(constants > 0.0) & (conditions < floor),
         decay_ratios=decay,
         verdicts=verdicts,
     )

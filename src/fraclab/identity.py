@@ -209,8 +209,6 @@ def schrodinger_pohozaev_report(state, duration):
     """
     spectrum = state.spectrum
     T = float(duration)
-    if T <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration}")
     integral = _trace_integral(state, T)
     lhs = math.gamma(1.0 + spectrum.beta) ** 2 * integral
 

@@ -95,10 +95,12 @@ class Emitter:
     With a directory set, write() lands files on disk immediately; buffered
     emitters (directory=None) hold the texts so a sweep can compute cells
     concurrently and have the main thread replay them in a fixed order.
+    `stamp` is the run's start time for the SVG comments and the manifest,
+    or None to keep the output byte-reproducible.
     """
 
     directory: str = None
-    timestamp: bool = True
+    stamp: str = None
     artifacts: list = field(default_factory=list)  # (name, text) in emission order
 
     def write(self, name, text):
@@ -110,10 +112,11 @@ class Emitter:
             with open(path, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
 
-    def absorb(self, other):
-        """Replay a buffered emitter's artifacts through this writer."""
+    def absorb(self, other, prefix):
+        """Replay a buffered emitter's artifacts through this writer, each
+        name prefixed by `prefix`."""
         for name, text in other.artifacts:
-            self.write(name, text)
+            self.write(prefix + name, text)
 
 
 def write_manifest(emitter, command, config_echo, version):
@@ -133,8 +136,8 @@ def write_manifest(emitter, command, config_echo, version):
         "config": config_echo,
         "files": files,
     }
-    if emitter.timestamp:
-        manifest["timestamp"] = utc_stamp()
+    if emitter.stamp is not None:
+        manifest["timestamp"] = emitter.stamp
     emitter.write(MANIFEST_NAME, json_text(manifest))
     return manifest
 

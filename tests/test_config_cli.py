@@ -26,7 +26,7 @@ from fraclab import cli
 from fraclab import control
 from fraclab import identity
 from fraclab.config import (
-    _KEY_SPECS,
+    _PARSERS,
     _SECTION_TYPES,
     MAX_NODES,
     ConfigError,
@@ -35,7 +35,6 @@ from fraclab.config import (
     load_config,
     override_section,
     parse_config,
-    resolved_values,
 )
 
 FRACLAB = [sys.executable, "-m", "fraclab.cli"]
@@ -75,7 +74,7 @@ datum = zero
         assert cfg.spectrum.n == 256
         assert cfg.spectrum.modes == 12
         assert cfg.hum.beta == 0.6
-        assert cfg.hum.horizon == 2.5
+        assert cfg.hum.T == 2.5
         assert cfg.hum.control_csv is False
         assert cfg.hum.datum == "zero"
 
@@ -132,22 +131,23 @@ datum = zero
 
     def test_keys_map_exactly_the_section_fields(self):
         # a field without a key cannot be set; a key without a field is stale
-        mapped = {field for field, _ in _KEY_SPECS.values()}
         declared = {f.name for cls in _SECTION_TYPES.values() for f in fields(cls)}
-        assert mapped == declared
+        assert set(_PARSERS) == declared
 
-    def test_resolved_values_echo_file_keys(self):
-        cfg = parse_config("[hum]\nT = 2.0\n")
-        echo = resolved_values(cfg.hum)
+    def test_manifest_echoes_file_keys(self, tmp_path):
+        out = tmp_path / "o"
+        args = ["hum", "--T", "2", "--n", "64", "--modes", "4", "--out", str(out), "--no-timestamp"]
+        assert cli.main(args) == 0
+        echo = json.loads((out / "manifest.json").read_text())["config"]
         assert echo["T"] == 2.0
         assert "horizon" not in echo
         assert echo["beta"] == 0.6
 
     def test_override_section(self):
         cfg = parse_config("")
-        updated = override_section(cfg, "hum", beta=0.7, horizon=3.0, seed=None)
+        updated = override_section(cfg, "hum", beta=0.7, T=3.0, seed=None)
         assert updated.hum.beta == 0.7
-        assert updated.hum.horizon == 3.0
+        assert updated.hum.T == 3.0
         # None means "flag not given": the config value stays
         assert updated.hum.seed == 0
         with_lists = override_section(cfg, "observability", beta=0.3, modes=7)
@@ -250,6 +250,20 @@ class TestCliDeterminism:
         match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
         assert mismatch == [] and errors == []
 
+    def test_one_stamp_per_run(self, tmp_path, monkeypatch):
+        # the SVG comments of every cell and the manifest carry the run's
+        # single start stamp
+        stamp = "2001-02-03T04:05:06Z"
+        monkeypatch.setattr(cli, "utc_stamp", lambda: stamp)
+        out = tmp_path / "o"
+        args = ["sweep", "--n", "16", "--modes", "2", "--jobs", "2", "--out", str(out)]
+        assert cli.main(args) == 0
+        svgs = sorted(out.glob("*.svg"))
+        assert len(svgs) == 3
+        for svg in svgs:
+            assert f"<!-- generated {stamp} -->" in svg.read_text()
+        assert json.loads((out / "manifest.json").read_text())["timestamp"] == stamp
+
     def test_verify_accepts_then_flags_drift(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli(
@@ -270,7 +284,7 @@ FLAG_VALUES = [
     ("beta", "1.5"), ("beta", "abc"),
     ("n", "0"), ("n", "abc"),
     ("modes", "0"), ("modes", "2.5"),
-    ("T", "0"), ("T", "soon"),
+    ("T", "0"), ("T", "soon"), ("T", "inf"),
     ("epsilon", "1.0"), ("epsilon", "wide"),
     ("seed", "-1"), ("seed", "abc"),
     ("jobs", "0"), ("jobs", "abc"),
@@ -294,6 +308,23 @@ class TestCliErrors:
         code = cli.main([section, f"--{flag}", value, "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == f"fraclab: config error: {expected}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["spectrum", "--n", "64", "--T", "5"], "T"),
+            (["sweep", "--n", "16", "--modes", "2", "--epsilon", "0.3"], "epsilon"),
+        ],
+        ids=["spectrum", "sweep"],
+    )
+    def test_flag_outside_the_section_exits_2(self, tmp_path, capsys, args, key):
+        # a flag the subcommand does not take fails like the same key in its
+        # section of a config file
+        out = tmp_path / "o"
+        assert cli.main([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"fraclab: config error: unknown key {key!r} in [spectrum]")
         assert not out.exists()
 
     @pytest.mark.parametrize("via", ["flag", "config"])

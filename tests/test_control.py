@@ -24,7 +24,7 @@ from fraclab import (
     wave_gramian,
 )
 from fraclab import control
-from fraclab.config import SharpnessConfig
+from fraclab.config import RunConfig
 from fraclab.control import CHUNK, VERIFICATION_TOLERANCE, _control_chunks
 from fraclab.dynamics import _forced_increment
 from fraclab.errors import IllConditionedError, UncontrollableError
@@ -83,6 +83,11 @@ class TestPhaseAverage:
         T = 1.4
         mu = phase_average_matrix(np.array([1.0, 1.0 + 2.0 * math.pi / T]), T)
         assert abs(mu[0, 1]) < 1e-14
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            phase_average_matrix(np.array([0.3, 1.7]), horizon)
 
     def test_tiny_gaps_evaluated_without_cancellation(self):
         # the naive ratio (e^(ix) - 1)/(ix) loses ~eps/x digits for small
@@ -269,11 +274,11 @@ class TestSharpness:
         # at the `sharpness` defaults the beta = 1/4 constant is resolved at
         # K = 30 and is eigensolver noise at K = 40, where the condition
         # number passes 1 / (K eps)
-        cfg = SharpnessConfig()
+        cfg = RunConfig().sharpness
         region = ObservationRegion.boundary_layers(cfg.epsilon)
         op = assemble_operator(Grid(cfg.n), 0.25)
         spectra = {0.25: compute_spectrum(op, cfg.mode_counts[-1])}
-        table = sharpness_experiment(spectra, cfg.mode_counts, region, cfg.horizon)
+        table = sharpness_experiment(spectra, cfg.mode_counts, region, cfg.T)
         resolved = dict(zip(cfg.mode_counts, table.resolved[0].tolist()))
         assert resolved[30] is True
         assert resolved[40] is False
@@ -298,11 +303,22 @@ class TestSharpness:
         sharpness_experiment(spectra, (3, 6, 12), region, 2.0)
         assert sorted(eigensolves) == sorted([(k, k) for k in (3, 6, 12)] * 3)
 
+    def test_single_count_is_a_column_without_verdicts(self, get_spectrum):
+        region = ObservationRegion.boundary_layers(0.2)
+        spectra = {b: get_spectrum(b, 64, 12) for b in (0.25, 0.75)}
+        full = sharpness_experiment(spectra, (3, 6, 12), region, 2.0)
+        single = sharpness_experiment(spectra, (6,), region, 2.0)
+        assert single.decay_ratios is None
+        assert single.verdicts is None
+        np.testing.assert_array_equal(single.constants, full.constants[:, 1:2])
+        np.testing.assert_array_equal(single.conditions, full.conditions[:, 1:2])
+        np.testing.assert_array_equal(single.resolved, full.resolved[:, 1:2])
+
     def test_validation(self, get_spectrum):
         region = ObservationRegion.boundary_layers(0.2)
         spectra = {0.5: get_spectrum(0.5, 64, 12)}
         with pytest.raises(ValueError):
-            sharpness_experiment(spectra, (5,), region, 1.0)
+            sharpness_experiment(spectra, (), region, 1.0)
         with pytest.raises(ValueError):
             sharpness_experiment(spectra, (5, 50), region, 1.0)
 

@@ -1,8 +1,11 @@
-"""Artifact rendering: CSV number formatting."""
+"""Artifact rendering: CSV number formatting and the emitter."""
 
 import sys
 
-from fraclab.output import csv_text, format_number
+import pytest
+
+from fraclab.errors import FraclabError
+from fraclab.output import Emitter, csv_text, format_number
 
 SPECIAL = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e300, 3.0, -42.0, 0.1]
 
@@ -23,3 +26,16 @@ def test_float_rows_match_per_cell_format():
 def test_mixed_rows_keep_strings_and_integers():
     rows = [(0.5, 1, 2.5), (-0.0, 7, 0)]
     assert csv_text(["x", "k", "y"], rows) == "x,k,y\n0.5,1,2.5\n-0,7,0\n"
+
+
+def test_absorb_prefixes_names_and_refuses_duplicates():
+    buffer = Emitter()
+    buffer.write("a.csv", "1\n")
+    buffer.write("a.svg", "<svg/>\n")
+    target = Emitter()
+    target.absorb(buffer, "beta0.5_")
+    assert target.artifacts == [("beta0.5_a.csv", "1\n"), ("beta0.5_a.svg", "<svg/>\n")]
+    target.absorb(buffer, "beta0.6_")
+    assert len(target.artifacts) == 4
+    with pytest.raises(FraclabError, match="emitted twice"):
+        target.absorb(buffer, "beta0.5_")
