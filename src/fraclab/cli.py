@@ -48,14 +48,42 @@ def _spectrum_for(beta, n, modes):
     return compute_spectrum(assemble_operator(Grid(n), beta), modes)
 
 
-def _check_span(cfg):
-    """Refuse a cell section whose mode span exceeds its interior nodes."""
+def _cell_prefixes(betas):
+    """File-name prefix of each sweep cell, one per order."""
+    return [f"beta{b:g}_" for b in betas]
+
+
+def _check_run(config, command):
+    """The resolved cell section of a run (for sweep, its cells' section),
+    refused with a ConfigError, before any directory is made or eigensolve
+    run, when its values break a rule of its command."""
+    name = config.sweep.command if command == "sweep" else command
+    cfg = getattr(config, name)
     if hasattr(cfg, "modes"):
         span, largest = f"modes = {cfg.modes}", cfg.modes
     else:  # the table commands; the parser keeps the counts ascending
         span, largest = f"mode_counts entry {cfg.mode_counts[-1]}", cfg.mode_counts[-1]
     if largest > cfg.n:
         raise ConfigError(f"{span} exceeds the number of interior nodes n = {cfg.n}")
+    if command == "sweep":
+        betas = config.sweep.betas
+        if len(set(_cell_prefixes(betas))) < len(betas):
+            raise ConfigError(
+                f"sweep betas {', '.join(map(repr, betas))} share a file prefix; "
+                "they must differ at 6 significant digits"
+            )
+    if name == "gaps" and cfg.modes < 2:
+        raise ConfigError("gaps needs modes >= 2")
+    if name == "pohozaev":
+        try:
+            _layer_width(cfg.n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    if getattr(cfg, "datum", "random") not in ("zero", "random"):
+        wanted = max(int(p) for p in cfg.datum.split(","))
+        if wanted > cfg.modes:
+            raise ConfigError(f"datum mode {wanted} exceeds the mode span {cfg.modes}")
+    return cfg
 
 
 def _make_datum(spec, modes, seed):
@@ -66,11 +94,8 @@ def _make_datum(spec, modes, seed):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
         return a / np.linalg.norm(a)
-    wanted = [int(p) for p in spec.split(",")]
-    if max(wanted) > modes:
-        raise ConfigError(f"datum mode {max(wanted)} exceeds the mode span {modes}")
     a = np.zeros(modes, dtype=complex)
-    for position, k in enumerate(wanted):
+    for position, k in enumerate(int(p) for p in spec.split(",")):
         a[k - 1] = 1j**position
     return a / np.linalg.norm(a)
 
@@ -110,8 +135,6 @@ def cmd_spectrum(cfg, emitter):
 
 
 def cmd_gaps(cfg, emitter):
-    if cfg.modes < 2:
-        raise ConfigError("gaps needs modes >= 2")
     lam = _spectrum_for(cfg.beta, cfg.n, cfg.modes).eigenvalues
     rows = _spectrum_rows(cfg.beta, lam, cfg.modes - 1)
     emitter.write("gaps.csv", csv_text(SPECTRUM_HEADER, rows))
@@ -215,7 +238,7 @@ def _table_command(name, cfg, emitter):
     if table.verdicts is not None:
         printed = ", ".join(f"beta={b:g}: {v}" for b, v in zip(betas, table.verdicts))
     else:
-        printed = "single cell, no verdict"
+        printed = "one mode count, no verdict"
     return f"{name}: n={cfg.n} T={cfg.T:g} epsilon={cfg.epsilon:g}  {printed}"
 
 
@@ -292,10 +315,6 @@ def cmd_hum(cfg, emitter):
 
 
 def cmd_pohozaev(cfg, emitter):
-    try:  # the layer-fit rule, checked before the eigensolve
-        _layer_width(cfg.n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     sp = _spectrum_for(cfg.beta, cfg.n, cfg.modes)
     a = _make_datum(cfg.datum, cfg.modes, cfg.seed)
     state = ModalState(coefficients=a, spectrum=sp)
@@ -346,29 +365,21 @@ _CELL_COMMANDS = {
 }
 
 
-def cmd_sweep(config, emitter, jobs=None):
+def cmd_sweep(config, emitter):
     cfg = config.sweep
-    workers = jobs if jobs is not None else cfg.jobs
     runner = _CELL_COMMANDS[cfg.command][0]
-    betas = list(cfg.betas)
-    prefixes = [f"beta{b:g}_" for b in betas]
-    if len(set(prefixes)) < len(prefixes):
-        raise ConfigError(
-            f"sweep betas {', '.join(map(repr, betas))} share a file prefix; "
-            "they must differ at 6 significant digits"
-        )
 
     def run_cell(beta):
         cell = override_section(config, cfg.command, beta=beta)
         buffer = Emitter(directory=None, stamp=emitter.stamp)
         return buffer, runner(getattr(cell, cfg.command), buffer)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        cells = list(pool.map(run_cell, betas))
-    for (buffer, _), prefix in zip(cells, prefixes):  # single writer, fixed cell order
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        cells = list(pool.map(run_cell, cfg.betas))
+    for (buffer, _), prefix in zip(cells, _cell_prefixes(cfg.betas)):  # single writer, fixed cell order
         emitter.absorb(buffer, prefix)
     lines = [line for _, line in cells]
-    lines.append(f"sweep: {cfg.command} over betas={[f'{b:g}' for b in betas]} jobs={workers}")
+    lines.append(f"sweep: {cfg.command} over betas={[f'{b:g}' for b in cfg.betas]} jobs={cfg.jobs}")
     return "\n".join(lines)
 
 
@@ -440,24 +451,24 @@ def main(argv=None):
 
         config = load_config(args.config) if args.config else RunConfig()
         overrides = _validated_overrides(args)
-        jobs = overrides.pop("jobs", None)
         if args.command == "sweep":
-            # --beta narrows the sweep list; the rest flows into the cells
-            beta = overrides.pop("beta", None)
-            if beta is not None:
-                config = override_section(config, "sweep", beta=beta)
+            # --beta narrows the sweep list and --jobs sets its workers; the
+            # rest flows into the cells
+            sweep = {key: overrides.pop(key, None) for key in ("beta", "jobs")}
+            config = override_section(config, "sweep", **sweep)
             config = override_section(config, config.sweep.command, **overrides)
         else:
             config = override_section(config, args.command, **overrides)
+        section = _check_run(config, args.command)
         if args.out is None and config.out is not None:
             out_dir = config.out
         os.makedirs(out_dir, exist_ok=True)
         emitter = Emitter(directory=out_dir, stamp=None if args.no_timestamp else utc_stamp())
-        section = getattr(config, config.sweep.command if args.command == "sweep" else args.command)
-        _check_span(section)
         if args.command == "sweep":
-            print(cmd_sweep(config, emitter, jobs=jobs))
+            print(cmd_sweep(config, emitter))
+            # the worker count leaves the tree unchanged, so the echo omits it
             echo = asdict(config.sweep)
+            del echo["jobs"]
             echo["cell"] = asdict(section)
         else:
             print(_CELL_COMMANDS[args.command][0](section, emitter))

@@ -1,14 +1,15 @@
 """INI-style run configuration with strict validation.
 
 Sections mirror the CLI subcommands; keys before any section header act as
-global defaults for every section that accepts them.  Unknown sections,
-unknown keys, malformed numbers, and out-of-range values are all rejected
-with the offending line number.  An empty text yields each section's
-defaults as RunConfig below holds them; they differ between sections (hum:
-beta=0.6, modes=20, T=1; the table commands: a list of orders and of mode
-counts).  Section fields carry their file-key names.  gaps shares the
-spectrum class and sharpness the observability class; the sharpness
-defaults of that shared table class live on RunConfig.
+global defaults for every section that accepts them (beta and modes as
+one-entry betas and mode_counts lists).  Unknown sections, unknown keys,
+malformed numbers, and out-of-range values are all rejected with the
+offending line number.  An empty text yields each section's defaults as
+RunConfig below holds them; they differ between sections (hum: beta=0.6,
+modes=20, T=1; the table commands: a list of orders and of mode counts).
+Section fields carry their file-key names.  gaps shares the spectrum class
+and sharpness the observability class; the sharpness defaults of that
+shared table class live on RunConfig.
 """
 
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -229,6 +230,11 @@ def _section_keys(section):
     return {f.name for f in fields(_SECTION_TYPES[section])}
 
 
+# scalar key -> the list field that takes it, one entry long, in a section
+# without the scalar; the global prelude and the flags both map through it
+_LIST_KEYS = {"beta": "betas", "modes": "mode_counts"}
+
+
 def _unknown_key(key, section, line=None):
     allowed = ", ".join(sorted(_section_keys(section)))
     return ConfigError(f"unknown key {key!r} in [{section}]; allowed keys: {allowed}", line=line)
@@ -293,8 +299,7 @@ def parse_config(text):
         updates = {}
         allowed = _section_keys(name)
         for key, value, lineno in global_items:
-            if key == "beta" and "beta" not in allowed and "betas" in allowed:
-                key = "betas"
+            key = key if key in allowed else _LIST_KEYS.get(key, key)
             if key in allowed:
                 updates[key] = _parsed(key, value, lineno)
         for key, value, lineno in section_items[name]:
@@ -317,20 +322,17 @@ def override_section(config, command, **updates):
     """Copy of `config` with non-None updates applied to one command section.
 
     For list-typed sections a scalar `beta` update becomes a one-element
-    betas list and `modes` a one-element mode_counts list.  An update that
-    the section does not take is a ConfigError, as the same key in that
-    section of a config file is.
+    betas list and `modes` a one-element mode_counts list, as in the global
+    prelude.  An update that the section does not take is a ConfigError, as
+    the same key in that section of a config file is.
     """
     names = _section_keys(command)
     clean = {}
     for key, value in updates.items():
         if value is None:
             continue
-        if key == "beta" and "beta" not in names and "betas" in names:
-            key, value = "betas", (value,)
-        if key == "modes" and "modes" not in names and "mode_counts" in names:
-            key, value = "mode_counts", (value,)
-        if key not in names:
+        field = key if key in names else _LIST_KEYS.get(key, key)
+        if field not in names:
             raise _unknown_key(key, command)
-        clean[key] = value
+        clean[field] = value if field == key else (value,)
     return replace(config, **{command: replace(getattr(config, command), **clean)})

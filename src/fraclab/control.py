@@ -8,7 +8,7 @@ drives the control synthesis: the control is the restriction to the region of
 a free trajectory whose datum solves the Gramian system, verified by
 replaying the nodal control samples through the forced-evolution kernel of
 `dynamics` under two composite Gauss-Legendre rules, whose difference is an
-a-posteriori error estimate; the samples come block by block from one real
+a-posteriori error estimate; each block of samples comes from one real
 matrix product of the region eigenvectors with the modal trajectory.  Wave
 dynamics get the analogous 2K x 2K Gramian over stacked (position, velocity)
 data.
@@ -252,50 +252,14 @@ class ControlResult:
     identity_error_estimate: float
 
 
-def _control_chunks(lam, coeffs, phi_region, times):
-    # Free trajectory from datum `coeffs` sampled on region nodes, in disjoint
-    # blocks of CHUNK times.  One real product of the eigenvectors with the
-    # interleaved (re, im) columns of the modal trajectory gives y.T as an
-    # (m, n_t) C-ordered complex array; the block yielded is its transpose, a
-    # view.  The modal trajectory (K, n_t) is a temporary of the one
-    # expression, so this generator holds nothing while the consumer works on
-    # the block.
-    for start in range(0, len(times), CHUNK):
-        t = times[start : start + CHUNK]
-        yield t, (
-            phi_region @ (coeffs[:, None] * np.exp(1j * np.multiply.outer(lam, t))).view(float)
-        ).view(complex).T
-
-
-def _with_energy(blocks, h, rule, energy):
-    # Pass the replay blocks on unchanged, adding the observed energy
-    # h * sum_i |y|^2 of each, weighted by `rule`, to the list `energy`.
-    # No reference to a block outlives its turn, so each block is freed
-    # before the next is sampled.
-    for t, y in blocks:
-        squares = np.einsum("ij,ij->j", y.T.view(float), y.T.view(float))
-        energy.append((h * (squares[0::2] + squares[1::2])) @ rule(t))
-        yield t, y
-        del y
-
-
-def _replay_sums(lam, h, phi_region, coeffs, horizon, panels):
-    # Composite Gauss-Legendre sums over `panels` equal panels of [0, T]:
-    # the forcing integral in the first len(lam) entries, the observed
-    # energy last.  Blocks hold whole panels, as CHUNK is a multiple of
-    # PANEL_NODES, so each block's weights are the panel weights repeated.
-    nodes, weights = np.polynomial.legendre.leggauss(PANEL_NODES)
-    width = horizon / panels
-    times = (width * (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0))).ravel()
-    weights = 0.5 * width * weights
-
-    def rule(t):
-        return np.tile(weights, len(t) // PANEL_NODES)
-
-    energy = []
-    blocks = _with_energy(_control_chunks(lam, coeffs, phi_region, times), h, rule, energy)
-    integral = _forced_increment(lam, h, phi_region, blocks, rule=rule)
-    return np.append(integral, np.sum(energy))
+def _trajectory(lam, coeffs, phi_region, times):
+    # Free trajectory from datum `coeffs` on region nodes at `times`.  One real
+    # product of the eigenvectors with the interleaved (re, im) columns of the
+    # modal trajectory gives y.T as an (m, n_t) C-ordered complex array; the
+    # (n_t, m) result is its transpose, which the kernel reads without a copy.
+    return (
+        phi_region @ (coeffs[:, None] * np.exp(1j * np.multiply.outer(lam, times))).view(float)
+    ).view(complex).T
 
 
 def _replay(lam, h, phi_region, coeffs, horizon, scales):
@@ -305,17 +269,38 @@ def _replay(lam, h, phi_region, coeffs, horizon, scales):
     # is well below 2 * PANEL_NODES, so the coarse rule takes the fewest
     # panels with omega * H <= PANEL_NODES and the accepted rule twice as
     # many; |accepted - coarse| estimates the error of the coarse sums and
-    # so bounds that of the accepted ones.  A replay whose accepted rule
-    # exceeds REPLAY_STEP_CAP samples nothing and reports NaN.  Returns the
-    # accepted sums, their sample count, whether the cap refused the replay,
-    # and the relative error estimates.
+    # so bounds that of the accepted ones.  Each rule sums the forcing
+    # integral (first len(lam) entries) and the observed energy (last) over
+    # blocks of whole panels, CHUNK being a multiple of PANEL_NODES, with
+    # one block alive at a time.  A replay whose accepted rule exceeds
+    # REPLAY_STEP_CAP samples nothing and reports NaN.  Returns the accepted
+    # sums, their sample count, whether the cap refused the replay, and the
+    # relative error estimates.
     T = float(horizon)
     panels = max(1, math.ceil(float(lam[-1] - lam[0]) * T / PANEL_NODES))
     steps = 2 * panels * PANEL_NODES
     if steps > REPLAY_STEP_CAP:
         return np.full(len(lam) + 1, np.nan, dtype=complex), steps, True, np.full(2, np.nan)
-    coarse = _replay_sums(lam, h, phi_region, coeffs, T, panels)
-    sums = _replay_sums(lam, h, phi_region, coeffs, T, 2 * panels)
+    nodes, weights = np.polynomial.legendre.leggauss(PANEL_NODES)
+    totals = []
+    for p in (panels, 2 * panels):
+        width = T / p
+        times = (width * (np.arange(p)[:, None] + 0.5 * (nodes + 1.0))).ravel()
+        panel_weights = 0.5 * width * weights
+
+        def rule(t):
+            return np.tile(panel_weights, len(t) // PANEL_NODES)
+
+        integral = energy = 0.0
+        for start in range(0, len(times), CHUNK):
+            t = times[start : start + CHUNK]
+            y = _trajectory(lam, coeffs, phi_region, t)
+            squares = np.einsum("ij,ij->j", y.T.view(float), y.T.view(float))
+            energy += (h * (squares[0::2] + squares[1::2])) @ rule(t)
+            integral = integral + _forced_increment(lam, h, phi_region, [(t, y)], rule=rule)
+            del y
+        totals.append(np.append(integral, energy))
+    coarse, sums = totals
     difference = sums - coarse
     errors = np.array([np.linalg.norm(difference[:-1]), abs(difference[-1])])
     return sums, steps, False, errors / np.maximum(scales, 1e-300)
@@ -330,13 +315,14 @@ def hum_control(state, region, horizon):
     into G y0 = -i a(0) with G the closed-form Gramian.  The synthesis
     is verified by replaying the control through the forced-evolution
     integrator and by checking the duality identity (the Gramian quadratic
-    form of y0 equals the observed energy of y), both quadratures fed by one
-    stream of control samples.  The replay sums both quadratures under two
-    composite Gauss-Legendre rules, the second on twice the panels of the
-    first, and records the second's sample count and the relative
-    differences of the two as a-posteriori error estimates.  When the second
-    rule would exceed REPLAY_STEP_CAP samples, nothing is sampled: the
-    result says so and carries NaN sums and estimates.
+    form of y0 equals the observed energy of y), both summed from the same
+    control samples.  The replay runs two composite Gauss-Legendre rules,
+    the second on twice the panels of the first, each sampling its nodes
+    block by block and passing one block per call to the kernel.  It
+    records the second's sample count and the relative differences of the
+    two as a-posteriori error estimates.  When the second rule would exceed
+    REPLAY_STEP_CAP samples, nothing is sampled: the result says so and
+    carries NaN sums and estimates.
 
     Raises UncontrollableError when the observability constant is
     numerically zero, IllConditionedError when the Gramian condition number

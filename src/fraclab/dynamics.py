@@ -101,7 +101,8 @@ def schrodinger_evolve(state, duration):
 def _forced_increment(lam, h, phi_region, blocks, *, rule):
     """Quadrature of f_k(t) e^(-i lambda_k t) over sample blocks.
 
-    `blocks` yields (times, samples) pairs; f_k(t_j) = h * sum_{i in region}
+    `blocks` holds (times, samples) pairs, already sampled (the HUM replay
+    passes one block per call); f_k(t_j) = h * sum_{i in region}
     samples[j,i] phi_k(x_i).  `rule` maps a block's times to its quadrature
     weights, and the block sums add up.  The projection runs as one
     real matrix product on the interleaved (re, im) columns of samples.T,
@@ -113,7 +114,6 @@ def _forced_increment(lam, h, phi_region, blocks, *, rule):
     for times, samples in blocks:
         columns = np.ascontiguousarray(samples.T, dtype=complex)  # (m, n_t)
         f = (phi_region.T @ columns.view(float)).view(complex)  # (K, n_t)
-        del samples, columns  # the block may be freed before the next is sampled
         f *= np.exp(-1j * np.multiply.outer(lam, times))
         total = total + f @ (h * rule(times))
     return total

@@ -93,6 +93,14 @@ datum = zero
         assert cfg.sharpness.betas == (0.4,)
         assert cfg.sweep.betas == (0.4,)
 
+    def test_global_modes_reaches_mode_counts(self):
+        # the prelude maps modes as the --modes flag does
+        cfg = parse_config("modes = 7\n")
+        assert cfg.spectrum.modes == 7
+        assert cfg.observability.mode_counts == (7,)
+        assert cfg.sharpness.mode_counts == (7,)
+        assert cfg.sweep == RunConfig().sweep
+
     def test_list_values(self):
         cfg = parse_config(
             "[observability]\nbetas = 0.3, 0.5\nmode_counts = 2, 4, 8\n"
@@ -218,6 +226,10 @@ class TestCliSpectrum:
         assert "n = 8" in err
 
 
+def tree_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
 class TestCliDeterminism:
     @pytest.mark.parametrize(
         "args",
@@ -263,6 +275,35 @@ class TestCliDeterminism:
         for svg in svgs:
             assert f"<!-- generated {stamp} -->" in svg.read_text()
         assert json.loads((out / "manifest.json").read_text())["timestamp"] == stamp
+
+    def test_prelude_modes_matches_the_flag(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("modes = 7\nn = 64\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["observability", "--config", str(cfg), "--out", str(a), "--no-timestamp"]) == 0
+        assert cli.main(["observability", "--modes", "7", "--n", "64", "--out", str(b), "--no-timestamp"]) == 0
+        assert tree_bytes(a) == tree_bytes(b)
+        assert json.loads((a / "manifest.json").read_text())["config"]["mode_counts"] == [7]
+
+    def test_sweep_tree_is_independent_of_how_jobs_is_set(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[sweep]\njobs = 2\n")
+        grid = ["--n", "16", "--modes", "2", "--no-timestamp"]
+        runs = {
+            "default": [],
+            "config": ["--config", str(cfg)],
+            "flag": ["--jobs", "2"],
+        }
+        trees, printed = {}, {}
+        for name, extra in runs.items():
+            out = tmp_path / name
+            assert cli.main(["sweep", *grid, *extra, "--out", str(out)]) == 0
+            trees[name] = tree_bytes(out)
+            printed[name] = capsys.readouterr().out.splitlines()[-2]
+        assert trees["config"] == trees["default"] == trees["flag"]
+        assert "jobs" not in json.loads(trees["flag"]["manifest.json"])["config"]
+        assert printed["default"].endswith(" jobs=1")
+        assert printed["config"].endswith(" jobs=2") and printed["flag"].endswith(" jobs=2")
 
     def test_verify_accepts_then_flags_drift(self, tmp_path):
         out = tmp_path / "run"
@@ -326,6 +367,37 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"fraclab: config error: unknown key {key!r} in [spectrum]")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args,ini,message",
+        [
+            (["spectrum", "--modes", "70", "--n", "64"], None,
+             "modes = 70 exceeds the number of interior nodes n = 64"),
+            (["gaps", "--modes", "1", "--n", "64"], None, "gaps needs modes >= 2"),
+            (["pohozaev", "--n", "19"], None,
+             "n = 19 is too coarse for boundary-layer fitting (needs at least 20 nodes)"),
+            (["sweep"], "[sweep]\nbetas = 0.3, 0.3000000001\n",
+             "sweep betas 0.3, 0.3000000001 share a file prefix; "
+             "they must differ at 6 significant digits"),
+            (["hum", "--n", "4095"], "[hum]\ndatum = 30\n",
+             "datum mode 30 exceeds the mode span 20"),
+        ],
+        ids=["span", "gaps", "pohozaev", "sweep-prefix", "datum"],
+    )
+    def test_config_error_leaves_no_directory_and_solves_nothing(
+        self, tmp_path, capsys, monkeypatch, args, ini, message
+    ):
+        solves = []
+        monkeypatch.setattr(cli, "compute_spectrum", lambda *a: solves.append(a))
+        if ini is not None:
+            cfg = tmp_path / "c.ini"
+            cfg.write_text(ini)
+            args = [*args, "--config", str(cfg)]
+        out = tmp_path / "o"
+        assert cli.main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"fraclab: config error: {message}\n"
+        assert not out.exists()
+        assert solves == []
 
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_n_above_cap_exits_2(self, tmp_path, capsys, via):
@@ -444,6 +516,17 @@ class TestCliObservability:
         assert float(rows[0][5]) == pytest.approx(1.0)
         summary = json.loads((out / "observability.json").read_text())
         assert summary["resolved"] == [[True]]
+
+    def test_one_count_table_prints_no_verdict(self, tmp_path, capsys):
+        # two orders, one mode count: a column of constants, no decay ratio
+        cfg = tmp_path / "obs.ini"
+        cfg.write_text("[observability]\nbetas = 0.3, 0.6\nmode_counts = 5\nn = 64\n")
+        out = tmp_path / "o"
+        assert cli.main(["observability", "--config", str(cfg), "--out", str(out)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == "observability: n=64 T=4 epsilon=0.2  one mode count, no verdict"
+        _, rows = read_csv(out / "observability.csv")
+        assert len(rows) == 2
 
 
 class TestCliHum:

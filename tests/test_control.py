@@ -25,7 +25,7 @@ from fraclab import (
 )
 from fraclab import control
 from fraclab.config import RunConfig
-from fraclab.control import CHUNK, VERIFICATION_TOLERANCE, _control_chunks
+from fraclab.control import CHUNK, VERIFICATION_TOLERANCE, _trajectory
 from fraclab.dynamics import _forced_increment
 from fraclab.errors import IllConditionedError, UncontrollableError
 from oracles import forced_evolve, simpson_or_trapezoid
@@ -361,18 +361,18 @@ class TestHumControl:
         out = forced_evolve(state, result.control_samples, result.control_dt, region)
         assert np.linalg.norm(out) < 1e-6
 
-    def test_control_chunks_match_oracle(self, setup):
-        # the free trajectory y(t_j, x_i) = sum_k c_k e^(i lambda_k t_j) phi_k(x_i)
-        # in disjoint blocks of CHUNK times
+    def test_trajectory_matches_oracle(self, setup):
+        # the free trajectory y(t_j, x_i) = sum_k c_k e^(i lambda_k t_j) phi_k(x_i),
+        # sampled on disjoint blocks of CHUNK times as the replay samples it
         spectrum, region, state = setup
         lam = spectrum.eigenvalues[:8]
         phi_region = spectrum.vectors[region.node_indices(spectrum.grid), :8]
         coeffs = state.coefficients
         times = np.linspace(0.0, 1.0, 2 * CHUNK + 100)
-        chunks = list(_control_chunks(lam, coeffs, phi_region, times))
-        assert [len(t) for t, _ in chunks] == [CHUNK, CHUNK, 100]
-        np.testing.assert_array_equal(np.concatenate([t for t, _ in chunks]), times)
-        for t, y in chunks:
+        blocks = [times[start : start + CHUNK] for start in range(0, len(times), CHUNK)]
+        assert [len(t) for t in blocks] == [CHUNK, CHUNK, 100]
+        for t in blocks:
+            y = _trajectory(lam, coeffs, phi_region, t)
             want = (np.exp(1j * np.outer(t, lam)) * coeffs) @ phi_region.T
             assert y.shape == want.shape
             assert y.T.flags.c_contiguous  # the replay reads y.T without a copy
@@ -429,6 +429,29 @@ class TestHumControl:
             hum_control(state, region, 1.0)
         assert info.value.diagnostics["condition"] > 1e12
 
+
+def hum_with_kernel_calls(state, region, horizon):
+    """hum_control's result, and the block times of each replay-kernel call."""
+    calls = []
+    kernel = control._forced_increment
+
+    def recording(lam, h, phi_region, blocks, **kwargs):
+        times = []
+        calls.append(times)
+
+        def seen():
+            for t, samples in blocks:
+                times.append(t)
+                yield t, samples
+
+        return kernel(lam, h, phi_region, seen(), **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(control, "_forced_increment", recording)
+        result = hum_control(state, region, horizon)
+    return result, calls
+
+
 class TestAdaptiveReplay:
     # Steps of the fixed fine composite-Simpson grid that the replay is
     # checked against: over four times the most any configuration below takes.
@@ -448,24 +471,7 @@ class TestAdaptiveReplay:
         rng = np.random.default_rng(int(100 * beta))
         a0 = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         state = ModalState(coefficients=a0 / np.linalg.norm(a0), spectrum=spectrum)
-        # the block times of each call of the replay kernel
-        calls = []
-        kernel = control._forced_increment
-
-        def recording(lam, h, phi_region, blocks, **kwargs):
-            times = []
-            calls.append(times)
-
-            def seen():
-                for t, samples in blocks:
-                    times.append(t)
-                    yield t, samples
-
-            return kernel(lam, h, phi_region, seen(), **kwargs)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(control, "_forced_increment", recording)
-            result = hum_control(state, region, T)
+        result, calls = hum_with_kernel_calls(state, region, T)
         return state, region, T, result, calls
 
     def _fine_simpson(self, lam, h, phi_region, coeffs, T):
@@ -509,8 +515,9 @@ class TestAdaptiveReplay:
         assert result.identity_residual <= VERIFICATION_TOLERANCE
 
     def test_kernel_runs_on_coarse_and_accepted_panels(self, run):
-        # one kernel call on the composite Gauss-Legendre nodes of P panels,
-        # one on those of 2P panels; the second takes replay_steps samples
+        # one kernel call per block; each rule here fits one block, so one
+        # call on the composite Gauss-Legendre nodes of P panels and one on
+        # those of 2P panels; the second takes replay_steps samples
         state, _, T, result, calls = run
         lam = state.eigenvalues
         panels = max(1, math.ceil((lam[-1] - lam[0]) * T / control.PANEL_NODES))
@@ -523,3 +530,24 @@ class TestAdaptiveReplay:
             assert len(got) == p * control.PANEL_NODES
             assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * T
         assert sum(len(t) for t in calls[1]) == result.replay_steps
+
+    def test_rule_past_one_chunk_runs_one_kernel_call_per_block(self, get_spectrum):
+        # beta = 1, K = 60, T = 0.5: 139 panels, so the coarse rule takes
+        # 4448 samples in one block and the accepted rule 8896 in two
+        K, T = 60, 0.5
+        spectrum = get_spectrum(1.0, 2047, K)
+        region = ObservationRegion.boundary_layers(0.2)
+        rng = np.random.default_rng(0)
+        a0 = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+        state = ModalState(coefficients=a0 / np.linalg.norm(a0), spectrum=spectrum)
+        result, calls = hum_with_kernel_calls(state, region, T)
+        lam = state.eigenvalues
+        coarse = max(1, math.ceil((lam[-1] - lam[0]) * T / control.PANEL_NODES)) * control.PANEL_NODES
+        accepted = result.replay_steps
+        assert accepted == 2 * coarse > CHUNK > coarse
+        assert all(len(times) == 1 for times in calls)
+        lengths = [len(times[0]) for times in calls]
+        assert lengths == [coarse, CHUNK, accepted - CHUNK]
+        assert sum(lengths) == coarse + accepted
+        assert result.final_state_norm <= VERIFICATION_TOLERANCE * np.linalg.norm(state.coefficients)
+        assert result.identity_residual <= VERIFICATION_TOLERANCE
