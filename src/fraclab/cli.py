@@ -158,37 +158,29 @@ def cmd_evolve(cfg, emitter):
     sp = _spectrum_for(cfg.beta, cfg.n, cfg.modes)
     a = _make_datum(cfg.datum, cfg.modes, cfg.seed)
     times = np.linspace(0.0, cfg.T, cfg.samples)
+    # linspace ends exactly at T, so the last sampled state is the end state
     if cfg.equation == "schrodinger":
         state = ModalState(coefficients=a, spectrum=sp)
         header = ("t", "mass", "energy", "energy2")
-        rows = []
-        for t in times:
-            rows.append((float(t),) + modal_invariants(schrodinger_evolve(state, t)))
-        final = schrodinger_evolve(state, cfg.T)
-        start, end = state.coefficients, final.coefficients
+        states = [schrodinger_evolve(state, t) for t in times]
+        rows = [(float(t),) + modal_invariants(s) for t, s in zip(times, states)]
+        start, end = state.coefficients, states[-1].coefficients
     else:
         state = WaveModalState(position=a, velocity=np.zeros_like(a), spectrum=sp)
         header = ("t", "energy")
-        rows = [(float(t), wave_energy(wave_evolve(state, t))) for t in times]
-        final = wave_evolve(state, cfg.T)
-        start, end = state.position, final.position
+        states = [wave_evolve(state, t) for t in times]
+        rows = [(float(t), wave_energy(s)) for t, s in zip(times, states)]
+        start, end = state.position, states[-1].position
     emitter.write("evolve.csv", csv_text(header, rows))
 
     first = rows[0][1:]
     drift = [max(abs(r[j + 1] - first[j]) for r in rows) for j in range(len(first))]
-    summary = {
-        "equation": cfg.equation,
-        "beta": cfg.beta,
-        "n": cfg.n,
-        "modes": cfg.modes,
-        "T": cfg.T,
-        "samples": cfg.samples,
-        "datum": cfg.datum,
-        "seed": cfg.seed,
-        "initial_invariants": list(first),
-        "final_invariants": list(rows[-1][1:]),
-        "max_invariant_drift": drift,
-    }
+    summary = asdict(cfg)
+    summary.update(
+        initial_invariants=list(first),
+        final_invariants=list(rows[-1][1:]),
+        max_invariant_drift=drift,
+    )
     emitter.write("evolve.json", json_text(summary))
 
     x = sp.grid.nodes
@@ -221,19 +213,16 @@ def _table_command(name, cfg, emitter):
         for j, k in enumerate(cfg.mode_counts)
     ]
     emitter.write(f"{name}.csv", csv_text(TABLE_HEADER, rows))
-    summary = {
-        "betas": betas,
-        "mode_counts": cfg.mode_counts,
-        "n": cfg.n,
-        "T": cfg.T,
-        "epsilon": cfg.epsilon,
-        "constants": constants,
-        "conditions": conditions,
-        "resolved": table.resolved,
-        "decay_ratios": table.decay_ratios,
-        "verdicts": table.verdicts,
-        "vanishing_threshold": VANISHING_DECAY,
-    }
+    summary = asdict(cfg)
+    summary.update(
+        betas=betas,
+        constants=constants,
+        conditions=conditions,
+        resolved=table.resolved,
+        decay_ratios=table.decay_ratios,
+        verdicts=table.verdicts,
+        vanishing_threshold=VANISHING_DECAY,
+    )
     emitter.write(f"{name}.json", json_text(summary))
     if table.verdicts is not None:
         printed = ", ".join(f"beta={b:g}: {v}" for b, v in zip(betas, table.verdicts))
@@ -272,30 +261,26 @@ def cmd_hum(cfg, emitter):
     state = ModalState(coefficients=a0, spectrum=sp)
     result = hum_control(state, region, cfg.T)
     initial = float(np.linalg.norm(a0))
-    report = {
-        "beta": cfg.beta,
-        "n": cfg.n,
-        "modes": cfg.modes,
-        "T": cfg.T,
-        "epsilon": cfg.epsilon,
-        "datum": cfg.datum,
-        "seed": cfg.seed,
-        "initial_norm": initial,
-        "final_state_norm": result.final_state_norm,
-        "relative_final_norm": result.final_state_norm / initial if initial > 0 else 0.0,
-        "observability": result.observability,
-        "gramian_condition": result.gramian_condition,
-        "identity_lhs": result.identity_lhs,
-        "identity_rhs": result.identity_rhs,
-        "identity_residual": result.identity_residual,
-        "replay_steps": result.replay_steps,
-        "replay_capped": result.replay_capped,
-        "replay_error_estimate": result.replay_error_estimate,
-        "identity_error_estimate": result.identity_error_estimate,
-        "region": [list(pair) for pair in result.region.intervals],
-        "steering_re": result.hum_coefficients.real.tolist(),
-        "steering_im": result.hum_coefficients.imag.tolist(),
-    }
+    # control_csv shapes the tree, not the result; hum.json has never echoed it
+    report = asdict(cfg)
+    del report["control_csv"]
+    report.update(
+        initial_norm=initial,
+        final_state_norm=result.final_state_norm,
+        relative_final_norm=result.final_state_norm / initial if initial > 0 else 0.0,
+        observability=result.observability,
+        gramian_condition=result.gramian_condition,
+        identity_lhs=result.identity_lhs,
+        identity_rhs=result.identity_rhs,
+        identity_residual=result.identity_residual,
+        replay_steps=result.replay_steps,
+        replay_capped=result.replay_capped,
+        replay_error_estimate=result.replay_error_estimate,
+        identity_error_estimate=result.identity_error_estimate,
+        region=[list(pair) for pair in result.region.intervals],
+        steering_re=result.hum_coefficients.real.tolist(),
+        steering_im=result.hum_coefficients.imag.tolist(),
+    )
     _check_hum_verification(report)
     emitter.write("hum.json", json_text(report))
     if cfg.control_csv:
@@ -324,21 +309,16 @@ def cmd_pohozaev(cfg, emitter):
     ratio = None
     if np.linalg.norm(a) > 0.0:
         ratio = two_sided_estimate_ratio(state, report.trace_integral)
-    payload = {
-        "beta": cfg.beta,
-        "n": cfg.n,
-        "modes": cfg.modes,
-        "T": cfg.T,
-        "datum": cfg.datum,
-        "seed": cfg.seed,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "dirichlet_term": report.dirichlet_term,
-        "cross_term": report.cross_term,
-        "residual": report.residual,
-        "two_sided_ratio": ratio,
-        "eigen_checks": checks,
-    }
+    payload = asdict(cfg)
+    payload.update(
+        lhs=report.lhs,
+        rhs=report.rhs,
+        dirichlet_term=report.dirichlet_term,
+        cross_term=report.cross_term,
+        residual=report.residual,
+        two_sided_ratio=ratio,
+        eigen_checks=checks,
+    )
     emitter.write("pohozaev.json", json_text(payload))
     return (
         f"pohozaev: beta={cfg.beta:g} n={cfg.n} datum={cfg.datum} "

@@ -1,11 +1,12 @@
 """Deterministic artifact emission: CSV, JSON, SVG, and run manifests.
 
-All numeric CSV fields use 17 significant digits with a '.' separator and no
-locale dependence, so identical inputs produce byte-identical files.  JSON is
-emitted with sorted keys; non-finite floats are rendered as the strings
-"nan", "inf", "-inf" to stay standard-compliant.  Every run records a
-manifest listing each emitted file with its SHA-256 digest; verify_manifest
-re-hashes the files and reports drift.
+Every CSV cell, integer or float, goes through one %.17g spec: 17
+significant digits with a '.' separator and no locale dependence, so
+identical inputs produce byte-identical files.  JSON is emitted with sorted
+keys; non-finite floats are rendered as the strings "nan", "inf", "-inf" to
+stay standard-compliant.  Every run records a manifest listing each emitted
+file with its SHA-256 digest; verify_manifest re-hashes the files and
+reports drift.
 """
 
 import datetime
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 from .errors import FraclabError
 
 __all__ = [
-    "format_number",
     "csv_text",
     "json_text",
     "utc_stamp",
@@ -29,29 +29,19 @@ __all__ = [
 MANIFEST_NAME = "manifest.json"
 
 
-# The one %-format spec of every real number written to CSV.
-_FLOAT_SPEC = "%.17g"
-
-
-def format_number(value):
-    """Integers verbatim, other reals at 17 significant digits."""
-    if isinstance(value, int):
-        return str(value)
-    return _FLOAT_SPEC % float(value)
+# The one %-format spec of every CSV cell.  It prints each integer the
+# program writes (well below 10**17) as str does.
+_CELL_SPEC = "%.17g"
 
 
 def csv_text(header, rows):
     """Render a header plus rows of ints and floats as CSV text.
 
-    Cells pass through format_number.  A row of floats only is rendered by
-    one %-format of format_number's spec, which gives the same text.
+    Each row is one %-format of _CELL_SPEC per cell, integers included.
     """
     lines = [",".join(header)]
     for row in rows:
-        if all(isinstance(c, float) for c in row):
-            lines.append(",".join([_FLOAT_SPEC] * len(row)) % tuple(row))
-        else:
-            lines.append(",".join(map(format_number, row)))
+        lines.append(",".join([_CELL_SPEC] * len(row)) % tuple(row))
     return "\n".join(lines) + "\n"
 
 
@@ -139,7 +129,6 @@ def write_manifest(emitter, command, config_echo, version):
     if emitter.stamp is not None:
         manifest["timestamp"] = emitter.stamp
     emitter.write(MANIFEST_NAME, json_text(manifest))
-    return manifest
 
 
 def verify_manifest(directory):

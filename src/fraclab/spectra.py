@@ -146,16 +146,11 @@ def compute_spectrum(op, modes):
             diagnostics={"residual": worst, "norm_bound": scale},
         )
 
-    # Discrete L2 normalization and sign convention.
+    # Discrete L2 normalization and sign convention: each column's first
+    # nonzero entry is made positive (an all-zero column is left as it is).
     phi = vec / np.sqrt(op.grid.h)
-    first = phi[0, :].copy()
-    for j in range(k):
-        lead = first[j]
-        if lead == 0.0:
-            nz = np.flatnonzero(phi[:, j])
-            lead = phi[nz[0], j] if len(nz) else 1.0
-        if lead < 0.0:
-            phi[:, j] = -phi[:, j]
+    lead = phi[np.argmax(phi != 0.0, axis=0), np.arange(k)]
+    phi *= np.where(lead < 0.0, -1.0, 1.0)
 
     gaps = np.diff(lam)
     ties = tuple(int(i + 1) for i in np.flatnonzero(gaps <= TIE_TOLERANCE * max(abs(lam[-1]), 1.0)))

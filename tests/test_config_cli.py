@@ -7,7 +7,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -494,6 +494,74 @@ class TestCliErrors:
         assert "observability" in body["error"]["diagnostics"]
 
 
+# Every field of each section set away from its default; n small for speed.
+ECHO_CONFIG = """
+[evolve]
+beta = 0.7
+n = 32
+modes = 6
+T = 1.5
+seed = 3
+equation = wave
+samples = 11
+datum = 2,5
+
+[observability]
+betas = 0.75, 0.3
+mode_counts = 3, 6
+n = 48
+T = 2.5
+epsilon = 0.3
+
+[sharpness]
+betas = 0.6, 0.4
+mode_counts = 4
+n = 40
+T = 3
+epsilon = 0.25
+
+[hum]
+beta = 0.75
+n = 64
+modes = 6
+T = 2
+epsilon = 0.25
+seed = 5
+datum = 1,4
+control_csv = false
+
+[pohozaev]
+beta = 0.6
+n = 64
+modes = 5
+T = 2.5
+datum = 2,4
+seed = 4
+"""
+
+
+class TestReportEcho:
+    @pytest.mark.parametrize("name", ["evolve", "pohozaev", "hum", "observability", "sharpness"])
+    def test_report_holds_its_section(self, tmp_path, name):
+        path = tmp_path / "echo.ini"
+        path.write_text(ECHO_CONFIG)
+        section = getattr(load_config(path), name)
+        default = getattr(RunConfig(), name)
+        echoed = asdict(section)
+        assert all(value != getattr(default, key) for key, value in echoed.items())
+        if name == "hum":
+            del echoed["control_csv"]
+        if "betas" in echoed:
+            assert list(section.betas) != sorted(section.betas)
+            echoed["betas"] = sorted(section.betas)
+        out = tmp_path / "o"
+        assert cli.main([name, "--config", str(path), "--out", str(out), "--no-timestamp"]) == 0
+        report = json.loads((out / f"{name}.json").read_text())
+        assert "control_csv" not in report
+        for key, value in echoed.items():
+            assert report[key] == (list(value) if isinstance(value, tuple) else value), key
+
+
 class TestCliObservability:
     def test_single_cell_equals_region_mass(self, tmp_path):
         cfg = tmp_path / "obs.ini"
@@ -809,7 +877,7 @@ class TestCliSweep:
         assert proc.stderr.startswith("fraclab: config error:")
         assert "prefix" in proc.stderr
         assert proc.stdout == ""
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestCommandRegistry:

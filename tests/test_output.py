@@ -5,13 +5,15 @@ import sys
 import pytest
 
 from fraclab.errors import FraclabError
-from fraclab.output import Emitter, csv_text, format_number
+from fraclab.output import Emitter, csv_text
 
 SPECIAL = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e300, 3.0, -42.0, 0.1]
 
 
 def per_cell(header, rows):
-    return "\n".join([",".join(header)] + [",".join(map(format_number, r)) for r in rows]) + "\n"
+    """Reference rendering: integers via str, every other real via %.17g."""
+    cell = lambda v: str(v) if isinstance(v, int) else "%.17g" % float(v)
+    return "\n".join([",".join(header)] + [",".join(map(cell, r)) for r in rows]) + "\n"
 
 
 def test_float_rows_match_per_cell_format():
@@ -24,8 +26,11 @@ def test_float_rows_match_per_cell_format():
 
 
 def test_mixed_rows_keep_strings_and_integers():
-    rows = [(0.5, 1, 2.5), (-0.0, 7, 0)]
-    assert csv_text(["x", "k", "y"], rows) == "x,k,y\n0.5,1,2.5\n-0,7,0\n"
+    rows = [(0.5, 1, 2.5), (-0.0, 7, 0), (1e-3, 16383, 10**16)]
+    assert csv_text(["x", "k", "y"], rows) == per_cell(["x", "k", "y"], rows)
+    assert csv_text(["x", "k", "y"], rows) == (
+        "x,k,y\n0.5,1,2.5\n-0,7,0\n0.001,16383,10000000000000000\n"
+    )
 
 
 def test_absorb_prefixes_names_and_refuses_duplicates():
