@@ -79,6 +79,11 @@ def _check_run(config, command):
             _layer_width(cfg.n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+    if hasattr(cfg, "epsilon"):
+        try:
+            ObservationRegion.boundary_layers(cfg.epsilon).node_indices(Grid(cfg.n))
+        except ValueError as exc:
+            raise ConfigError(f"epsilon = {cfg.epsilon!r} at n = {cfg.n}: {exc}") from None
     if getattr(cfg, "datum", "random") not in ("zero", "random"):
         wanted = max(int(p) for p in cfg.datum.split(","))
         if wanted > cfg.modes:

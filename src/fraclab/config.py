@@ -54,6 +54,13 @@ def _positive_int(key):
 # is allocated: the eigensolve holds an (n/2) x (n/2) block, 537 MB here.
 MAX_NODES = 16383
 
+# Largest horizon accepted.  Eigenvalues obey lambda <= (n+1)^(2 beta) <=
+# (MAX_NODES+1)^2 = 2^28, and the wave Gramian's frequency differences reach
+# 2 lambda, so every phase the program forms stays below 2^29 * 1e299, about
+# 5.4e307, which is finite.  The bound keeps phases finite; it does not make
+# them accurate.
+MAX_HORIZON = 1e299
+
 
 def _parse_n(text):
     n = _positive_int("n")(text)
@@ -67,7 +74,9 @@ def _order(key):
 
 
 _parse_beta = _order("beta")
-_parse_horizon = _checked(float, lambda t: 0.0 < t < float("inf"), "T must be positive and finite")
+_parse_horizon = _checked(
+    float, lambda t: 0.0 < t <= MAX_HORIZON, f"T must be positive and at most {MAX_HORIZON:g}"
+)
 _parse_epsilon = _checked(float, lambda e: 0.0 < e < 1.0, "epsilon must lie in (0, 1)")
 _parse_seed = _checked(int, lambda s: s >= 0, "seed must be a nonnegative integer")
 _parse_samples = _checked(int, lambda s: s >= 2, "samples must be at least 2")
@@ -311,7 +320,7 @@ def parse_config(text):
 def load_config(path):
     """Read and parse a config file; decoding problems become ConfigError."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:  # a byte-order mark is skipped
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from None

@@ -26,6 +26,18 @@ __all__ = [
 ]
 
 
+def _coefficients(values, spectrum):
+    """`values` as a complex vector: nonempty, 1-D, within the mode span, finite."""
+    a = np.asarray(values, dtype=complex)
+    if a.ndim != 1 or len(a) < 1:
+        raise ValueError("coefficients must form a nonempty vector")
+    if len(a) > spectrum.modes:
+        raise ValueError(f"state has {len(a)} modes but spectrum holds {spectrum.modes}")
+    if not np.all(np.isfinite(a.view(float))):
+        raise ValueError("coefficients must be finite")
+    return a
+
+
 @dataclass(frozen=True)
 class ModalState:
     """Coefficients of a Schrodinger state in the truncated eigenbasis phi_k."""
@@ -34,16 +46,7 @@ class ModalState:
     spectrum: Spectrum
 
     def __post_init__(self):
-        a = np.asarray(self.coefficients, dtype=complex)
-        if a.ndim != 1 or len(a) < 1:
-            raise ValueError("coefficients must form a nonempty vector")
-        if len(a) > self.spectrum.modes:
-            raise ValueError(
-                f"state has {len(a)} modes but spectrum holds {self.spectrum.modes}"
-            )
-        if not np.all(np.isfinite(a.view(float))):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coefficients", a)
+        object.__setattr__(self, "coefficients", _coefficients(self.coefficients, self.spectrum))
 
     @property
     def modes(self):
@@ -63,16 +66,10 @@ class WaveModalState:
     spectrum: Spectrum
 
     def __post_init__(self):
-        a = np.asarray(self.position, dtype=complex)
-        b = np.asarray(self.velocity, dtype=complex)
-        if a.shape != b.shape or a.ndim != 1 or len(a) < 1:
+        a = _coefficients(self.position, self.spectrum)
+        b = _coefficients(self.velocity, self.spectrum)
+        if a.shape != b.shape:
             raise ValueError("position and velocity must be equal-length vectors")
-        if len(a) > self.spectrum.modes:
-            raise ValueError(
-                f"state has {len(a)} modes but spectrum holds {self.spectrum.modes}"
-            )
-        if not (np.all(np.isfinite(a.view(float))) and np.all(np.isfinite(b.view(float)))):
-            raise ValueError("coefficients must be finite")
         object.__setattr__(self, "position", a)
         object.__setattr__(self, "velocity", b)
 

@@ -48,31 +48,29 @@ def _second_exponent(beta):
     return 2.0 * beta if beta < 0.5 else beta + 1.0
 
 
-@dataclass(frozen=True)
-class _TraceOperator:
-    """Precomputed least-squares extraction of boundary coefficients."""
+def _layer_fit(vectors, grid, beta):
+    """Boundary coefficients and relative layer misfits of an (n, k) block.
 
-    left_slice: slice
-    right_slice: slice
-    design: np.ndarray  # (m, 2) powers of distance to the nearer endpoint
-    pinv: np.ndarray
-
-
-def _trace_operator(grid, beta):
+    Each column is fitted on both layers against the two leading boundary
+    powers by one least-squares product per layer; the coefficient of
+    dist^beta and the relative misfit of the fit come from that product.
+    Returns (coefficients, residuals), each (2, k) with rows (left, right).
+    """
     n = grid.n_interior
     m = _layer_width(n)
-    h = grid.h
-    dist = h * np.arange(SKIP + 1, SKIP + m + 1, dtype=float)
+    dist = grid.h * np.arange(SKIP + 1, SKIP + m + 1, dtype=float)
     design = np.column_stack([dist ** float(beta), dist ** _second_exponent(beta)])
     pinv = np.linalg.pinv(design)
-    # both layers share one design: callers read the right layer reversed,
-    # nodes nearest x = +1 first, so it sits at the same distances as the left
-    return _TraceOperator(
-        left_slice=slice(SKIP, SKIP + m),
-        right_slice=slice(n - SKIP - m, n - SKIP),
-        design=design,
-        pinv=pinv,
-    )
+    coefficients, residuals = [], []
+    # both layers share one design: the right layer is read reversed, nodes
+    # nearest x = +1 first, so it sits at the same distances as the left
+    for side in (vectors[SKIP : SKIP + m], vectors[n - SKIP - m : n - SKIP][::-1]):
+        coeff = pinv @ side
+        scale = np.linalg.norm(side, axis=0)
+        misfit = np.linalg.norm(side - design @ coeff, axis=0)
+        coefficients.append(coeff[0])
+        residuals.append(np.divide(misfit, scale, out=np.zeros_like(misfit), where=scale > 0.0))
+    return np.array(coefficients), np.array(residuals)
 
 
 @dataclass(frozen=True)
@@ -89,14 +87,6 @@ class BoundaryTrace:
         return abs(self.left) ** 2 + abs(self.right) ** 2
 
 
-def _fit_side(values, design, pinv):
-    coeff = pinv @ values
-    misfit = values - design @ coeff
-    scale = float(np.linalg.norm(values))
-    residual = float(np.linalg.norm(misfit)) / scale if scale > 0.0 else 0.0
-    return coeff[0], residual
-
-
 def boundary_trace(values, grid, beta):
     """Extract the boundary coefficients of a node vector by layer fitting.
 
@@ -111,17 +101,9 @@ def boundary_trace(values, grid, beta):
         raise ValueError(
             f"expected a vector of {grid.n_interior} interior values, got shape {u.shape}"
         )
-    op = _trace_operator(grid, beta)
-    left, left_res = _fit_side(u[op.left_slice], op.design, op.pinv)
-    right, right_res = _fit_side(u[op.right_slice][::-1], op.design, op.pinv)
-    if not np.iscomplexobj(u):
-        left, right = float(np.real(left)), float(np.real(right))
-    return BoundaryTrace(
-        left=left,
-        right=right,
-        left_residual=left_res,
-        right_residual=right_res,
-    )
+    coefficients, residuals = _layer_fit(u[:, None], grid, beta)
+    (left, right), (left_res, right_res) = coefficients[:, 0].tolist(), residuals[:, 0].tolist()
+    return BoundaryTrace(left=left, right=right, left_residual=left_res, right_residual=right_res)
 
 
 @dataclass(frozen=True)
@@ -178,9 +160,7 @@ def _trace_integral(state, T):
     matrix R replaced by L^T L, L the 2 x K matrix of left and right traces.
     """
     spectrum = state.spectrum
-    op = _trace_operator(spectrum.grid, spectrum.beta)
-    phi = spectrum.vectors[:, : state.modes]
-    L = np.stack([op.pinv[0] @ phi[op.left_slice], op.pinv[0] @ phi[op.right_slice][::-1]])
+    L, _ = _layer_fit(spectrum.vectors[:, : state.modes], spectrum.grid, spectrum.beta)
     mu = phase_average_matrix(state.eigenvalues, T)
     a = state.coefficients
     return float(np.real(np.conj(a) @ ((L.T @ L) * mu) @ a))

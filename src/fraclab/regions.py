@@ -43,41 +43,32 @@ class ObservationRegion:
             raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
         return cls(intervals=((-1.0, -1.0 + eps), (1.0 - eps, 1.0)))
 
-    @staticmethod
-    def _snap(grid, a, b):
+    def _spans(self, grid):
         # Grid points are x_i = -1 + i h for i = 0..n+1 (endpoints included).
-        # Snapping outward: left to the largest grid point <= a, right to the
-        # smallest grid point >= b, with a small tolerance for exact hits.
-        h = grid.h
-        lo = math.floor((a + 1.0) / h + 1e-9)
-        hi = math.ceil((b + 1.0) / h - 1e-9)
-        return max(lo, 0), min(hi, grid.n_interior + 1)
+        # Each sorted interval snaps outward to an index pair: left to the
+        # largest grid point <= a, right to the smallest grid point >= b, with
+        # a small tolerance for exact hits.  Pairs that touch or overlap merge.
+        if not isinstance(grid, Grid):
+            raise TypeError("region snapping expects a Grid")
+        spans = []
+        for a, b in self.intervals:
+            lo = max(math.floor((a + 1.0) / grid.h + 1e-9), 0)
+            hi = min(math.ceil((b + 1.0) / grid.h - 1e-9), grid.n_interior + 1)
+            if spans and lo <= spans[-1][1]:
+                spans[-1][1] = max(spans[-1][1], hi)
+            else:
+                spans.append([lo, hi])
+        return spans
 
     def node_indices(self, grid):
         """Sorted 0-based indices of interior grid nodes covered by the region."""
-        if not isinstance(grid, Grid):
-            raise TypeError("node_indices expects a Grid")
-        idx = []
-        for a, b in self.intervals:
-            lo, hi = self._snap(grid, a, b)
-            lo, hi = max(lo, 1), min(hi, grid.n_interior)
-            if lo <= hi:
-                idx.append(np.arange(lo - 1, hi))
-        if not idx:
+        idx = [np.arange(max(lo, 1) - 1, min(hi, grid.n_interior)) for lo, hi in self._spans(grid)]
+        idx = np.concatenate(idx)
+        if not len(idx):
             raise ValueError("region contains no grid nodes at this resolution")
-        return np.unique(np.concatenate(idx))
+        return idx
 
     def snapped(self, grid):
         """The region actually used on `grid`: endpoints moved outward to grid points."""
-        spans = []
-        for a, b in self.intervals:
-            lo, hi = self._snap(grid, a, b)
-            spans.append([-1.0 + lo * grid.h, -1.0 + hi * grid.h])
-        spans.sort()
-        merged = [spans[0]]
-        for left, right in spans[1:]:
-            if left <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], right)
-            else:
-                merged.append([left, right])
-        return ObservationRegion(intervals=tuple((l, r) for l, r in merged))
+        spans, h = self._spans(grid), grid.h
+        return ObservationRegion(tuple((-1.0 + lo * h, -1.0 + hi * h) for lo, hi in spans))

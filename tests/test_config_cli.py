@@ -162,6 +162,14 @@ datum = zero
         assert with_lists.observability.betas == (0.3,)
         assert with_lists.observability.mode_counts == (7,)
 
+    def test_load_config_skips_a_byte_order_mark(self, tmp_path):
+        text = "[hum]\nT = 2\nn = 64\n"
+        plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_config(marked) == load_config(plain)
+        assert load_config(marked).hum.T == 2.0
+
     def test_load_config_rejects_binary(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_bytes(b"\xff\xfe\x00broken")
@@ -325,7 +333,7 @@ FLAG_VALUES = [
     ("beta", "1.5"), ("beta", "abc"),
     ("n", "0"), ("n", "abc"),
     ("modes", "0"), ("modes", "2.5"),
-    ("T", "0"), ("T", "soon"), ("T", "inf"),
+    ("T", "0"), ("T", "soon"), ("T", "inf"), ("T", "1e308"),
     ("epsilon", "1.0"), ("epsilon", "wide"),
     ("seed", "-1"), ("seed", "abc"),
     ("jobs", "0"), ("jobs", "abc"),
@@ -381,8 +389,15 @@ class TestCliErrors:
              "they must differ at 6 significant digits"),
             (["hum", "--n", "4095"], "[hum]\ndatum = 30\n",
              "datum mode 30 exceeds the mode span 20"),
+            # the layers hold no grid node, or -1 + epsilon rounds to -1
+            (["hum", "--epsilon", "1e-11", "--n", "64"], None,
+             "epsilon = 1e-11 at n = 64: region contains no grid nodes at this resolution"),
+            (["observability", "--epsilon", "1e-17", "--n", "64"], None,
+             "epsilon = 1e-17 at n = 64: "
+             "interval (-1.0, -1.0) must satisfy -1 <= left < right <= 1"),
         ],
-        ids=["span", "gaps", "pohozaev", "sweep-prefix", "datum"],
+        ids=["span", "gaps", "pohozaev", "sweep-prefix", "datum", "epsilon-empty",
+             "epsilon-rounds"],
     )
     def test_config_error_leaves_no_directory_and_solves_nothing(
         self, tmp_path, capsys, monkeypatch, args, ini, message

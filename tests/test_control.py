@@ -24,7 +24,7 @@ from fraclab import (
     wave_gramian,
 )
 from fraclab import control
-from fraclab.config import RunConfig
+from fraclab.config import MAX_HORIZON, MAX_NODES, RunConfig
 from fraclab.control import CHUNK, VERIFICATION_TOLERANCE, _trajectory
 from fraclab.dynamics import _forced_increment
 from fraclab.errors import IllConditionedError, UncontrollableError
@@ -88,6 +88,13 @@ class TestPhaseAverage:
     def test_horizon_must_be_positive_and_finite(self, horizon):
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
             phase_average_matrix(np.array([0.3, 1.7]), horizon)
+
+    def test_largest_horizon_keeps_wave_phases_finite(self):
+        # the largest eigenvalue any accepted grid can carry, as a wave pair
+        # +-lambda whose phase differences reach 2 lambda
+        lam = np.array([1.0, (MAX_NODES + 1) ** 2])
+        mu = phase_average_matrix(np.concatenate([-lam, lam]), MAX_HORIZON)
+        assert np.all(np.isfinite(mu))
 
     def test_tiny_gaps_evaluated_without_cancellation(self):
         # the naive ratio (e^(ix) - 1)/(ix) loses ~eps/x digits for small

@@ -13,7 +13,7 @@ from fraclab import (
     schrodinger_pohozaev_report,
     two_sided_estimate_ratio,
 )
-from fraclab.identity import _second_exponent
+from fraclab.identity import _layer_fit, _second_exponent
 
 RNG = np.random.default_rng(20260823)
 
@@ -93,6 +93,38 @@ class TestBoundaryTrace:
         # the layer needs max(8, n // 64) nodes plus two skipped per side
         with pytest.raises(ValueError):
             boundary_trace(np.ones(16), Grid(16), 0.5)
+
+
+class TestLayerFit:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_boundary_trace_is_the_one_column_fit(self, dtype):
+        grid = Grid(256)
+        u = RNG.standard_normal(256).astype(dtype)
+        if dtype is complex:
+            u += 1j * RNG.standard_normal(256)
+        trace = boundary_trace(u, grid, 0.6)
+        coefficients, residuals = _layer_fit(u[:, None], grid, 0.6)
+        assert (trace.left, trace.right) == tuple(coefficients[:, 0])
+        assert (trace.left_residual, trace.right_residual) == tuple(residuals[:, 0])
+
+    @pytest.mark.parametrize("beta,n", [(0.3, 256), (0.5, 512), (0.75, 512), (1.0, 512)])
+    def test_block_fit_matches_column_fits(self, get_spectrum, beta, n):
+        # the trajectory identity fits all modes at once, the eigenfunction
+        # identity one mode at a time; both must read the same traces
+        spectrum = get_spectrum(beta, n, 12)
+        phi = spectrum.vectors[:, :12]
+        coefficients, residuals = _layer_fit(phi, spectrum.grid, beta)
+        assert coefficients.shape == residuals.shape == (2, 12)
+        for k in range(12):
+            c, r = _layer_fit(phi[:, k : k + 1], spectrum.grid, beta)
+            np.testing.assert_allclose(coefficients[:, k], c[:, 0], rtol=1e-14, atol=0.0)
+            # a residual is already relative to the column norm, so its
+            # rounding is absolute: the misfit cancels most of the layer
+            np.testing.assert_allclose(residuals[:, k], r[:, 0], rtol=0.0, atol=1e-14)
+
+    def test_zero_column_has_zero_residual(self):
+        coefficients, residuals = _layer_fit(np.zeros((256, 2)), Grid(256), 0.5)
+        assert not coefficients.any() and not residuals.any()
 
 
 class TestEigenPohozaev:

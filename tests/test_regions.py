@@ -116,3 +116,46 @@ class TestNodeSelection:
         snapped = region.snapped(grid)
         # left snaps to (-0.6, -0.2), right to (-0.2, 0.2): they now touch
         np.testing.assert_allclose(snapped.intervals, [(-0.6, 0.2)], atol=1e-12)
+
+
+class TestSnappingProperties:
+    @staticmethod
+    def random_region(rng, grid):
+        # 1-4 disjoint intervals; endpoints drawn off grid points, on them,
+        # or shared by two touching intervals
+        count = int(rng.integers(1, 5))
+        points = rng.uniform(-1.0, 1.0, size=2 * count)
+        on_grid = rng.random(2 * count) < 0.3
+        points[on_grid] = -1.0 + grid.h * rng.integers(0, grid.n_interior + 2, size=on_grid.sum())
+        points = np.sort(points)
+        for i in range(1, count):
+            if rng.random() < 0.2:
+                points[2 * i] = points[2 * i - 1]
+        pairs = [(a, b) for a, b in zip(points[::2], points[1::2]) if a < b]
+        return ObservationRegion(tuple(pairs)) if pairs else None
+
+    def test_nodes_are_the_interior_nodes_of_the_snapped_region(self):
+        rng = np.random.default_rng(15)
+        checked = 0
+        while checked < 400:
+            grid = Grid(int(rng.integers(1, 1025)))
+            if checked % 4 == 0:
+                region = ObservationRegion.boundary_layers(rng.uniform(0.01, 0.99))
+            else:
+                region = self.random_region(rng, grid)
+                if region is None:
+                    continue
+            snapped = region.snapped(grid).intervals
+            h, x = grid.h, grid.nodes
+            # snapped endpoints are grid points
+            ends = (np.array(snapped) + 1.0) / h
+            np.testing.assert_allclose(ends, np.round(ends), rtol=0.0, atol=1e-9)
+            inside = np.zeros(grid.n_interior, dtype=bool)
+            for left, right in snapped:
+                inside |= (x >= left - 1e-6 * h) & (x <= right + 1e-6 * h)
+            np.testing.assert_array_equal(region.node_indices(grid), np.flatnonzero(inside))
+            # snapping is outward, up to its tolerance for exact grid hits
+            tol = 1e-9 * h + 4e-16
+            for a, b in region.intervals:
+                assert any(left <= a + tol and b - tol <= right for left, right in snapped)
+            checked += 1
