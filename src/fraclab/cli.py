@@ -252,7 +252,7 @@ def _check_hum_verification(report):
         if not report[key] <= VERIFICATION_TOLERANCE  # nan fails too
     ]
     if report["replay_capped"]:
-        problems.append(f"replay hit its step cap at {report['replay_steps']} steps")
+        problems.append(f"replay would need {report['replay_steps']:.3e} steps, past its step cap")
     if problems:
         diagnostics = {key: report[key] for key in checked + ("replay_steps", "replay_capped")}
         diagnostics["tolerance"] = VERIFICATION_TOLERANCE

@@ -246,7 +246,7 @@ class ControlResult:
     identity_rhs: float
     identity_residual: float
     region: ObservationRegion
-    replay_steps: int
+    replay_steps: int  # a float when replay_capped
     replay_capped: bool
     replay_error_estimate: float
     identity_error_estimate: float
@@ -273,14 +273,15 @@ def _replay(lam, h, phi_region, coeffs, horizon, scales):
     # integral (first len(lam) entries) and the observed energy (last) over
     # blocks of whole panels, CHUNK being a multiple of PANEL_NODES, with
     # one block alive at a time.  A replay whose accepted rule exceeds
-    # REPLAY_STEP_CAP samples nothing and reports NaN.  Returns the accepted
-    # sums, their sample count, whether the cap refused the replay, and the
-    # relative error estimates.
+    # REPLAY_STEP_CAP samples nothing, reports NaN and gives the count it
+    # would need as a float, which any JSON reader holds.  Returns the
+    # accepted sums, their sample count, whether the cap refused the replay,
+    # and the relative error estimates.
     T = float(horizon)
     panels = max(1, math.ceil(float(lam[-1] - lam[0]) * T / PANEL_NODES))
     steps = 2 * panels * PANEL_NODES
     if steps > REPLAY_STEP_CAP:
-        return np.full(len(lam) + 1, np.nan, dtype=complex), steps, True, np.full(2, np.nan)
+        return np.full(len(lam) + 1, np.nan, dtype=complex), float(steps), True, np.full(2, np.nan)
     nodes, weights = np.polynomial.legendre.leggauss(PANEL_NODES)
     totals = []
     for p in (panels, 2 * panels):
@@ -321,8 +322,9 @@ def hum_control(state, region, horizon):
     block by block and passing one block per call to the kernel.  It
     records the second's sample count and the relative differences of the
     two as a-posteriori error estimates.  When the second rule would exceed
-    REPLAY_STEP_CAP samples, nothing is sampled: the result says so and
-    carries NaN sums and estimates.
+    REPLAY_STEP_CAP samples, nothing is sampled: the result says so,
+    carries NaN sums and estimates, and gives the sample count the replay
+    would need as a float.
 
     Raises UncontrollableError when the observability constant is
     numerically zero, IllConditionedError when the Gramian condition number

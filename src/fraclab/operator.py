@@ -105,11 +105,13 @@ class DiscreteOperator:
 
     @cached_property
     def _embedded_symbol(self):
-        # Circulant embedding of the Toeplitz row for FFT based products.  The
+        # Circulant embedding of the Toeplitz row for FFT based products.  Any
+        # length >= 2n - 1 embeds it; a power of two keeps the FFTs fast.  The
         # embedded row is real and even, so its transform is real: keep the
-        # n + 1 nonnegative frequencies that rfft/irfft use.
+        # nonnegative frequencies that rfft/irfft use.
         row = self.first_row
-        c = np.concatenate([row, [0.0], row[:0:-1]])
+        length = 2 << (len(row) - 1).bit_length()
+        c = np.concatenate([row, np.zeros(length - 2 * len(row) + 1), row[:0:-1]])
         return np.fft.rfft(c).real
 
     @property
@@ -132,8 +134,10 @@ def apply(op, u):
 
     `u` is one nodal vector of shape (n,) or a block of them, one per
     column, of shape (n, k).  Multiplies through a circulant embedding of
-    the Toeplitz row in O(n log n) per column, by real FFTs: a complex block
-    is transformed as the real block of its 2k interleaved (re, im) columns.
+    the Toeplitz row, zero-padded to the power-of-two length
+    2 << (n - 1).bit_length() >= 2n - 1, in O(n log n) per column, by real
+    FFTs: a complex block is transformed as the real block of its 2k
+    interleaved (re, im) columns.
     The dense Toeplitz matrix `scipy.linalg.toeplitz(op.first_row)` is the
     reference it agrees with.
     """
@@ -143,6 +147,8 @@ def apply(op, u):
         raise ValueError(f"expected nodal values of shape ({n},) or ({n}, k), got {u.shape}")
     columns = u if u.ndim == 2 else u[:, None]
     block = np.ascontiguousarray(columns, dtype=np.result_type(u, float))
-    transformed = op._embedded_symbol[:, None] * np.fft.rfft(block.view(float), n=2 * n, axis=0)
-    product = np.fft.irfft(transformed, n=2 * n, axis=0)[:n]
+    symbol = op._embedded_symbol
+    length = 2 * (len(symbol) - 1)
+    transformed = symbol[:, None] * np.fft.rfft(block.view(float), n=length, axis=0)
+    product = np.fft.irfft(transformed, n=length, axis=0)[:n]
     return product.view(block.dtype).reshape(u.shape)

@@ -4,7 +4,10 @@ The operator is symmetric Toeplitz, hence centrosymmetric, so every
 eigenvector is even or odd under the reflection x -> -x (Cantoni & Butler,
 Linear Algebra Appl. 13, 1976).  Eigenpairs therefore come from two
 half-size symmetric solves, one per parity, and are normalized against the
-discrete L2 inner product h * sum(u_i v_i).  Alongside the numerics the
+discrete L2 inner product h * sum(u_i v_i).  The lowest k eigenvalues of
+the two blocks interlace in practice, so each block is first solved for
+only ceil(k/2) + 1 pairs; a block whose solved pairs all survive the merge
+may hide a lower one and is solved again in full.  Alongside the numerics the
 module carries the closed-form asymptotic law
 
     lambda_k ~ (k pi / 2 - (2 - 2 beta) pi / 8)^(2 beta)
@@ -64,6 +67,12 @@ class Spectrum:
         return self.grid.h
 
 
+def _block_size(n, sign):
+    """Order of the even (sign = 1) or odd (sign = -1) block for n nodes."""
+    m = n // 2
+    return m + 1 if sign > 0 and n % 2 else m
+
+
 def _parity_block(row, sign):
     """Even (sign = 1) or odd (sign = -1) block of a symmetric Toeplitz matrix.
 
@@ -77,7 +86,7 @@ def _parity_block(row, sign):
     """
     n = len(row)
     m = n // 2
-    size = m + 1 if sign > 0 and n % 2 else m
+    size = _block_size(n, sign)
     # Fortran order lets eigh(..., overwrite_a=True) factor it in place.
     block = np.empty((size, size), order="F")
     if m:
@@ -86,7 +95,9 @@ def _parity_block(row, sign):
         t11 = sliding_window_view(np.concatenate([row[m - 1 : 0 : -1], row[:m]]), m)[:, ::-1]
         hank = sliding_window_view(row[::-1][: 2 * m - 1], m)
         combine = np.add if sign > 0 else np.subtract
-        combine(t11, hank, out=block[:m, :m])
+        # Both terms are symmetric, so writing the transpose (C order, in
+        # memory order) gives the same block.
+        combine(t11, hank, out=block.T[:m, :m])
     if size > m:
         middle = math.sqrt(2.0) * row[m:0:-1]
         block[:m, m] = middle
@@ -95,16 +106,43 @@ def _parity_block(row, sign):
     return block
 
 
+def _parity_pairs(row, sign, take):
+    """Lowest `take` eigenpairs of one parity block, vectors of length n.
+
+    Each vector is [x; sign * J x] / sqrt(2), with x_m as the middle entry
+    for odd n.  The block lives only for the duration of the solve.
+    """
+    n = len(row)
+    m = n // 2
+    block = _parity_block(row, sign)
+    try:
+        lam_b, x = scipy.linalg.eigh(block, overwrite_a=True, subset_by_index=(0, take - 1))
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise NumericalError(f"eigensolver failed: {exc}") from exc
+    del block
+    v = np.zeros((n, take))
+    v[:m] = x[:m] / math.sqrt(2.0)
+    v[n - m :] = sign * v[:m][::-1]
+    if len(x) > m:
+        v[m] = x[m]
+    return lam_b, v
+
+
 def compute_spectrum(op, modes):
     """Lowest `modes` eigenpairs of a discrete operator.
 
     Solves the even and odd parity blocks of the Toeplitz matrix (about
-    n/2 x n/2 each) for up to `modes` lowest pairs apiece, maps them back to
-    length-n eigenvectors and keeps the lowest `modes` of the merged list;
-    the n x n matrix is never formed.  Eigenvectors are then rescaled to the
-    discrete L2 normalization with signs fixed.  Raises NumericalError if
-    the solver fails or a residual, computed on the full vectors by the FFT
-    product `apply`, exceeds 1e-9 times the operator norm bound.
+    n/2 x n/2 each), maps their pairs back to length-n eigenvectors and
+    keeps the lowest `modes` of the merged list; the n x n matrix is never
+    formed.  Each block is first solved for min(modes, block size,
+    ceil(modes/2) + 1) lowest pairs.  A truncated block whose solved pairs
+    all survive the merge may hide a lower eigenvalue, so it is solved once
+    more for min(modes, block size) pairs and the merge is redone; a block
+    that keeps out at least one of its pairs hides nothing below them.
+    Eigenvectors are then rescaled to the discrete L2 normalization with
+    signs fixed.  Raises NumericalError if the solver fails or a residual,
+    computed on the full vectors by the FFT product `apply`, exceeds 1e-9
+    times the operator norm bound.
     """
     if not isinstance(op, DiscreteOperator):
         raise TypeError("compute_spectrum expects a DiscreteOperator")
@@ -112,30 +150,23 @@ def compute_spectrum(op, modes):
     n = op.grid.n_interior
     if not 1 <= k <= n:
         raise ValueError(f"modes must lie in [1, {n}], got {modes}")
-    m = n // 2
-    values, vectors = [], []
-    for sign in (1.0, -1.0):
-        block = _parity_block(op.first_row, sign)
-        take = min(k, len(block))
-        if take == 0:
-            continue
-        try:
-            lam_b, x = scipy.linalg.eigh(block, overwrite_a=True, subset_by_index=(0, take - 1))
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            raise NumericalError(f"eigensolver failed: {exc}") from exc
-        del block
-        # [x; sign * J x] / sqrt(2), with x_m as the middle entry for odd n
-        v = np.zeros((n, take))
-        v[:m] = x[:m] / math.sqrt(2.0)
-        v[n - m :] = sign * v[:m][::-1]
-        if len(x) > m:
-            v[m] = x[m]
-        values.append(lam_b)
-        vectors.append(v)
-    values = np.concatenate(values)
-    order = np.argsort(values, kind="stable")[:k]
+    full = {sign: min(k, _block_size(n, sign)) for sign in (1.0, -1.0)}
+    pending = {sign: min(take, (k + 1) // 2 + 1) for sign, take in full.items() if take}
+    pairs = {}
+    while pending:
+        for sign, take in pending.items():
+            pairs[sign] = _parity_pairs(op.first_row, sign, take)
+        values = np.concatenate([lam_b for lam_b, _ in pairs.values()])
+        order = np.argsort(values, kind="stable")[:k]
+        # Kept pairs of a block are a prefix of it, so its last one decides;
+        # a block solved for its full take is never solved again.
+        pending, stop = {}, 0
+        for sign, (lam_b, _) in pairs.items():
+            stop += len(lam_b)
+            if len(lam_b) < full[sign] and stop - 1 in order:
+                pending[sign] = full[sign]
     lam = values[order]
-    vec = np.concatenate(vectors, axis=1)[:, order]
+    vec = np.concatenate([v for _, v in pairs.values()], axis=1)[:, order]
 
     scale = op.norm_bound
     residual = np.linalg.norm(apply(op, vec) - vec * lam, axis=0)

@@ -721,6 +721,20 @@ class TestCliHum:
         assert "step cap" in captured.err
         assert calls == []
 
+    def test_largest_horizon_reports_a_finite_step_count(self, tmp_path, capsys):
+        # 2 * P * 32 samples at T = 1e299 is a 301-digit integer; it is
+        # reported as a float that a 64-bit JSON reader holds
+        args = ["hum", "--T", "1e299", "--n", "64", "--modes", "5", "--no-timestamp"]
+        assert cli.main([*args, "--out", str(tmp_path / "o")]) == 3
+        captured = capsys.readouterr()
+        diagnostics = json.loads(captured.out)["error"]["diagnostics"]
+        assert diagnostics["replay_capped"] is True
+        steps = diagnostics["replay_steps"]
+        assert isinstance(steps, float) and math.isfinite(steps)
+        assert steps > 1e299
+        assert "step cap" in captured.err
+        assert len(captured.err) < 1000
+
     def test_ill_conditioned_replay_stops_at_rounding_floor(self, tmp_path, capsys):
         # below the minimal control time the steering datum is large and the
         # replay's rounding floor sits above 1e-9: the run fails its

@@ -105,7 +105,7 @@ class TestAssembly:
 
 
 class TestApply:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 127, 511, 512, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 127, 511, 512, 1000, 1024, 1025, 2048])
     @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0])
     def test_fft_path_matches_dense(self, n, beta, dense_matrix):
         # a block of columns (real, complex, column-major), and each column on its own

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclab import (
+    DiscreteOperator,
     Grid,
     assemble_operator,
     asymptotic_eigenvalue,
@@ -130,6 +131,59 @@ class TestParitySplit:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n
+
+
+class TestTruncatedParitySolve:
+    @staticmethod
+    def _record_solves(monkeypatch):
+        # (block order, pairs asked for) of every parity-block eigensolve
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            lo, hi = kwargs["subset_by_index"]
+            calls.append((len(a), hi - lo + 1))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", recording)
+        return calls
+
+    @staticmethod
+    def _skewed_row(n, wide):
+        # 10 on the diagonal, -1 beside it, and a negative semidefinite
+        # Hankel part T12 J = -sum_r 4 (1 - r^2) u_r u_r^T, u_r = (r^i),
+        # carried by the row's tail: it lowers even pairs and raises odd
+        # ones.  With r = 0 alone (the corner entry -4) the lowest 30 pairs
+        # split 16/14, exactly the first take of 16; five nodes split them
+        # 17/13, so the first take alone would return a wrong spectrum.
+        row = np.zeros(n)
+        row[0], row[1] = 10.0, -1.0
+        t = np.arange(n - 1)
+        for r in (0.9, -0.9, 0.5, -0.5, 0.0) if wide else (0.0,):
+            row[:0:-1] -= 4.0 * (1.0 - r * r) * r**t
+        return row
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["corner", "hankel-rank-5"])
+    @pytest.mark.parametrize("n", [200, 201])
+    def test_block_hiding_a_lower_pair_is_solved_again(self, n, wide, monkeypatch, dense_matrix):
+        op = DiscreteOperator(grid=Grid(n), beta=0.5, first_row=self._skewed_row(n, wide))
+        k = 30
+        first = (k + 1) // 2 + 1
+        calls = self._record_solves(monkeypatch)
+        spectrum = compute_spectrum(op, k)
+        # both blocks truncated, then the even one (all of whose pairs the
+        # merge kept) solved again for its full take
+        assert calls == [(n - n // 2, first), (n // 2, first), (n - n // 2, k)]
+        lam, vec = scipy.linalg.eigh(dense_matrix(op), subset_by_index=(0, k - 1))
+        even = np.count_nonzero(np.sum(vec * vec[::-1], axis=0) > 0.0)
+        assert even == (17 if wide else 16)
+        assert np.max(np.abs(spectrum.eigenvalues - lam)) <= 1e-9 * op.norm_bound
+
+    @pytest.mark.parametrize("beta", [0.25, 0.9])
+    def test_interlaced_blocks_are_solved_once_for_half_the_modes(self, beta, monkeypatch):
+        calls = self._record_solves(monkeypatch)
+        compute_spectrum(assemble_operator(Grid(2047), beta), 80)
+        assert calls == [(1024, 41), (1023, 41)]
 
 
 class TestAsymptoticLaw:
