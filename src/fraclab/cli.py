@@ -296,7 +296,7 @@ def cmd_hum(cfg, emitter):
         table[:, 0] = result.control_dt * np.arange(values.shape[0])
         table[:, 1::2] = values.real
         table[:, 2::2] = values.imag
-        emitter.write("control.csv", csv_text(header, table.tolist()))
+        emitter.write("control.csv", csv_text(header, table))
     return (
         f"hum: beta={cfg.beta:g} K={cfg.modes} T={cfg.T:g} "
         f"final/initial={report['relative_final_norm']:.3e} "

@@ -1,8 +1,11 @@
 """Deterministic artifact emission: CSV, JSON, SVG, and run manifests.
 
-Every CSV cell, integer or float, goes through one %.17g spec: 17
-significant digits with a '.' separator and no locale dependence, so
-identical inputs produce byte-identical files.  JSON is emitted with sorted
+Every CSV cell, integer or float, is rendered as the %.17g spec renders it:
+17 significant digits with a '.' separator and no locale dependence, so
+identical inputs produce byte-identical files.  A vectorised numpy kernel
+writes the fixed-point cells (finite, 1e-4 <= |x| < 1e17) byte-identical to
+%.17g; a slow lane formats the rest (zeros, nan, infinities, subnormals,
+exponent-style values) with the %-format itself.  JSON is emitted with sorted
 keys; non-finite floats are rendered as the strings "nan", "inf", "-inf" to
 stay standard-compliant.  Every run records a manifest listing each emitted
 file with its SHA-256 digest; verify_manifest re-hashes the files and
@@ -14,6 +17,9 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .errors import FraclabError
 
@@ -33,16 +39,173 @@ MANIFEST_NAME = "manifest.json"
 # program writes (well below 10**17) as str does.
 _CELL_SPEC = "%.17g"
 
+# Cells rendered at a time.  Each temporary of a block (4096 x 25 bytes at
+# most) stays below glibc's 128 KiB mmap threshold, so it is served from the
+# heap instead of being mapped and faulted in afresh.
+_BLOCK = 4096
+# Bytes per cell in a block: the longest %.17g text
+# ("-2.2250738585072014e-308") and the cell's separator.
+_WIDTH = 25
+# Dekker's splitting constant 2**27 + 1 (Numer. Math. 18, 1971).
+_SPLIT = 134217729.0
+# 10**k for k = 0..21, each exact in binary64.
+_POW10 = np.array([float(10**k) for k in range(22)])
+
+
+def _digit_groups():
+    """ASCII of the four-digit groups 0000..9999, each as one little-endian
+    uint32; entries 10**4 + g hold group g with its trailing zeros as NUL."""
+    g = np.arange(10**4)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    kept = np.flip(np.logical_or.accumulate(np.flip(digits != 0, axis=1), axis=1), axis=1)
+    ascii = digits + ord("0")
+    return np.concatenate([ascii, np.where(kept, ascii, 0)]).astype(np.uint8).view("<u4").ravel()
+
+
+_GROUPS = _digit_groups()
+
+
+def _runs(X):
+    """(start, end) of each run of equal values in the sorted array X."""
+    if not X.size:
+        return []
+    bounds = (np.flatnonzero(X[1:] != X[:-1]) + 1).tolist()
+    return list(zip([0] + bounds, bounds + [X.size]))
+
+
+def _fixed_point(x, idx):
+    """%.17g text of the cells x[idx], all finite with 1e-4 <= |x| < 1e17.
+
+    With X = floor(log10|x|), %.17g prints the 17-digit integer
+    D = round_half_even(|x| * 10**(16 - X)) in fixed point.  The product is
+    exact as the Dekker two-product p + e, since 10**(16 - X) is an exact
+    double, and D = p + rint(e) because p >= 2**53 is an even integer.
+    Returns the indices rendered, sorted by X, and their text as NUL-padded
+    rows of _WIDTH bytes.  A cell whose log10 estimate of X is off by one, or
+    whose rounding carries D to 10**17, is left out for the slow lane.
+    """
+    X = np.minimum(np.floor(np.log10(np.abs(x[idx]))), 16).astype(np.int8)
+    order = np.argsort(X, kind="stable")
+    idx, X = idx[order], X[order]
+    v = x[idx]
+    a = np.abs(v)
+    b = _POW10.take(16 - X)
+    p = a * b
+    t = b * _SPLIT
+    bh = t - (t - b)
+    bl = b - bh
+    t = a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    D = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    keep = (p > 1e16) | ((p == 1e16) & (e >= 0))
+    keep &= D < 10**17
+    if not keep.all():
+        idx, X, D, v = idx[keep], X[keep], D[keep], v[keep]
+    # D = lead, then the groups h4 h0 l4 l0 of four digits; a group followed
+    # only by zero groups is looked up with its trailing zeros stripped.  The
+    # lead digit sits in the last byte of the first word, so the 17 digit
+    # bytes are contiguous.
+    hi = D // 10**8
+    lo = (D - hi * 10**8).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    lead = hi // 10**8
+    h4 = hi // 10**4
+    h0 = hi - h4 * 10**4
+    h4 -= lead * 10**4
+    l4 = lo // 10**4
+    l0 = lo - l4 * 10**4
+    tail_zero = lo == 0
+    words = np.empty((idx.size, 5), "<u4")
+    words[:, 0] = (lead + ord("0")) << 24
+    words[:, 1] = _GROUPS.take(h4 + 10**4 * (tail_zero & (h0 == 0)))
+    words[:, 2] = _GROUPS.take(h0 + 10**4 * tail_zero)
+    words[:, 3] = _GROUPS.take(l4 + 10**4 * (l0 == 0))
+    words[:, 4] = _GROUPS.take(l0 + 10**4)
+    digits = words.view(np.uint8)[:, 3:]  # 17 digits, trailing zeros NUL
+    text = np.zeros((idx.size, _WIDTH), np.uint8)
+    text[:, 0] = np.signbit(v) * ord("-")
+    for s, end in _runs(X):
+        xg = int(X[s])
+        row, d = text[s:end], digits[s:end]
+        if xg >= 0:
+            # integer digits keep their zeros; '.' only before a nonzero tail
+            row[:, 1 : xg + 2] = np.maximum(d[:, : xg + 1], ord("0"))
+            if xg < 16:
+                row[:, xg + 2] = (d[:, xg + 1] != 0) * ord(".")
+                row[:, xg + 3 : 19] = d[:, xg + 1 :]
+        else:  # "0." and -X - 1 zeros before the digits
+            row[:, 1 : 2 - xg] = ord("0")
+            row[:, 2] = ord(".")
+            row[:, 2 - xg : 19 - xg] = d
+    return idx, text
+
+
+def _render_block(x, separators, blank):
+    """The CSV bytes of a block of float64 cells, each followed by its separator."""
+    cells = np.zeros((x.size, _WIDTH), np.uint8)
+    a = np.abs(x)
+    idx, text = _fixed_point(x, np.flatnonzero((a >= 1e-4) & (a < 1e17)))
+    cells.view(f"V{_WIDTH}").ravel()[idx] = text.view(f"V{_WIDTH}").ravel()
+    pending = np.ones(x.size, dtype=bool)
+    pending[idx] = False
+    slow = np.flatnonzero(pending)
+    text = [_CELL_SPEC % v for v in x[slow].tolist()]
+    cells[slow, :-1] = np.array(text, dtype=f"S{_WIDTH - 1}").view(np.uint8).reshape(-1, _WIDTH - 1)
+    cells[blank, :-1] = 0
+    cells[:, -1] = separators
+    return cells.tobytes().translate(None, b"\0")
+
+
+def _flatten(rows):
+    """One float64 per cell, one separator byte per cell (',' or, ending its
+    row, '\n'), and a mask of the blank cells.
+
+    An empty row becomes one blank cell, so that it still ends in '\n'.
+    """
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "biuf":
+        lengths = np.full(rows.shape[0], rows.shape[1])
+        values = rows.ravel().astype(np.float64, copy=False)
+    else:
+        rows = list(rows)
+        lengths = np.array([len(row) for row in rows], dtype=np.intp)
+        flat = list(chain.from_iterable(rows))
+        values = np.asarray(flat)
+        if values.dtype.kind in "biuf":
+            values = values.astype(np.float64, copy=False)
+        else:
+            # big ints, None, str, ...: the %-format accepts or refuses each
+            values = np.array([float(_CELL_SPEC % v) for v in flat])
+    empty = lengths == 0
+    lengths[empty] = 1
+    ends = np.cumsum(lengths) - 1
+    blank = np.zeros(lengths.sum(), dtype=bool)
+    blank[ends[empty]] = True
+    if empty.any():
+        filled = np.zeros(blank.size)
+        filled[~blank] = values
+        values = filled
+    separators = np.full(values.size, ord(","), dtype=np.uint8)
+    separators[ends] = ord("\n")
+    return values, separators, blank
+
 
 def csv_text(header, rows):
     """Render a header plus rows of ints and floats as CSV text.
 
-    Each row is one %-format of _CELL_SPEC per cell, integers included.
+    `rows` is a 2-D array or a sequence of rows, ragged or not.  The text is
+    byte-identical to one %-format of _CELL_SPEC per cell, integers included.
+    A vectorised kernel renders the cells in blocks of _BLOCK; cells outside
+    its fixed-point range (zeros, nan, infinities, subnormals, exponent-style
+    values) go through `_CELL_SPEC % x`, the slow lane.
     """
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join([_CELL_SPEC] * len(row)) % tuple(row))
-    return "\n".join(lines) + "\n"
+    values, separators, blank = _flatten(rows)
+    chunks = [(",".join(header) + "\n").encode()]
+    for start in range(0, values.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        chunks.append(_render_block(values[block], separators[block], blank[block]))
+    return b"".join(chunks).decode()
 
 
 def _sanitize(obj):
@@ -111,14 +274,10 @@ class Emitter:
 
 def write_manifest(emitter, command, config_echo, version):
     """Append the manifest (digests of everything emitted so far) to a run."""
-    files = [
-        {
-            "name": name,
-            "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-            "bytes": len(text.encode("utf-8")),
-        }
-        for name, text in emitter.artifacts
-    ]
+    files = []
+    for name, text in emitter.artifacts:
+        data = text.encode("utf-8")
+        files.append({"name": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)})
     manifest = {
         "tool": "fraclab",
         "version": version,
