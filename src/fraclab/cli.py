@@ -208,9 +208,10 @@ def cmd_evolve(cfg, emitter):
 
 def _table_command(name, cfg, emitter):
     region = ObservationRegion.boundary_layers(cfg.epsilon)
-    spectra = {b: _spectrum_for(b, cfg.n, cfg.mode_counts[-1]) for b in cfg.betas}
-    table = sharpness_experiment(spectra, cfg.mode_counts, region, cfg.T)
     betas = sorted(cfg.betas)
+    # one spectrum at a time: each is computed as its row is reached
+    spectra = ((b, _spectrum_for(b, cfg.n, cfg.mode_counts[-1])) for b in betas)
+    table = sharpness_experiment(spectra, cfg.mode_counts, region, cfg.T)
     constants, conditions = table.constants.tolist(), table.conditions.tolist()
     rows = [
         (b, k, cfg.T, cfg.epsilon, constants[i][j], conditions[i][j])

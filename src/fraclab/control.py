@@ -53,8 +53,12 @@ VERIFICATION_TOLERANCE = 1e-9
 # Gauss-Legendre nodes per panel of the HUM replay's composite rules.
 PANEL_NODES = 32
 
-# Time samples per block of the HUM replay, a multiple of PANEL_NODES.
-CHUNK = 8192
+# Bytes of the (region nodes x samples) complex trajectory that one block of
+# the HUM replay may hold; a block takes as many whole panels as fit, and at
+# least one, so the replay's memory does not grow with its length.  Budgets
+# of 0.5 to 4 MiB and a single block per rule replayed the benchmark's hum
+# configurations equally fast; the smallest is kept.
+BLOCK_BYTES = 1 << 19
 
 # Most samples the HUM replay's accepted rule may take; beyond it the replay
 # takes none and sets ControlResult.replay_capped.
@@ -183,13 +187,15 @@ class SharpnessTable:
 def sharpness_experiment(spectra, mode_counts, region, horizon):
     """Observability constants across one or more mode counts for several orders.
 
-    `spectra` maps each fractional order to a Spectrum holding at least
-    max(mode_counts) modes.  With two or more counts a row is classified
-    "vanishing" when the constant falls by more than a factor 100 from the
-    smallest to the largest span (the two regimes sit orders of magnitude
-    apart: below the dichotomy point the constants collapse by many decades
-    over K = 5..40, above it they settle at an order-one fraction of their
-    small-K value).
+    `spectra` yields (order, Spectrum) pairs with ascending orders, each
+    spectrum holding at least max(mode_counts) modes.  A spectrum is dropped
+    once its row of Gramians is done, so a generator that computes each one
+    on demand keeps one alive at a time.  With two or more counts a row is
+    classified "vanishing" when the constant falls by more than a factor 100
+    from the smallest to the largest span (the two regimes sit orders of
+    magnitude apart: below the dichotomy point the constants collapse by many
+    decades over K = 5..40, above it they settle at an order-one fraction of
+    their small-K value).
 
     A Hermitian eigensolve of a K x K Gramian resolves eigenvalues only down
     to about K * eps * lambda_max, so a constant counts as resolved when it
@@ -199,19 +205,21 @@ def sharpness_experiment(spectra, mode_counts, region, horizon):
     counts = tuple(sorted(int(k) for k in mode_counts))
     if not counts:
         raise ValueError("need at least one mode count")
-    betas = sorted(spectra)
-    constants = np.empty((len(betas), len(counts)))
-    conditions = np.empty_like(constants)
-    for i, b in enumerate(betas):
-        spectrum = spectra[b]
+    betas, constants, conditions = [], [], []
+    for b, spectrum in spectra:
+        if betas and b <= betas[-1]:
+            raise ValueError(f"orders must ascend, got {b} after {betas[-1]}")
         if counts[-1] > spectrum.modes:
             raise ValueError(
                 f"spectrum for beta={b} holds {spectrum.modes} modes, need {counts[-1]}"
             )
-        for j, k in enumerate(counts):
-            g = schrodinger_gramian(spectrum, region, horizon, k)
-            constants[i, j] = observability_constant(g)
-            conditions[i, j] = gramian_condition(g)
+        gramians = [schrodinger_gramian(spectrum, region, horizon, k) for k in counts]
+        del spectrum  # before the next order's spectrum is computed
+        betas.append(b)
+        constants.append([observability_constant(g) for g in gramians])
+        conditions.append([gramian_condition(g) for g in gramians])
+    constants = np.reshape(constants, (-1, len(counts)))
+    conditions = np.reshape(conditions, (-1, len(counts)))
     floor = 1.0 / (np.asarray(counts) * np.finfo(float).eps)
     decay = verdicts = None
     if len(counts) >= 2:
@@ -271,8 +279,9 @@ def _replay(lam, h, phi_region, coeffs, horizon, scales):
     # many; |accepted - coarse| estimates the error of the coarse sums and
     # so bounds that of the accepted ones.  Each rule sums the forcing
     # integral (first len(lam) entries) and the observed energy (last) over
-    # blocks of whole panels, CHUNK being a multiple of PANEL_NODES, with
-    # one block alive at a time.  A replay whose accepted rule exceeds
+    # blocks of whole panels, as many as keep a block's complex samples
+    # within BLOCK_BYTES (at least one); a block's times are made with it, so
+    # one block is alive at a time.  A replay whose accepted rule exceeds
     # REPLAY_STEP_CAP samples nothing, reports NaN and gives the count it
     # would need as a float, which any JSON reader holds.  Returns the
     # accepted sums, their sample count, whether the cap refused the replay,
@@ -283,18 +292,20 @@ def _replay(lam, h, phi_region, coeffs, horizon, scales):
     if steps > REPLAY_STEP_CAP:
         return np.full(len(lam) + 1, np.nan, dtype=complex), float(steps), True, np.full(2, np.nan)
     nodes, weights = np.polynomial.legendre.leggauss(PANEL_NODES)
+    offsets = 0.5 * (nodes + 1.0)
+    panel_bytes = np.dtype(complex).itemsize * phi_region.shape[0] * PANEL_NODES
+    per_block = max(1, BLOCK_BYTES // panel_bytes)
     totals = []
     for p in (panels, 2 * panels):
         width = T / p
-        times = (width * (np.arange(p)[:, None] + 0.5 * (nodes + 1.0))).ravel()
         panel_weights = 0.5 * width * weights
 
         def rule(t):
             return np.tile(panel_weights, len(t) // PANEL_NODES)
 
         integral = energy = 0.0
-        for start in range(0, len(times), CHUNK):
-            t = times[start : start + CHUNK]
+        for first in range(0, p, per_block):
+            t = (width * (np.arange(first, min(first + per_block, p))[:, None] + offsets)).ravel()
             y = _trajectory(lam, coeffs, phi_region, t)
             squares = np.einsum("ij,ij->j", y.T.view(float), y.T.view(float))
             energy += (h * (squares[0::2] + squares[1::2])) @ rule(t)

@@ -8,8 +8,9 @@ writes the fixed-point cells (finite, 1e-4 <= |x| < 1e17) byte-identical to
 exponent-style values) with the %-format itself.  JSON is emitted with sorted
 keys; non-finite floats are rendered as the strings "nan", "inf", "-inf" to
 stay standard-compliant.  Every run records a manifest listing each emitted
-file with its SHA-256 digest; verify_manifest re-hashes the files and
-reports drift.
+file with its SHA-256 digest and byte count, taken from the bytes as they are
+written; verify_manifest re-hashes the files in bounded reads and reports
+drift.
 """
 
 import datetime
@@ -33,6 +34,12 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
+
+# Characters of an artifact encoded, hashed and written at a time; a slice
+# and its bytes stay below glibc's 128 KiB mmap threshold.
+_SLICE = 1 << 16
+# Bytes read at a time when a file is re-hashed.
+_READ = 1 << 20
 
 
 # The one %-format spec of every CSV cell.  It prints each integer the
@@ -143,7 +150,7 @@ def _fixed_point(x, idx):
 
 
 def _render_block(x, separators, blank):
-    """The CSV bytes of a block of float64 cells, each followed by its separator."""
+    """The CSV text of a block of float64 cells, each followed by its separator."""
     cells = np.zeros((x.size, _WIDTH), np.uint8)
     a = np.abs(x)
     idx, text = _fixed_point(x, np.flatnonzero((a >= 1e-4) & (a < 1e17)))
@@ -155,7 +162,7 @@ def _render_block(x, separators, blank):
     cells[slow, :-1] = np.array(text, dtype=f"S{_WIDTH - 1}").view(np.uint8).reshape(-1, _WIDTH - 1)
     cells[blank, :-1] = 0
     cells[:, -1] = separators
-    return cells.tobytes().translate(None, b"\0")
+    return cells.tobytes().translate(None, b"\0").decode()
 
 
 def _flatten(rows):
@@ -196,16 +203,17 @@ def csv_text(header, rows):
 
     `rows` is a 2-D array or a sequence of rows, ragged or not.  The text is
     byte-identical to one %-format of _CELL_SPEC per cell, integers included.
-    A vectorised kernel renders the cells in blocks of _BLOCK; cells outside
-    its fixed-point range (zeros, nan, infinities, subnormals, exponent-style
+    A vectorised kernel renders the cells in blocks of _BLOCK, each decoded
+    at once, so the text is joined from block strings; cells outside its
+    fixed-point range (zeros, nan, infinities, subnormals, exponent-style
     values) go through `_CELL_SPEC % x`, the slow lane.
     """
     values, separators, blank = _flatten(rows)
-    chunks = [(",".join(header) + "\n").encode()]
+    blocks = [",".join(header) + "\n"]
     for start in range(0, values.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        chunks.append(_render_block(values[block], separators[block], blank[block]))
-    return b"".join(chunks).decode()
+        blocks.append(_render_block(values[block], separators[block], blank[block]))
+    return "".join(blocks)
 
 
 def _sanitize(obj):
@@ -245,8 +253,10 @@ def utc_stamp():
 class Emitter:
     """Collects named text artifacts and serializes them through one writer.
 
-    With a directory set, write() lands files on disk immediately; buffered
-    emitters (directory=None) hold the texts so a sweep can compute cells
+    With a directory set, write() lands each file on disk at once, encoding
+    and hashing it slice by slice, and keeps only its manifest entry (name,
+    SHA-256 digest, byte count), not the text.  Buffered emitters
+    (directory=None) hold (name, text) pairs so a sweep can compute cells
     concurrently and have the main thread replay them in a fixed order.
     `stamp` is the run's start time for the SVG comments and the manifest,
     or None to keep the output byte-reproducible.
@@ -254,16 +264,21 @@ class Emitter:
 
     directory: str = None
     stamp: str = None
-    artifacts: list = field(default_factory=list)  # (name, text) in emission order
+    artifacts: list = field(default_factory=list)  # in emission order, each led by its name
 
     def write(self, name, text):
-        if any(existing == name for existing, _ in self.artifacts):
+        if any(existing == name for existing, *_ in self.artifacts):
             raise FraclabError(f"artifact {name!r} emitted twice")
-        self.artifacts.append((name, text))
-        if self.directory is not None:
-            path = os.path.join(self.directory, name)
-            with open(path, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
+        if self.directory is None:
+            self.artifacts.append((name, text))
+            return
+        digest, size = hashlib.sha256(), 0
+        with open(os.path.join(self.directory, name), "wb") as handle:
+            for start in range(0, len(text), _SLICE):
+                data = text[start : start + _SLICE].encode("utf-8")
+                digest.update(data)
+                size += handle.write(data)
+        self.artifacts.append((name, digest.hexdigest(), size))
 
     def absorb(self, other, prefix):
         """Replay a buffered emitter's artifacts through this writer, each
@@ -273,11 +288,9 @@ class Emitter:
 
 
 def write_manifest(emitter, command, config_echo, version):
-    """Append the manifest (digests of everything emitted so far) to a run."""
-    files = []
-    for name, text in emitter.artifacts:
-        data = text.encode("utf-8")
-        files.append({"name": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)})
+    """Append the manifest (the entries of everything a directory-backed
+    emitter wrote so far) to a run."""
+    files = [{"name": name, "sha256": sha256, "bytes": size} for name, sha256, size in emitter.artifacts]
     manifest = {
         "tool": "fraclab",
         "version": version,
@@ -291,7 +304,7 @@ def write_manifest(emitter, command, config_echo, version):
 
 
 def verify_manifest(directory):
-    """Re-hash the files listed in a directory's manifest.
+    """Re-hash the files listed in a directory's manifest, _READ bytes at a time.
 
     Returns (ok, report_lines).  Missing files and digest mismatches are
     drift; the manifest itself is not re-checked (it holds the digests).  An
@@ -325,9 +338,11 @@ def verify_manifest(directory):
             ok = False
             lines.append(f"missing  {name}")
             continue
+        digest = hashlib.sha256()
         with open(target, "rb") as handle:
-            digest = hashlib.sha256(handle.read()).hexdigest()
-        if digest == sha256:
+            while data := handle.read(_READ):
+                digest.update(data)
+        if digest.hexdigest() == sha256:
             lines.append(f"ok       {name}")
         else:
             ok = False

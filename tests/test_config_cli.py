@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -313,6 +314,24 @@ class TestCliDeterminism:
         assert printed["default"].endswith(" jobs=1")
         assert printed["config"].endswith(" jobs=2") and printed["flag"].endswith(" jobs=2")
 
+    @pytest.mark.parametrize(
+        "args",
+        [["hum", "--n", "64", "--modes", "4"], ["sweep", "--n", "16", "--modes", "2", "--jobs", "2"]],
+        ids=lambda args: args[0],
+    )
+    def test_manifest_entries_match_bytes_on_disk(self, tmp_path, args):
+        # entries come from the bytes as they are written; a sweep's cells
+        # are buffered and land through the absorbing emitter
+        out = tmp_path / "o"
+        assert cli.main(args + ["--out", str(out), "--no-timestamp"]) == 0
+        entries = json.loads((out / "manifest.json").read_text())["files"]
+        on_disk = sorted(p.name for p in out.iterdir())
+        assert sorted(e["name"] for e in entries) + ["manifest.json"] == on_disk
+        for entry in entries:
+            data = (out / entry["name"]).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+            assert entry["bytes"] == len(data)
+
     def test_verify_accepts_then_flags_drift(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli(
@@ -610,6 +629,28 @@ class TestCliObservability:
         assert first == "observability: n=64 T=4 epsilon=0.2  one mode count, no verdict"
         _, rows = read_csv(out / "observability.csv")
         assert len(rows) == 2
+
+
+    def test_table_command_holds_one_spectrum_at_a_time(self, tmp_path, monkeypatch):
+        # each order's spectrum is dropped once its row of Gramians is done,
+        # before the next order's eigensolve
+        refs, held = [], []
+
+        def tracked(op, modes):
+            held.append(sum(ref() is not None for ref in refs))
+            spectrum = compute_spectrum(op, modes)
+            refs.append(weakref.ref(spectrum))
+            return spectrum
+
+        monkeypatch.setattr(cli, "compute_spectrum", tracked)
+        cfg = tmp_path / "sharp.ini"
+        cfg.write_text("[sharpness]\nbetas = 0.75, 0.25, 0.5\nmode_counts = 5, 10\nn = 64\n")
+        out = tmp_path / "o"
+        assert cli.main(["sharpness", "--config", str(cfg), "--out", str(out), "--no-timestamp"]) == 0
+        assert held == [0, 0, 0]
+        assert [ref() for ref in refs] == [None, None, None]
+        summary = json.loads((out / "sharpness.json").read_text())
+        assert summary["betas"] == [0.25, 0.5, 0.75]
 
 
 class TestCliHum:

@@ -1,5 +1,6 @@
 """Observability Gramians, the sharpness table, and HUM control synthesis."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,12 +26,25 @@ from fraclab import (
 )
 from fraclab import control
 from fraclab.config import MAX_HORIZON, MAX_NODES, RunConfig
-from fraclab.control import CHUNK, VERIFICATION_TOLERANCE, _trajectory
+from fraclab.control import VERIFICATION_TOLERANCE, _trajectory
 from fraclab.dynamics import _forced_increment
 from fraclab.errors import IllConditionedError, UncontrollableError
 from oracles import forced_evolve, simpson_or_trapezoid
 
 RNG = np.random.default_rng(20260823)
+
+
+def replay_block(nodes):
+    """Samples per HUM replay block over `nodes` region nodes: the most whole
+    panels whose complex (nodes x samples) block fits control.BLOCK_BYTES,
+    and at least one."""
+    panel_bytes = 16 * nodes * control.PANEL_NODES
+    return max(1, control.BLOCK_BYTES // panel_bytes) * control.PANEL_NODES
+
+
+def replay_partition(samples, block):
+    """Block lengths of one replay rule of `samples` samples."""
+    return [min(block, samples - start) for start in range(0, samples, block)]
 
 
 @pytest.fixture
@@ -257,7 +271,7 @@ class TestSharpness:
             b: compute_spectrum(assemble_operator(Grid(256), b), 20)
             for b in (0.25, 0.75)
         }
-        return sharpness_experiment(spectra, (5, 10, 20), region, 4.0)
+        return sharpness_experiment(spectra.items(), (5, 10, 20), region, 4.0)
 
     def test_verdict_dichotomy(self, table):
         assert table.verdicts == ("vanishing", "uniform")
@@ -285,7 +299,7 @@ class TestSharpness:
         region = ObservationRegion.boundary_layers(cfg.epsilon)
         op = assemble_operator(Grid(cfg.n), 0.25)
         spectra = {0.25: compute_spectrum(op, cfg.mode_counts[-1])}
-        table = sharpness_experiment(spectra, cfg.mode_counts, region, cfg.T)
+        table = sharpness_experiment(spectra.items(), cfg.mode_counts, region, cfg.T)
         resolved = dict(zip(cfg.mode_counts, table.resolved[0].tolist()))
         assert resolved[30] is True
         assert resolved[40] is False
@@ -299,7 +313,7 @@ class TestSharpness:
         monkeypatch.setattr(control, "observability_constant", lambda g: cells[g.modes][0])
         monkeypatch.setattr(control, "gramian_condition", lambda g: cells[g.modes][1])
         region = ObservationRegion.boundary_layers(0.2)
-        table = sharpness_experiment({0.5: get_spectrum(0.5, 64, 40)}, tuple(cells), region, 1.0)
+        table = sharpness_experiment([(0.5, get_spectrum(0.5, 64, 40))], tuple(cells), region, 1.0)
         assert table.resolved.tolist() == [[True, False, True, False]]
 
     def test_one_eigensolve_per_gramian(self, get_spectrum, eigensolves):
@@ -307,14 +321,14 @@ class TestSharpness:
         # constant and its condition number
         region = ObservationRegion.boundary_layers(0.2)
         spectra = {b: get_spectrum(b, 64, 12) for b in (0.25, 0.5, 0.75)}
-        sharpness_experiment(spectra, (3, 6, 12), region, 2.0)
+        sharpness_experiment(spectra.items(), (3, 6, 12), region, 2.0)
         assert sorted(eigensolves) == sorted([(k, k) for k in (3, 6, 12)] * 3)
 
     def test_single_count_is_a_column_without_verdicts(self, get_spectrum):
         region = ObservationRegion.boundary_layers(0.2)
         spectra = {b: get_spectrum(b, 64, 12) for b in (0.25, 0.75)}
-        full = sharpness_experiment(spectra, (3, 6, 12), region, 2.0)
-        single = sharpness_experiment(spectra, (6,), region, 2.0)
+        full = sharpness_experiment(spectra.items(), (3, 6, 12), region, 2.0)
+        single = sharpness_experiment(spectra.items(), (6,), region, 2.0)
         assert single.decay_ratios is None
         assert single.verdicts is None
         np.testing.assert_array_equal(single.constants, full.constants[:, 1:2])
@@ -325,9 +339,11 @@ class TestSharpness:
         region = ObservationRegion.boundary_layers(0.2)
         spectra = {0.5: get_spectrum(0.5, 64, 12)}
         with pytest.raises(ValueError):
-            sharpness_experiment(spectra, (), region, 1.0)
+            sharpness_experiment(spectra.items(), (), region, 1.0)
         with pytest.raises(ValueError):
-            sharpness_experiment(spectra, (5, 50), region, 1.0)
+            sharpness_experiment(spectra.items(), (5, 50), region, 1.0)
+        with pytest.raises(ValueError, match="ascend"):
+            sharpness_experiment([(0.5, spectra[0.5]), (0.25, spectra[0.5])], (5,), region, 1.0)
 
 
 class TestHumControl:
@@ -370,14 +386,15 @@ class TestHumControl:
 
     def test_trajectory_matches_oracle(self, setup):
         # the free trajectory y(t_j, x_i) = sum_k c_k e^(i lambda_k t_j) phi_k(x_i),
-        # sampled on disjoint blocks of CHUNK times as the replay samples it
+        # sampled on disjoint blocks of whole panels as the replay samples it
         spectrum, region, state = setup
         lam = spectrum.eigenvalues[:8]
         phi_region = spectrum.vectors[region.node_indices(spectrum.grid), :8]
         coeffs = state.coefficients
-        times = np.linspace(0.0, 1.0, 2 * CHUNK + 100)
-        blocks = [times[start : start + CHUNK] for start in range(0, len(times), CHUNK)]
-        assert [len(t) for t in blocks] == [CHUNK, CHUNK, 100]
+        block = replay_block(len(phi_region))
+        times = np.linspace(0.0, 1.0, 2 * block + control.PANEL_NODES)
+        blocks = [times[start : start + block] for start in range(0, len(times), block)]
+        assert [len(t) for t in blocks] == [block, block, control.PANEL_NODES]
         for t in blocks:
             y = _trajectory(lam, coeffs, phi_region, t)
             want = (np.exp(1j * np.outer(t, lam)) * coeffs) @ phi_region.T
@@ -483,11 +500,13 @@ class TestAdaptiveReplay:
 
     def _fine_simpson(self, lam, h, phi_region, coeffs, T):
         # forcing integral and observed energy by composite Simpson on
-        # FINE_STEPS steps, in blocks of CHUNK intervals sharing endpoints
+        # FINE_STEPS steps, in blocks sharing endpoints, each of as many
+        # intervals as a replay block holds samples (an even count)
         fine = np.linspace(0.0, T, self.FINE_STEPS + 1)
+        block = replay_block(len(phi_region))
         integral, energy = 0.0, 0.0
-        for start in range(0, self.FINE_STEPS, CHUNK):
-            t = fine[start : start + CHUNK + 1]
+        for start in range(0, self.FINE_STEPS, block):
+            t = fine[start : start + block + 1]
             y = (np.exp(1j * np.outer(t, lam)) * coeffs) @ phi_region.T
             w = simpson_or_trapezoid(t)
             integral = integral + _forced_increment(lam, h, phi_region, [(t, y)], rule=simpson_or_trapezoid)
@@ -522,25 +541,65 @@ class TestAdaptiveReplay:
         assert result.identity_residual <= VERIFICATION_TOLERANCE
 
     def test_kernel_runs_on_coarse_and_accepted_panels(self, run):
-        # one kernel call per block; each rule here fits one block, so one
-        # call on the composite Gauss-Legendre nodes of P panels and one on
-        # those of 2P panels; the second takes replay_steps samples
-        state, _, T, result, calls = run
+        # one kernel call per block; the coarse rule's blocks together take
+        # the composite Gauss-Legendre nodes of P panels, the accepted
+        # rule's those of 2P panels, replay_steps samples in all
+        state, region, T, result, calls = run
         lam = state.eigenvalues
         panels = max(1, math.ceil((lam[-1] - lam[0]) * T / control.PANEL_NODES))
         nodes, _ = np.polynomial.legendre.leggauss(control.PANEL_NODES)
-        assert len(calls) == 2
-        for times, p in zip(calls, (panels, 2 * panels)):
+        block = replay_block(len(region.node_indices(state.spectrum.grid)))
+        coarse = replay_partition(panels * control.PANEL_NODES, block)
+        assert all(len(times) == 1 for times in calls)
+        assert [len(times[0]) for times in calls] == coarse + replay_partition(result.replay_steps, block)
+        rules = calls[: len(coarse)], calls[len(coarse) :]
+        for blocks, p in zip(rules, (panels, 2 * panels)):
             width = T / p
             want = np.add.outer(width * np.arange(p), 0.5 * width * (nodes + 1.0)).ravel()
-            got = np.concatenate(times)
+            got = np.concatenate([times[0] for times in blocks])
             assert len(got) == p * control.PANEL_NODES
             assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * T
-        assert sum(len(t) for t in calls[1]) == result.replay_steps
+        assert sum(len(times[0]) for times in rules[1]) == result.replay_steps
+
+    def test_blocks_are_whole_panels_within_the_byte_budget(self, run):
+        # each block is the most whole panels whose complex samples fit
+        # BLOCK_BYTES, but for the last of a rule; the coarse rule's blocks
+        # take half of replay_steps and the accepted rule's all of it
+        state, region, T, result, calls = run
+        nodes = len(region.node_indices(state.spectrum.grid))
+        lengths = [len(times[0]) for times in calls]
+        steps = result.replay_steps
+        assert len(lengths) >= 4
+        for n_t in lengths:
+            assert n_t % control.PANEL_NODES == 0
+            assert 16 * nodes * n_t <= control.BLOCK_BYTES
+        cuts = list(itertools.accumulate(lengths))
+        assert cuts[-1] == steps // 2 + steps
+        coarse = cuts.index(steps // 2) + 1
+        rules = lengths[:coarse], lengths[coarse:]
+        for blocks in rules:
+            for n_t in blocks[:-1]:
+                assert 16 * nodes * (n_t + control.PANEL_NODES) > control.BLOCK_BYTES
+
+    def test_panel_past_the_budget_is_a_block_alone(self, get_spectrum, monkeypatch):
+        # a budget below one panel's samples still replays, one panel a block
+        spectrum = get_spectrum(0.9, 1024, 40)
+        region = ObservationRegion.boundary_layers(0.2)
+        nodes = len(region.node_indices(spectrum.grid))
+        monkeypatch.setattr(control, "BLOCK_BYTES", 16 * nodes * control.PANEL_NODES - 1)
+        rng = np.random.default_rng(90)
+        a0 = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        state = ModalState(coefficients=a0 / np.linalg.norm(a0), spectrum=spectrum)
+        result, calls = hum_with_kernel_calls(state, region, 1.0)
+        panels = 3 * result.replay_steps // (2 * control.PANEL_NODES)  # both rules
+        assert [len(times[0]) for times in calls] == [control.PANEL_NODES] * panels
+        assert result.final_state_norm <= VERIFICATION_TOLERANCE
+        assert result.identity_residual <= VERIFICATION_TOLERANCE
 
     def test_rule_past_one_chunk_runs_one_kernel_call_per_block(self, get_spectrum):
         # beta = 1, K = 60, T = 0.5: 139 panels, so the coarse rule takes
-        # 4448 samples in one block and the accepted rule 8896 in two
+        # 4448 samples and the accepted rule 8896, each in blocks of the
+        # byte rule (two panels on these 410 region nodes)
         K, T = 60, 0.5
         spectrum = get_spectrum(1.0, 2047, K)
         region = ObservationRegion.boundary_layers(0.2)
@@ -551,10 +610,11 @@ class TestAdaptiveReplay:
         lam = state.eigenvalues
         coarse = max(1, math.ceil((lam[-1] - lam[0]) * T / control.PANEL_NODES)) * control.PANEL_NODES
         accepted = result.replay_steps
-        assert accepted == 2 * coarse > CHUNK > coarse
+        block = replay_block(len(region.node_indices(spectrum.grid)))
+        assert accepted == 2 * coarse > coarse > block
         assert all(len(times) == 1 for times in calls)
         lengths = [len(times[0]) for times in calls]
-        assert lengths == [coarse, CHUNK, accepted - CHUNK]
+        assert lengths == replay_partition(coarse, block) + replay_partition(accepted, block)
         assert sum(lengths) == coarse + accepted
         assert result.final_state_norm <= VERIFICATION_TOLERANCE * np.linalg.norm(state.coefficients)
         assert result.identity_residual <= VERIFICATION_TOLERANCE

@@ -1,5 +1,6 @@
 """Artifact rendering: CSV number formatting and the emitter."""
 
+import hashlib
 import sys
 from unittest import mock
 
@@ -50,6 +51,56 @@ def test_absorb_prefixes_names_and_refuses_duplicates():
     assert len(target.artifacts) == 4
     with pytest.raises(FraclabError, match="emitted twice"):
         target.absorb(buffer, "beta0.5_")
+
+
+def test_directory_emitter_keeps_entries_not_texts(tmp_path):
+    # three slices, each edge falling right after a two-byte character
+    text = ("x" * (output._SLICE - 2) + "\u03b2\n") * 3
+    emitter = Emitter(directory=str(tmp_path))
+    emitter.write("a.txt", text)
+    data = (tmp_path / "a.txt").read_bytes()
+    assert data == text.encode("utf-8")
+    assert emitter.artifacts == [("a.txt", hashlib.sha256(data).hexdigest(), len(data))]
+    with pytest.raises(FraclabError, match="emitted twice"):
+        emitter.write("a.txt", text)
+
+
+def test_verify_hashes_in_bounded_reads(tmp_path, monkeypatch):
+    # a file of four reads, the last one short; one byte changed in that
+    # last read is drift
+    text = "0123456789\n" * ((3 * output._READ + 1000) // 11)
+    emitter = Emitter(directory=str(tmp_path))
+    emitter.write("big.csv", text)
+    output.write_manifest(emitter, "test", {}, "0")
+    sizes = []
+
+    class Recorded:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def read(self, size=-1):
+            sizes.append(size)
+            return self.handle.read(size)
+
+    def recording_open(path, mode="r", **kwargs):
+        handle = open(path, mode, **kwargs)
+        return Recorded(handle) if mode == "rb" else handle
+
+    monkeypatch.setattr(output, "open", recording_open, raising=False)
+    assert output.verify_manifest(str(tmp_path)) == (True, ["ok       big.csv"])
+    assert sizes == [output._READ] * 5
+    path = tmp_path / "big.csv"
+    data = bytearray(path.read_bytes())
+    assert len(data) > 3 * output._READ
+    data[-5] ^= 1
+    path.write_bytes(data)
+    assert output.verify_manifest(str(tmp_path)) == (False, ["drift    big.csv"])
 
 
 @settings(max_examples=60, deadline=None, database=None)
