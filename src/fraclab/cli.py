@@ -105,30 +105,28 @@ def _make_datum(spec, modes, seed):
     return a / np.linalg.norm(a)
 
 
-def _spectrum_rows(beta, lam, count):
-    """Rows (k, lambda, asymptotic, gap, asymptotic gap) for k = 1..count.
-
-    A numeric gap past the last computed eigenvalue is nan.
-    """
-    asym = asymptotic_eigenvalue(beta, np.arange(1, count + 2))
-    rows = []
-    for i in range(count):
-        gap_num = float(lam[i + 1] - lam[i]) if i + 1 < len(lam) else float("nan")
-        rows.append((i + 1, float(lam[i]), float(asym[i]), gap_num, float(asym[i + 1] - asym[i])))
-    return rows
+def _spectrum_table(beta, lam, count):
+    """(count, 5) table of k, lambda, asymptotic, gap, asymptotic gap for
+    k = 1..count; a numeric gap past the last computed eigenvalue is nan."""
+    k = np.arange(1, count + 2)
+    asym = asymptotic_eigenvalue(beta, k)
+    gaps = np.full(count, np.nan)
+    known = np.diff(lam[: count + 1])
+    gaps[: known.size] = known
+    return np.column_stack([k[:-1], lam[:count], asym[:-1], gaps, np.diff(asym)])
 
 
 def cmd_spectrum(cfg, emitter):
     lam = _spectrum_for(cfg.beta, cfg.n, min(cfg.modes + 1, cfg.n)).eigenvalues
-    rows = _spectrum_rows(cfg.beta, lam, cfg.modes)
-    emitter.write("spectrum.csv", csv_text(SPECTRUM_HEADER, rows))
-    ks = [r[0] for r in rows]
+    table = _spectrum_table(cfg.beta, lam, cfg.modes)
+    emitter.write("spectrum.csv", csv_text(SPECTRUM_HEADER, table))
+    k = tuple(table[:, 0])
     emitter.write(
         "spectrum.svg",
         line_plot(
             [
-                Series("numeric", tuple(ks), tuple(r[1] for r in rows), markers=True),
-                Series("asymptotic", tuple(ks), tuple(r[2] for r in rows)),
+                Series("numeric", k, tuple(table[:, 1]), markers=True),
+                Series("asymptotic", k, tuple(table[:, 2])),
             ],
             title=f"eigenvalues, beta={cfg.beta:g}, n={cfg.n}",
             xlabel="k",
@@ -136,19 +134,20 @@ def cmd_spectrum(cfg, emitter):
             timestamp=emitter.stamp,
         ),
     )
-    return f"spectrum: beta={cfg.beta:g} n={cfg.n} modes={cfg.modes} lambda_1={rows[0][1]:.12g}"
+    return f"spectrum: beta={cfg.beta:g} n={cfg.n} modes={cfg.modes} lambda_1={table[0, 1]:.12g}"
 
 
 def cmd_gaps(cfg, emitter):
     lam = _spectrum_for(cfg.beta, cfg.n, cfg.modes).eigenvalues
-    rows = _spectrum_rows(cfg.beta, lam, cfg.modes - 1)
-    emitter.write("gaps.csv", csv_text(SPECTRUM_HEADER, rows))
+    table = _spectrum_table(cfg.beta, lam, cfg.modes - 1)
+    emitter.write("gaps.csv", csv_text(SPECTRUM_HEADER, table))
+    k = tuple(table[:, 0])
     emitter.write(
         "gaps.svg",
         line_plot(
             [
-                Series("gap numeric", tuple(r[0] for r in rows), tuple(r[3] for r in rows), markers=True),
-                Series("gap asymptotic", tuple(r[0] for r in rows), tuple(r[4] for r in rows)),
+                Series("gap numeric", k, tuple(table[:, 3]), markers=True),
+                Series("gap asymptotic", k, tuple(table[:, 4])),
             ],
             title=f"eigenvalue gaps, beta={cfg.beta:g}, n={cfg.n}",
             xlabel="k",
@@ -156,7 +155,7 @@ def cmd_gaps(cfg, emitter):
             timestamp=emitter.stamp,
         ),
     )
-    return f"gaps: beta={cfg.beta:g} n={cfg.n} rows={len(rows)}"
+    return f"gaps: beta={cfg.beta:g} n={cfg.n} rows={len(table)}"
 
 
 def cmd_evolve(cfg, emitter):

@@ -371,8 +371,7 @@ def hum_control(state, region, horizon):
     u0_norm = float(np.linalg.norm(a0))
 
     # Reported control samples on the conventional grid dt = T / 1000.
-    t_report = np.linspace(0.0, T, 1001)
-    y_report = (np.exp(1j * np.outer(t_report, lam)) * coeffs) @ phi_region.T
+    y_report = _trajectory(lam, coeffs, phi_region, np.linspace(0.0, T, 1001))
 
     # One replay gives the forcing integral and, for the duality identity,
     # the observed energy of y, against the Gramian quadratic form of y0.

@@ -1,6 +1,7 @@
 """Deterministic artifact emission: CSV, JSON, SVG, and run manifests.
 
-Every CSV cell, integer or float, is rendered as the %.17g spec renders it:
+A CSV table is one 2-D int or float array, and any other input is refused.
+Every cell, integer or float, is rendered as the %.17g spec renders it:
 17 significant digits with a '.' separator and no locale dependence, so
 identical inputs produce byte-identical files.  A vectorised numpy kernel
 writes the fixed-point cells (finite, 1e-4 <= |x| < 1e17) byte-identical to
@@ -18,7 +19,6 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -149,7 +149,7 @@ def _fixed_point(x, idx):
     return idx, text
 
 
-def _render_block(x, separators, blank):
+def _render_block(x, separators):
     """The CSV text of a block of float64 cells, each followed by its separator."""
     cells = np.zeros((x.size, _WIDTH), np.uint8)
     a = np.abs(x)
@@ -160,59 +160,37 @@ def _render_block(x, separators, blank):
     slow = np.flatnonzero(pending)
     text = [_CELL_SPEC % v for v in x[slow].tolist()]
     cells[slow, :-1] = np.array(text, dtype=f"S{_WIDTH - 1}").view(np.uint8).reshape(-1, _WIDTH - 1)
-    cells[blank, :-1] = 0
     cells[:, -1] = separators
     return cells.tobytes().translate(None, b"\0").decode()
 
 
-def _flatten(rows):
-    """One float64 per cell, one separator byte per cell (',' or, ending its
-    row, '\n'), and a mask of the blank cells.
+def csv_text(header, table):
+    """Render a header plus a table of ints and floats as CSV text.
 
-    An empty row becomes one blank cell, so that it still ends in '\n'.
+    `table` is anything np.asarray makes a 2-D int or float array of with at
+    least one column (an array, or a list of equal-length rows); anything
+    else raises ValueError.  The text is byte-identical to one %-format of
+    _CELL_SPEC per cell, integers included.  A vectorised kernel renders the
+    cells in blocks of _BLOCK, each decoded at once, so the text is joined
+    from block strings; cells outside its fixed-point range (zeros, nan,
+    infinities, subnormals, exponent-style values) go through
+    `_CELL_SPEC % x`, the slow lane.
     """
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "biuf":
-        lengths = np.full(rows.shape[0], rows.shape[1])
-        values = rows.ravel().astype(np.float64, copy=False)
-    else:
-        rows = list(rows)
-        lengths = np.array([len(row) for row in rows], dtype=np.intp)
-        flat = list(chain.from_iterable(rows))
-        values = np.asarray(flat)
-        if values.dtype.kind in "biuf":
-            values = values.astype(np.float64, copy=False)
-        else:
-            # big ints, None, str, ...: the %-format accepts or refuses each
-            values = np.array([float(_CELL_SPEC % v) for v in flat])
-    empty = lengths == 0
-    lengths[empty] = 1
-    ends = np.cumsum(lengths) - 1
-    blank = np.zeros(lengths.sum(), dtype=bool)
-    blank[ends[empty]] = True
-    if empty.any():
-        filled = np.zeros(blank.size)
-        filled[~blank] = values
-        values = filled
-    separators = np.full(values.size, ord(","), dtype=np.uint8)
-    separators[ends] = ord("\n")
-    return values, separators, blank
-
-
-def csv_text(header, rows):
-    """Render a header plus rows of ints and floats as CSV text.
-
-    `rows` is a 2-D array or a sequence of rows, ragged or not.  The text is
-    byte-identical to one %-format of _CELL_SPEC per cell, integers included.
-    A vectorised kernel renders the cells in blocks of _BLOCK, each decoded
-    at once, so the text is joined from block strings; cells outside its
-    fixed-point range (zeros, nan, infinities, subnormals, exponent-style
-    values) go through `_CELL_SPEC % x`, the slow lane.
-    """
-    values, separators, blank = _flatten(rows)
+    table = np.asarray(table)
+    if table.ndim != 2 or table.shape[1] == 0 or table.dtype.kind not in "iuf":
+        raise ValueError(
+            "csv_text takes a 2-D int or float table with at least one column; "
+            f"got dtype {table.dtype}, shape {table.shape}"
+        )
+    ncols = table.shape[1]
+    values = table.ravel().astype(np.float64, copy=False)
     blocks = [",".join(header) + "\n"]
     for start in range(0, values.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        blocks.append(_render_block(values[block], separators[block], blank[block]))
+        block = values[start : start + _BLOCK]
+        # each row's last cell, at flat index ncols - 1 modulo ncols, ends in '\n'
+        separators = np.full(block.size, ord(","), dtype=np.uint8)
+        separators[ncols - 1 - start % ncols :: ncols] = ord("\n")
+        blocks.append(_render_block(block, separators))
     return "".join(blocks)
 
 

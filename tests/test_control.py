@@ -374,6 +374,16 @@ class TestHumControl:
         assert result.control_samples.shape == (1001, n_nodes)
         assert result.control_dt == pytest.approx(1e-3)
 
+    def test_control_samples_are_the_free_trajectory(self, setup):
+        # the reported control is y on the region at t_j = j * control_dt
+        spectrum, region, state = setup
+        result = hum_control(state, region, 1.0)
+        t = result.control_dt * np.arange(1001)
+        phi_region = spectrum.vectors[region.node_indices(spectrum.grid), :8]
+        want = (np.exp(1j * np.outer(t, spectrum.eigenvalues[:8])) * result.hum_coefficients) @ phi_region.T
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(result.control_samples - want)) <= 16.0 * eps * np.max(np.abs(want))
+
     def test_replay_through_integrator(self, setup):
         # independent replay: feeding the reported control samples back
         # through the forced propagator must land near zero as well; the
@@ -501,17 +511,19 @@ class TestAdaptiveReplay:
     def _fine_simpson(self, lam, h, phi_region, coeffs, T):
         # forcing integral and observed energy by composite Simpson on
         # FINE_STEPS steps, in blocks sharing endpoints, each of as many
-        # intervals as a replay block holds samples (an even count)
+        # intervals as a replay block holds samples (an even count); the
+        # energy's per-sample terms are summed exactly rounded, so the
+        # reference adds no rounding of its own across the 2**18 samples
         fine = np.linspace(0.0, T, self.FINE_STEPS + 1)
         block = replay_block(len(phi_region))
-        integral, energy = 0.0, 0.0
+        integral, energy_terms = 0.0, []
         for start in range(0, self.FINE_STEPS, block):
             t = fine[start : start + block + 1]
             y = (np.exp(1j * np.outer(t, lam)) * coeffs) @ phi_region.T
             w = simpson_or_trapezoid(t)
             integral = integral + _forced_increment(lam, h, phi_region, [(t, y)], rule=simpson_or_trapezoid)
-            energy += h * np.sum(np.abs(y) ** 2, axis=1) @ w
-        return integral, energy
+            energy_terms.extend((h * np.sum(np.abs(y) ** 2, axis=1) * w).tolist())
+        return integral, math.fsum(energy_terms)
 
     def test_accepted_sums_match_fine_replay(self, run):
         state, region, T, result, _ = run

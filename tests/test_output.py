@@ -24,12 +24,14 @@ def per_cell(header, rows):
 
 
 def test_float_rows_match_per_cell_format():
-    rows = [SPECIAL, SPECIAL[::-1], [sys.float_info.max, -sys.float_info.min, 1.0 / 3.0]]
+    rows = [SPECIAL, SPECIAL[::-1]]
     header = [f"c{i}" for i in range(len(SPECIAL))]
     assert csv_text(header, rows) == per_cell(header, rows)
     assert csv_text(header, rows).splitlines()[1] == (
         "0,-0,nan,inf,-inf,4.9406564584124654e-324,1.0000000000000001e+300,3,-42,0.10000000000000001"
     )
+    extremes = [[sys.float_info.max, -sys.float_info.min, 1.0 / 3.0]]
+    assert csv_text(["a", "b", "c"], extremes) == per_cell(["a", "b", "c"], extremes)
 
 
 def test_mixed_rows_keep_strings_and_integers():
@@ -105,13 +107,21 @@ def test_verify_hashes_in_bounded_reads(tmp_path, monkeypatch):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(
-    rows=st.lists(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=6), max_size=40),
+    rows=st.integers(1, 6).flatmap(
+        lambda width: st.lists(
+            st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=width, max_size=width),
+            max_size=40,
+        ).map(lambda rows: (width, rows))
+    ),
     block=st.integers(1, 50),
 )
-def test_ragged_rows_of_any_doubles_match_per_cell(rows, block):
-    # a small block size puts block boundaries inside rows and between them
+def test_tables_of_any_doubles_match_per_cell(rows, block):
+    # a small block size puts block boundaries inside rows and between them;
+    # the array keeps its width when it has no rows
+    width, rows = rows
+    table = np.array(rows, dtype=float).reshape(len(rows), width)
     with mock.patch.object(output, "_BLOCK", block):
-        assert csv_text(["a", "b"], rows) == per_cell(["a", "b"], rows)
+        assert csv_text(["a", "b"], table) == per_cell(["a", "b"], rows)
 
 
 def _neighbours(x, steps=2):
@@ -127,7 +137,8 @@ def _neighbours(x, steps=2):
 def test_edge_values_render_as_percent_format():
     edges = [y for k in range(-6, 19) for x in (10.0**k, -(10.0**k)) for y in _neighbours(x)]
     edges += [99999999999999984.0, 1e17, float(10**16), -0.0]
-    rows = [edges[i : i + 7] for i in range(0, len(edges), 7)]
+    rows = [edges[i : i + 2] for i in range(0, len(edges), 2)]  # an even count
+    assert len(rows[-1]) == 2
     assert csv_text(["c"], rows) == per_cell(["c"], rows)
     for value in edges:  # alone, so a block may hold nothing but such a cell
         assert csv_text(["c"], [[value]]) == per_cell(["c"], [[value]])
@@ -163,10 +174,24 @@ def test_array_renders_as_its_list():
     assert csv_text(header, table) == csv_text(header, table.tolist()) == per_cell(header, table.tolist())
 
 
-def test_empty_rows_stay_empty_lines():
-    rows = [[], [1.5, 2], [], []]
-    assert csv_text(["x"], rows) == per_cell(["x"], rows) == "x\n\n1.5,2\n\n\n"
-    assert csv_text(["x"], np.zeros((2, 0))) == "x\n\n\n"
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[], [1.5, 2], [], []],
+        [[1.0, 2.0], [3.0]],
+        np.arange(3.0),
+        [],
+        np.zeros((2, 0)),
+        [[1.0, None]],
+        [["1.5", "2"]],
+        np.array([[1.0, object()]], dtype=object),
+        [[1.0 + 2.0j]],
+    ],
+    ids=["empty-rows", "ragged", "1-D", "no-rows-no-width", "no-columns", "None", "str", "object", "complex"],
+)
+def test_table_that_is_not_2d_numeric_is_refused(table):
+    with pytest.raises(ValueError):
+        csv_text(["x"], table)
 
 
 def test_hum_control_csv_matches_per_cell(tmp_path):
