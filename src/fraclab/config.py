@@ -51,7 +51,8 @@ def _positive_int(key):
 
 
 # Largest grid accepted (2^14 - 1 interior nodes), checked before anything
-# is allocated: the eigensolve holds an (n/2) x (n/2) block, 537 MB here.
+# is allocated: the eigensolve holds an (n/2) x (n/2) block, 537 MB here, and
+# two such blocks (1.07 GB) when both parities are solved at once.
 MAX_NODES = 16383
 
 # Largest horizon accepted.  Eigenvalues obey lambda <= (n+1)^(2 beta) <=

@@ -1,6 +1,7 @@
 """Eigenpair computation, the asymptotic law, gaps, and spectral diagnostics."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,9 @@ from fraclab import (
     asymptotic_eigenvalue,
     compute_spectrum,
     gap_sequence,
+    spectra,
 )
+from fraclab.errors import NumericalError
 
 
 class TestComputeSpectrum:
@@ -136,16 +139,18 @@ class TestParitySplit:
 class TestTruncatedParitySolve:
     @staticmethod
     def _record_solves(monkeypatch):
-        # (block order, pairs asked for) of every parity-block eigensolve
-        calls = []
-        eigh = scipy.linalg.eigh
+        # (block order, pairs asked for) of every parity-block eigensolve, in
+        # the order the solves start; the two blocks of a round may run on
+        # two threads and start in either order
+        calls, lock = [], threading.Lock()
+        solve = spectra._lowest_pairs
 
-        def recording(a, *args, **kwargs):
-            lo, hi = kwargs["subset_by_index"]
-            calls.append((len(a), hi - lo + 1))
-            return eigh(a, *args, **kwargs)
+        def recording(block, take):
+            with lock:
+                calls.append((len(block), take))
+            return solve(block, take)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", recording)
+        monkeypatch.setattr(spectra, "_lowest_pairs", recording)
         return calls
 
     @staticmethod
@@ -173,7 +178,8 @@ class TestTruncatedParitySolve:
         spectrum = compute_spectrum(op, k)
         # both blocks truncated, then the even one (all of whose pairs the
         # merge kept) solved again for its full take
-        assert calls == [(n - n // 2, first), (n // 2, first), (n - n // 2, k)]
+        assert sorted(calls[:2]) == sorted([(n - n // 2, first), (n // 2, first)])
+        assert calls[2:] == [(n - n // 2, k)]
         lam, vec = scipy.linalg.eigh(dense_matrix(op), subset_by_index=(0, k - 1))
         even = np.count_nonzero(np.sum(vec * vec[::-1], axis=0) > 0.0)
         assert even == (17 if wide else 16)
@@ -183,7 +189,138 @@ class TestTruncatedParitySolve:
     def test_interlaced_blocks_are_solved_once_for_half_the_modes(self, beta, monkeypatch):
         calls = self._record_solves(monkeypatch)
         compute_spectrum(assemble_operator(Grid(2047), beta), 80)
-        assert calls == [(1024, 41), (1023, 41)]
+        assert sorted(calls) == sorted([(1024, 41), (1023, 41)])
+
+
+class TestDirectSolve:
+    @pytest.mark.parametrize("n", [1, 2, 3, 200, 201, 1024, 2047])
+    def test_matches_scipy_eigh_bit_for_bit(self, n):
+        row = assemble_operator(Grid(n), 0.5).first_row
+        for sign in (1.0, -1.0):
+            size = spectra._block_size(n, sign)
+            # n = 1 has no odd block; full solves only where they are cheap
+            for take in {1, min(size, 41), size if size <= 101 else 1} if size else ():
+                block = spectra._parity_block(row, sign)
+                lam_ref, vec_ref = scipy.linalg.eigh(block, subset_by_index=(0, take - 1))
+                lam, vec = spectra._lowest_pairs(block, take)
+                assert lam.shape == (take,) and vec.shape == (size, take)
+                assert lam.tobytes() == lam_ref.tobytes()
+                assert vec.tobytes(order="F") == vec_ref.tobytes(order="F")
+
+    @pytest.mark.parametrize(
+        "n,beta,modes,wide",
+        [(2047, 0.9, 80, None), (2, 0.5, 2, None), (201, None, 30, True), (200, None, 30, False)],
+    )
+    def test_one_and_two_workers_agree(self, n, beta, modes, wide, monkeypatch):
+        if beta is None:  # a row whose even block is solved twice
+            row = TestTruncatedParitySolve._skewed_row(n, wide)
+            op = DiscreteOperator(grid=Grid(n), beta=0.5, first_row=row)
+        else:
+            op = assemble_operator(Grid(n), beta)
+        spectra_by_workers = []
+        for workers in (1, 2):
+            monkeypatch.setattr(spectra, "_WORKERS", workers)
+            spectra_by_workers.append(compute_spectrum(op, modes))
+        one, two = spectra_by_workers
+        assert one.eigenvalues.tobytes() == two.eigenvalues.tobytes()
+        assert one.vectors.tobytes() == two.vectors.tobytes()
+
+    def test_two_workers_hold_both_blocks_at_once(self, monkeypatch):
+        # each solve of the one round this spectrum takes waits for the other
+        # to start; on one thread the barrier would time out
+        barrier = threading.Barrier(2, timeout=30)
+        solve = spectra._lowest_pairs
+
+        def meeting(block, take):
+            barrier.wait()
+            return solve(block, take)
+
+        monkeypatch.setattr(spectra, "_WORKERS", 2)
+        monkeypatch.setattr(spectra, "_lowest_pairs", meeting)
+        compute_spectrum(assemble_operator(Grid(255), 0.5), 10)
+
+    @pytest.mark.parametrize(
+        "env,workers",
+        [
+            ({}, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "4"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "-1", "OMP_NUM_THREADS": "3"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "many", "GOTO_NUM_THREADS": "1"}, 2),
+            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 2),
+            ({"GOTO_NUM_THREADS": "8", "OMP_NUM_THREADS": "1"}, 1),
+            ({"OMP_NUM_THREADS": "1"}, 2),
+            ({"OMP_NUM_THREADS": " 1,2"}, 2),
+            ({"MKL_NUM_THREADS": "1"}, 1),
+        ],
+    )
+    def test_worker_count_follows_the_blas_thread_count(self, env, workers, monkeypatch):
+        for prefix in ("OPENBLAS", "GOTO", "OMP", "MKL"):
+            monkeypatch.delenv(f"{prefix}_NUM_THREADS", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        assert spectra._parity_workers() == workers
+
+    def test_capsule_is_the_lp64_dsyevr_prototype(self):
+        signature = spectra._DSYEVR_SIGNATURE
+        assert signature.count("int *") == 11 and signature.count("d *") == 7
+        spectra._lapack_function("dsyevr", signature, spectra._DSYEVR_TYPE)
+        # another prototype is refused when the routine is bound, which
+        # happens at import, not when it is called
+        for wrong in (signature.replace("int *", "long *"), signature.replace("d *", "float *", 1)):
+            with pytest.raises(ImportError, match="dsyevr"):
+                spectra._lapack_function("dsyevr", wrong, spectra._DSYEVR_TYPE)
+
+
+class TestSolverGuards:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_block_is_refused_as_scipy_did(self, bad):
+        row = assemble_operator(Grid(9), 0.5).first_row.copy()
+        row[3] = bad
+        op = DiscreteOperator(grid=Grid(9), beta=0.5, first_row=row)
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            compute_spectrum(op, 3)
+
+    @pytest.mark.parametrize(
+        "block,take",
+        [
+            (np.eye(3), 1),  # C order
+            (np.eye(3, dtype=np.float32, order="F"), 1),
+            (np.ones((3, 2), order="F"), 1),
+            (np.eye(3, order="F"), 0),
+            (np.eye(3, order="F"), 4),
+        ],
+    )
+    def test_block_the_solver_cannot_take_is_refused(self, block, take):
+        with pytest.raises(ValueError):
+            spectra._lowest_pairs(block, take)
+
+    def test_fewer_pairs_than_asked_raise(self):
+        # dsyevr returns info = 0 and no pairs for a NaN block
+        with pytest.raises(NumericalError) as caught:
+            spectra._lowest_pairs(np.full((8, 8), math.nan, order="F"), 3)
+        assert caught.value.diagnostics == {"info": 0, "pairs": 0, "requested": 3}
+
+    def test_solver_failure_raises(self, monkeypatch):
+        solve = spectra._dsyevr
+
+        def failing(*args):
+            solve(*args)
+            if args[17][0] != -1:  # not the workspace query
+                args[20][0] = 7
+
+        monkeypatch.setattr(spectra, "_dsyevr", spectra._DSYEVR_TYPE(failing))
+        with pytest.raises(NumericalError, match="eigensolver failed") as caught:
+            compute_spectrum(assemble_operator(Grid(64), 0.5), 4)
+        assert caught.value.diagnostics["info"] == 7
+
+    def test_nan_residual_fails_the_gate(self, monkeypatch):
+        monkeypatch.setattr(spectra, "apply", lambda op, vec: np.full_like(vec, math.nan))
+        with pytest.raises(NumericalError, match="residual") as caught:
+            compute_spectrum(assemble_operator(Grid(64), 0.5), 4)
+        assert math.isnan(caught.value.diagnostics["residual"])
 
 
 class TestAsymptoticLaw:
