@@ -19,7 +19,6 @@ from .operator import (
     apply,
     assemble_operator,
     centered_difference_weights,
-    symbol,
 )
 from .spectra import (
     GapReport,

@@ -1,0 +1,274 @@
+"""The program's LAPACK calls, made through scipy's cython_lapack capsules.
+
+scipy.linalg.cython_lapack exports each LAPACK routine as a PyCapsule that
+holds its C function pointer.  This module loads that one extension file on
+its own, from the scipy installation, so a run never imports the rest of
+scipy.linalg, whose package import took more than half of the program's
+start-up.  A module already registered under the extension's name
+is reused, and the one loaded here is registered under it, so a later
+`import scipy.linalg` and this module share it.  A scipy without the file
+fails at import with ImportError.
+
+Each routine is called through ctypes, which releases the GIL during the
+call, with the arguments scipy.linalg passes it, so results are
+bit-identical to scipy's:
+
+- `dsyevr`: lowest eigenpairs of a real symmetric block, as
+  scipy.linalg.eigh(block, overwrite_a=True, subset_by_index=...);
+- `zheevr`: eigenvalues of a Hermitian matrix, as scipy.linalg.eigvalsh;
+- `zposv`: Hermitian positive definite solve, as
+  scipy.linalg.solve(a, b, assume_a="pos"), followed by the `zpocon`
+  estimate that scipy.linalg.solve also makes.
+
+A non-finite input to `zheevr` or `zposv` raises ValueError, as scipy's
+check_finite does; `dsyevr` leaves that check to its caller, which holds
+the block it built.  A routine reporting failure raises NumericalError.
+
+scipy.linalg.solve warns when zpocon's reciprocal 1-norm condition estimate
+falls below machine epsilon, and that warning can fire behind the HUM
+condition gate, which bounds the spectral condition number by 1e12.
+zpocon returns 0 when its estimate of the inverse's norm nears overflow,
+which a Gramian of norm about T meets below T = 1e-301 whatever its
+condition; and the 1-norm condition number of a K x K matrix may exceed
+the spectral one K-fold, so beyond 1 / (1e12 eps), about 4500 modes, the
+gate does not exclude a true estimate below eps either.  `zposv` therefore
+keeps the estimate and warns with a RuntimeWarning on the same test.
+"""
+
+import ctypes
+import importlib.machinery
+import importlib.util
+import os
+import re
+import sys
+import warnings
+
+import numpy as np
+import scipy
+
+from .errors import NumericalError
+
+__all__ = ["dsyevr", "zheevr", "zposv"]
+
+_MODULE = "scipy.linalg.cython_lapack"
+
+_INT = ctypes.POINTER(ctypes.c_int)
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
+_CHAR = ctypes.c_char_p
+_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+# LP64 prototypes as the capsules name them, with the Cython typedefs for
+# double and double complex shown as `d` and `z`.  Complex arrays pass as
+# double pointers to their interleaved (re, im) storage.
+# dsyevr: jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z,
+# ldz, isuppz, work, lwork, iwork, liwork, info.
+_DSYEVR_SIGNATURE = (
+    "void (char *, char *, char *, int *, d *, int *, d *, d *, int *, int *, d *, "
+    "int *, d *, d *, int *, int *, d *, int *, int *, int *, int *)"
+)
+_DSYEVR_TYPE = ctypes.CFUNCTYPE(
+    None, _CHAR, _CHAR, _CHAR, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE,
+    _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _INT, _INT, _INT, _INT,
+)
+# zheevr: dsyevr's arguments with rwork and lrwork after lwork.
+_ZHEEVR_SIGNATURE = (
+    "void (char *, char *, char *, int *, z *, int *, d *, d *, int *, int *, d *, "
+    "int *, d *, z *, int *, int *, z *, int *, d *, int *, int *, int *, int *)"
+)
+_ZHEEVR_TYPE = ctypes.CFUNCTYPE(
+    None, _CHAR, _CHAR, _CHAR, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE,
+    _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _INT, _INT, _INT, _INT,
+)
+# zposv: uplo, n, nrhs, a, lda, b, ldb, info.
+_ZPOSV_SIGNATURE = "void (char *, int *, int *, z *, int *, z *, int *, int *)"
+_ZPOSV_TYPE = ctypes.CFUNCTYPE(None, _CHAR, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _INT, _INT)
+# zpocon: uplo, n, a, lda, anorm, rcond, work, rwork, info.
+_ZPOCON_SIGNATURE = "void (char *, int *, z *, int *, d *, d *, z *, d *, int *)"
+_ZPOCON_TYPE = ctypes.CFUNCTYPE(None, _CHAR, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _DOUBLE, _INT)
+
+
+def _load():
+    """The cython_lapack extension module, without importing scipy.linalg."""
+    module = sys.modules.get(_MODULE)
+    if module is not None:
+        return module
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "cython_lapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"{_MODULE} not found: no cython_lapack extension in {folder}")
+    loader = importlib.machinery.ExtensionFileLoader(_MODULE, path)
+    spec = importlib.util.spec_from_file_location(_MODULE, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_MODULE] = module
+    try:
+        loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_MODULE]
+        raise
+    return module
+
+
+_CAPSULES = _load().__pyx_capi__
+
+
+def _lapack_function(name, signature, prototype):
+    """A cython_lapack routine as a ctypes function, which releases the GIL.
+
+    The capsule's name is the routine's C prototype; with the Cython
+    typedefs for double and double complex shown as `d` and `z` it must
+    read `signature`, else ImportError, so that a scipy whose LAPACK takes
+    other argument types fails here rather than with wrong memory reads.
+    """
+    capsule = _CAPSULES[name]
+    raw = _CAPSULE_NAME(capsule)
+    found = re.sub(r"\b__pyx_t_\w+_d\b", "d", raw.decode()).replace("__pyx_t_double_complex", "z")
+    if found != signature:
+        raise ImportError(f"{_MODULE}.{name} is {found!r}, expected {signature!r}")
+    return prototype(_CAPSULE_POINTER(capsule, raw))
+
+
+_dsyevr = _lapack_function("dsyevr", _DSYEVR_SIGNATURE, _DSYEVR_TYPE)
+_zheevr = _lapack_function("zheevr", _ZHEEVR_SIGNATURE, _ZHEEVR_TYPE)
+_zposv = _lapack_function("zposv", _ZPOSV_SIGNATURE, _ZPOSV_TYPE)
+_zpocon = _lapack_function("zpocon", _ZPOCON_SIGNATURE, _ZPOCON_TYPE)
+
+
+def _ptr(array):
+    return array.ctypes.data_as(_INT if array.dtype == np.intc else _DOUBLE)
+
+
+def _checked_copy(a, shape):
+    """A finite Fortran-order complex copy of `a`, as f2py makes for LAPACK."""
+    copy = np.array(a, dtype=complex, order="F")
+    if copy.shape != shape:
+        raise ValueError(f"expected an array of shape {shape}, got {copy.shape}")
+    if not np.isfinite(copy).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return copy
+
+
+def _square_copy(a):
+    n = np.shape(a)[0] if np.ndim(a) == 2 else 0
+    if n == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {np.shape(a)}")
+    return _checked_copy(a, (n, n))
+
+
+def dsyevr(block, take):
+    """Lowest `take` eigenpairs of a symmetric Fortran-order block.
+
+    Passes exactly what scipy.linalg.eigh(block, overwrite_a=True,
+    subset_by_index=(0, take - 1)) passes: jobz 'V', range 'I', uplo 'L',
+    il = 1, iu = take, vl = vu = abstol = 0 and the workspace sizes of a
+    query (a smaller lwork would switch dsytrd to unblocked code), so
+    values and vectors are bit-identical to it.  Only the lower triangle is
+    read and the block is overwritten.  Raises NumericalError when dsyevr
+    reports failure or returns fewer pairs.
+    """
+    size = len(block)
+    if block.shape != (size, size) or block.dtype != np.float64 or not block.flags.f_contiguous:
+        raise ValueError("expected a square float64 Fortran-order block")
+    if not 1 <= take <= size:
+        raise ValueError(f"take must lie in [1, {size}], got {take}")
+    w = np.empty(size)
+    z = np.empty((size, take), order="F")
+    isuppz = np.empty(2 * size, dtype=np.intc)
+    m, info, zero = ctypes.c_int(), ctypes.c_int(), ctypes.c_double(0.0)
+
+    def call(work, iwork, lwork, liwork):
+        _dsyevr(
+            b"V", b"I", b"L", ctypes.c_int(size), _ptr(block), ctypes.c_int(size),
+            zero, zero, ctypes.c_int(1), ctypes.c_int(take), zero, m, _ptr(w),
+            _ptr(z), ctypes.c_int(size), _ptr(isuppz),
+            _ptr(work), ctypes.c_int(lwork), _ptr(iwork), ctypes.c_int(liwork), info,
+        )
+
+    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
+    call(work, iwork, -1, -1)  # workspace query
+    if info.value == 0:
+        lwork, liwork = int(work[0]), int(iwork[0])
+        call(np.empty(lwork), np.empty(liwork, dtype=np.intc), lwork, liwork)
+    if info.value != 0 or m.value < take:
+        raise NumericalError(
+            "eigensolver failed",
+            diagnostics={"info": info.value, "pairs": m.value, "requested": take},
+        )
+    return w[:take], z
+
+
+def zheevr(a):
+    """Ascending eigenvalues of a Hermitian matrix, as scipy.linalg.eigvalsh(a).
+
+    Runs zheevr on a Fortran-order copy with jobz 'N', range 'A', uplo 'L'
+    and the workspace sizes of a query, which is what eigvalsh passes.
+    Raises ValueError for an empty, non-square or non-finite matrix and
+    NumericalError when zheevr reports failure.
+    """
+    a = _square_copy(a)
+    n = len(a)
+    w = np.empty(n)
+    unused = np.empty(1, dtype=complex)  # z, not referenced for jobz 'N'
+    isuppz = np.empty(2, dtype=np.intc)
+    m, info, zero = ctypes.c_int(), ctypes.c_int(), ctypes.c_double(0.0)
+
+    def call(work, rwork, iwork, lwork, lrwork, liwork):
+        _zheevr(
+            b"N", b"A", b"L", ctypes.c_int(n), _ptr(a), ctypes.c_int(n),
+            zero, zero, ctypes.c_int(1), ctypes.c_int(n), zero, m, _ptr(w),
+            _ptr(unused), ctypes.c_int(1), _ptr(isuppz),
+            _ptr(work), ctypes.c_int(lwork), _ptr(rwork), ctypes.c_int(lrwork),
+            _ptr(iwork), ctypes.c_int(liwork), info,
+        )
+
+    work, rwork, iwork = np.empty(1, dtype=complex), np.empty(1), np.empty(1, dtype=np.intc)
+    call(work, rwork, iwork, -1, -1, -1)  # workspace query
+    if info.value == 0:
+        lwork, lrwork, liwork = int(work[0].real), int(rwork[0]), int(iwork[0])
+        work, rwork, iwork = np.empty(lwork, dtype=complex), np.empty(lrwork), np.empty(liwork, dtype=np.intc)
+        call(work, rwork, iwork, lwork, lrwork, liwork)
+    if info.value != 0 or m.value != n:
+        raise NumericalError(
+            "Hermitian eigensolve failed", diagnostics={"info": info.value, "eigenvalues": m.value}
+        )
+    return w
+
+
+def zposv(a, b):
+    """Solution x of a x = b for a Hermitian positive definite matrix a.
+
+    Runs zposv with uplo 'U' on Fortran-order copies of a and of the
+    vector b, which is what scipy.linalg.solve(a, b, assume_a="pos") does,
+    so x is bit-identical to it.  Then estimates the reciprocal 1-norm
+    condition number from the Cholesky factor by zpocon and, as
+    scipy.linalg.solve does, warns when it falls below machine epsilon.
+    Raises ValueError for mismatched shapes or a non-finite entry, and
+    NumericalError when a is not positive definite or zposv reports
+    failure.
+    """
+    a = _square_copy(a)
+    n = len(a)
+    x = _checked_copy(b, (n,))
+    if n == 1:  # scipy.linalg.solve divides by a 1 x 1 matrix, and so does this
+        if not a[0, 0].real > 0.0:
+            raise NumericalError("positive definite solve failed: not positive definite", diagnostics={"info": 1})
+        return x / a[0, 0]
+    anorm = ctypes.c_double(np.abs(a).sum(axis=0).max())
+    info = ctypes.c_int()
+    _zposv(b"U", ctypes.c_int(n), ctypes.c_int(1), _ptr(a), ctypes.c_int(n), _ptr(x), ctypes.c_int(n), info)
+    if info.value != 0:
+        reason = "not positive definite" if info.value > 0 else "invalid argument"
+        raise NumericalError(f"positive definite solve failed: {reason}", diagnostics={"info": info.value})
+    rcond = ctypes.c_double()
+    work, rwork = np.empty(2 * n, dtype=complex), np.empty(n)
+    _zpocon(b"U", ctypes.c_int(n), _ptr(a), ctypes.c_int(n), anorm, rcond, _ptr(work), _ptr(rwork), info)
+    if rcond.value < np.finfo(float).eps:
+        warnings.warn(f"ill-conditioned matrix: reciprocal condition estimate {rcond.value:.3e}", RuntimeWarning)
+    return x

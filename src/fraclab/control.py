@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import zheevr, zposv
 from .dynamics import ModalState, _forced_increment
 from .errors import IllConditionedError, NumericalError, UncontrollableError
 from .regions import ObservationRegion
@@ -75,10 +75,7 @@ class Gramian:
     @cached_property
     def eigenvalues(self):
         """Ascending eigenvalues of the entries, from one Hermitian solve."""
-        try:
-            return scipy.linalg.eigvalsh(self.entries)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            raise NumericalError(f"Gramian eigensolve failed: {exc}") from exc
+        return zheevr(self.entries)
 
 
 def region_mass_matrix(spectrum, region, modes):
@@ -339,7 +336,8 @@ def hum_control(state, region, horizon):
 
     Raises UncontrollableError when the observability constant is
     numerically zero, IllConditionedError when the Gramian condition number
-    exceeds 1e12.
+    exceeds 1e12, and NumericalError when the HUM datum overflows, which
+    happens at horizons below about 1e-304.
     """
     if not isinstance(state, ModalState):
         raise TypeError("hum_control expects a ModalState datum")
@@ -363,7 +361,12 @@ def hum_control(state, region, horizon):
         )
 
     steering = g.entries
-    coeffs = scipy.linalg.solve(steering, -1j * a0, assume_a="pos")
+    coeffs = zposv(steering, -1j * a0)
+    if not np.isfinite(coeffs).all():
+        raise NumericalError(
+            "HUM datum overflows: the horizon is too short to represent it",
+            diagnostics={"horizon": T, "observability": obs, "modes": K},
+        )
 
     lam = spectrum.eigenvalues[:K]
     idx = region.node_indices(spectrum.grid)
@@ -375,10 +378,17 @@ def hum_control(state, region, horizon):
 
     # One replay gives the forcing integral and, for the duality identity,
     # the observed energy of y, against the Gramian quadratic form of y0.
-    lhs = float(np.real(np.vdot(coeffs, steering @ coeffs)))
-    scales = np.array([u0_norm, abs(lhs)])
-    sums, n_steps, capped, errors = _replay(lam, spectrum.h, phi_region, coeffs, T, scales)
-    a_final = np.exp(1j * lam * T) * (a0 - 1j * sums[:-1])
+    # Both are quadratic in the datum, which grows like 1/T, so the replay
+    # runs on the datum scaled by 2^-e to max |coeffs| in [1/2, 1): its
+    # squares stay finite whenever the datum is, the power of two is exact,
+    # and the relative residual and estimates do not depend on it.
+    e = math.frexp(float(np.max(np.abs(coeffs))))[1]
+    unit = math.ldexp(1.0, -e)
+    scaled = coeffs * unit
+    lhs = float(np.real(np.vdot(scaled, steering @ scaled)))
+    scales = np.array([u0_norm * unit, abs(lhs)])
+    sums, n_steps, capped, errors = _replay(lam, spectrum.h, phi_region, scaled, T, scales)
+    a_final = np.exp(1j * lam * T) * (a0 - 1j * (sums[:-1] / unit))
     final_norm = float(np.linalg.norm(a_final))
     rhs = float(sums[-1].real)
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
@@ -390,8 +400,8 @@ def hum_control(state, region, horizon):
         final_state_norm=final_norm,
         gramian_condition=cond,
         observability=obs,
-        identity_lhs=lhs,
-        identity_rhs=rhs,
+        identity_lhs=math.ldexp(lhs, 2 * e),
+        identity_rhs=math.ldexp(rhs, 2 * e),
         identity_residual=residual,
         region=region.snapped(spectrum.grid),
         replay_steps=n_steps,

@@ -18,7 +18,6 @@ __all__ = [
     "Grid",
     "DiscreteOperator",
     "centered_difference_weights",
-    "symbol",
     "assemble_operator",
     "apply",
 ]
@@ -58,12 +57,6 @@ def centered_difference_weights(beta, count):
         j = np.arange(m - 1, dtype=float)
         g[1:] = g[0] * np.cumprod((j - b) / (j + b + 1.0))
     return g
-
-
-def symbol(beta, theta):
-    """Generating symbol |2 sin(theta/2)|^(2 beta) of the weight sequence."""
-    b = check_order(beta)
-    return np.abs(2.0 * np.sin(np.asarray(theta, dtype=float) / 2.0)) ** (2.0 * b)
 
 
 @dataclass(frozen=True)
@@ -138,8 +131,8 @@ def apply(op, u):
     2 << (n - 1).bit_length() >= 2n - 1, in O(n log n) per column, by real
     FFTs: a complex block is transformed as the real block of its 2k
     interleaved (re, im) columns.
-    The dense Toeplitz matrix `scipy.linalg.toeplitz(op.first_row)` is the
-    reference it agrees with.
+    The dense symmetric Toeplitz matrix of `op.first_row` is the reference
+    it agrees with.
     """
     u = np.asarray(u)
     n = op.grid.n_interior

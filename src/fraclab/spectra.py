@@ -8,10 +8,10 @@ discrete L2 inner product h * sum(u_i v_i).  The lowest k eigenvalues of
 the two blocks interlace in practice, so each block is first solved for
 only ceil(k/2) + 1 pairs; a block whose solved pairs all survive the merge
 may hide a lower one and is solved again in full.  The two blocks of a round
-are solved at once on two threads when the BLAS runs one thread per call:
-LAPACK dsyevr is called directly, which releases the GIL, and each worker
-holds one block, so two blocks are alive together.  Alongside the numerics
-the module carries the closed-form asymptotic law
+are solved at once on two threads when the BLAS runs one thread per call,
+since the solver releases the GIL; each worker holds one block, so two
+blocks are alive together.  Alongside the numerics the module carries the
+closed-form asymptotic law
 
     lambda_k ~ (k pi / 2 - (2 - 2 beta) pi / 8)^(2 beta)
 
@@ -19,7 +19,6 @@ whose first differences decide the gap dichotomy: uniform spectral gap for
 beta >= 1/2, vanishing gap below.
 """
 
-import ctypes
 import math
 import os
 import re
@@ -30,8 +29,8 @@ from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import cython_lapack
 
+from ._lapack import dsyevr as _lowest_pairs
 from .errors import NumericalError
 from .operator import DiscreteOperator, Grid, apply, check_order
 
@@ -50,48 +49,6 @@ TIE_TOLERANCE = 1e-12
 # Log-log slope of numeric gaps below which the gap sequence is classified
 # as vanishing.
 VANISHING_SLOPE = -0.05
-
-_INT = ctypes.POINTER(ctypes.c_int)
-_DOUBLE = ctypes.POINTER(ctypes.c_double)
-_CHAR = ctypes.c_char_p
-
-# LP64 prototype of dsyevr in scipy.linalg.cython_lapack, whose capsule
-# names its double typedef `d`: jobz, range, uplo, n, a, lda, vl, vu, il,
-# iu, abstol, m, w, z, ldz, isuppz, work, lwork, iwork, liwork, info.
-_DSYEVR_SIGNATURE = (
-    "void (char *, char *, char *, int *, d *, int *, d *, d *, int *, int *, d *, "
-    "int *, d *, d *, int *, int *, d *, int *, int *, int *, int *)"
-)
-_DSYEVR_TYPE = ctypes.CFUNCTYPE(
-    None, _CHAR, _CHAR, _CHAR, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE,
-    _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _INT, _INT, _INT, _INT,
-)
-_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi)
-)
-_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi)
-)
-
-
-def _lapack_function(name, signature, prototype):
-    """A cython_lapack routine as a ctypes function, which releases the GIL.
-
-    The capsule's name is the routine's C prototype; with the Cython
-    typedef for double shown as `d` it must read `signature`, else
-    ImportError, so that a scipy whose LAPACK takes other argument types
-    fails here rather than with wrong memory reads.
-    """
-    capsule = cython_lapack.__pyx_capi__[name]
-    raw = _CAPSULE_NAME(capsule)
-    found = re.sub(r"\b__pyx_t_\w+_d\b", "d", raw.decode())
-    if found != signature:
-        raise ImportError(f"scipy.linalg.cython_lapack.{name} is {found!r}, expected {signature!r}")
-    return prototype(_CAPSULE_POINTER(capsule, raw))
-
-
-_dsyevr = _lapack_function("dsyevr", _DSYEVR_SIGNATURE, _DSYEVR_TYPE)
-
 
 def _parity_workers():
     """Parity blocks solved at once: 2 when the BLAS runs one thread, else 1.
@@ -176,56 +133,14 @@ def _parity_block(row, sign):
     return block
 
 
-def _lowest_pairs(block, take):
-    """Lowest `take` eigenpairs of a symmetric Fortran-order block, by dsyevr.
-
-    Passes exactly what scipy.linalg.eigh(block, overwrite_a=True,
-    subset_by_index=(0, take - 1)) passes, the workspace sizes included
-    (a smaller lwork would switch dsytrd to unblocked code), so values and
-    vectors are bit-identical to it.  Only the lower triangle is read and
-    the block is overwritten.  The call releases the GIL.  Raises
-    NumericalError when dsyevr reports failure or returns fewer pairs.
-    """
-    size = len(block)
-    if block.shape != (size, size) or block.dtype != np.float64 or not block.flags.f_contiguous:
-        raise ValueError("expected a square float64 Fortran-order block")
-    if not 1 <= take <= size:
-        raise ValueError(f"take must lie in [1, {size}], got {take}")
-    w = np.empty(size)
-    z = np.empty((size, take), order="F")
-    isuppz = np.empty(2 * size, dtype=np.intc)
-    m, info, zero = ctypes.c_int(), ctypes.c_int(), ctypes.c_double(0.0)
-
-    def call(work, iwork, lwork, liwork):
-        _dsyevr(
-            b"V", b"I", b"L", ctypes.c_int(size), block.ctypes.data_as(_DOUBLE), ctypes.c_int(size),
-            zero, zero, ctypes.c_int(1), ctypes.c_int(take), zero, m, w.ctypes.data_as(_DOUBLE),
-            z.ctypes.data_as(_DOUBLE), ctypes.c_int(size), isuppz.ctypes.data_as(_INT),
-            work.ctypes.data_as(_DOUBLE), ctypes.c_int(lwork), iwork.ctypes.data_as(_INT),
-            ctypes.c_int(liwork), info,
-        )
-
-    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
-    call(work, iwork, -1, -1)  # workspace query
-    if info.value == 0:
-        lwork, liwork = int(work[0]), int(iwork[0])
-        call(np.empty(lwork), np.empty(liwork, dtype=np.intc), lwork, liwork)
-    if info.value != 0 or m.value < take:
-        raise NumericalError(
-            "eigensolver failed",
-            diagnostics={"info": info.value, "pairs": m.value, "requested": take},
-        )
-    return w[:take], z
-
-
 def _parity_pairs(row, sign, take):
     """Lowest `take` eigenpairs of one parity block, vectors of length n.
 
     Each vector is [x; sign * J x] / sqrt(2), with x_m as the middle entry
     for odd n.  The block lives only for the duration of the solve, so a
     worker holds one block at a time and two workers hold two.  Raises
-    ValueError, as scipy's check_finite does, if the block holds an inf or
-    NaN.
+    ValueError if the block holds an inf or NaN, which the solver does not
+    check.
     """
     n = len(row)
     m = n // 2

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 import weakref
 from dataclasses import asdict, fields
 
@@ -775,6 +776,30 @@ class TestCliHum:
         assert steps > 1e299
         assert "step cap" in captured.err
         assert len(captured.err) < 1000
+
+    @pytest.mark.parametrize("horizon", ["1e-160", "1e-300"])
+    def test_shortest_horizons_verify(self, horizon, tmp_path, capsys):
+        # the HUM datum grows like 1/T, so the observed energy of the
+        # unscaled replay overflows; the scaled replay verifies
+        args = ["hum", "--T", horizon, "--n", "64", "--modes", "5", "--no-timestamp"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([*args, "--out", str(tmp_path / "o")]) == 0
+        assert [str(w.message) for w in caught] == []
+        report = json.loads((tmp_path / "o" / "hum.json").read_text())
+        assert report["relative_final_norm"] <= control.VERIFICATION_TOLERANCE
+        assert report["identity_residual"] <= control.VERIFICATION_TOLERANCE
+        assert report["identity_lhs"] > 1.0 / float(horizon)
+        assert report["identity_rhs"] == pytest.approx(report["identity_lhs"], rel=1e-9)
+
+    def test_overflowing_datum_exits_3(self, tmp_path, capsys):
+        # below T ~ 1e-304 the steering datum itself exceeds the float range
+        args = ["hum", "--T", "1e-305", "--n", "64", "--modes", "5", "--no-timestamp"]
+        with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+            assert cli.main([*args, "--out", str(tmp_path / "o")]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"]["diagnostics"]["horizon"] == 1e-305
+        assert "overflows" in captured.err
 
     def test_ill_conditioned_replay_stops_at_rounding_floor(self, tmp_path, capsys):
         # below the minimal control time the steering datum is large and the

@@ -47,6 +47,18 @@ def test_cli_import_leaves_scipy_special_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # the LAPACK routines come from scipy's cython_lapack extension alone;
+    # the scipy.linalg package would add to every run's start-up time
+    code = (
+        "import sys, fraclab.cli; "
+        "print('scipy.linalg' in sys.modules, 'scipy.linalg.cython_lapack' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False True"
+
+
 def test_forced_evolution_oracle_stays_out_of_the_library():
     # the Simpson forced evolution is a test reference (tests/oracles.py);
     # the library's replay kernel takes its caller's weights

@@ -7,7 +7,7 @@ import pytest
 import scipy.special
 
 from fraclab import Grid, assemble_operator, centered_difference_weights
-from fraclab.operator import DiscreteOperator, apply, check_order, symbol
+from fraclab.operator import DiscreteOperator, apply, check_order
 
 
 def closed_form_weights(beta, count):
@@ -22,6 +22,12 @@ def closed_form_weights(beta, count):
         prefactor = math.gamma(2 * beta + 1) * math.sin(math.pi * beta) / math.pi
         g[2:] = -prefactor * np.exp(scipy.special.gammaln(j - beta) - scipy.special.gammaln(j + beta + 1))
     return g
+
+
+def symbol(beta, theta):
+    # generating symbol |2 sin(theta/2)|^(2 beta) of the weight sequence
+    b = check_order(beta)
+    return np.abs(2.0 * np.sin(np.asarray(theta, dtype=float) / 2.0)) ** (2.0 * b)
 
 
 class TestWeights:

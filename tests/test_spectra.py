@@ -19,6 +19,7 @@ from fraclab import (
     gap_sequence,
     spectra,
 )
+from fraclab import _lapack
 from fraclab.errors import NumericalError
 
 
@@ -264,14 +265,14 @@ class TestDirectSolve:
         assert spectra._parity_workers() == workers
 
     def test_capsule_is_the_lp64_dsyevr_prototype(self):
-        signature = spectra._DSYEVR_SIGNATURE
+        signature = _lapack._DSYEVR_SIGNATURE
         assert signature.count("int *") == 11 and signature.count("d *") == 7
-        spectra._lapack_function("dsyevr", signature, spectra._DSYEVR_TYPE)
+        _lapack._lapack_function("dsyevr", signature, _lapack._DSYEVR_TYPE)
         # another prototype is refused when the routine is bound, which
         # happens at import, not when it is called
         for wrong in (signature.replace("int *", "long *"), signature.replace("d *", "float *", 1)):
             with pytest.raises(ImportError, match="dsyevr"):
-                spectra._lapack_function("dsyevr", wrong, spectra._DSYEVR_TYPE)
+                _lapack._lapack_function("dsyevr", wrong, _lapack._DSYEVR_TYPE)
 
 
 class TestSolverGuards:
@@ -304,14 +305,14 @@ class TestSolverGuards:
         assert caught.value.diagnostics == {"info": 0, "pairs": 0, "requested": 3}
 
     def test_solver_failure_raises(self, monkeypatch):
-        solve = spectra._dsyevr
+        solve = _lapack._dsyevr
 
         def failing(*args):
             solve(*args)
             if args[17][0] != -1:  # not the workspace query
                 args[20][0] = 7
 
-        monkeypatch.setattr(spectra, "_dsyevr", spectra._DSYEVR_TYPE(failing))
+        monkeypatch.setattr(_lapack, "_dsyevr", _lapack._DSYEVR_TYPE(failing))
         with pytest.raises(NumericalError, match="eigensolver failed") as caught:
             compute_spectrum(assemble_operator(Grid(64), 0.5), 4)
         assert caught.value.diagnostics["info"] == 7
