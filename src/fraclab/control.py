@@ -312,7 +312,16 @@ def _replay(lam, h, phi_region, coeffs, horizon, scales):
     coarse, sums = totals
     difference = sums - coarse
     errors = np.array([np.linalg.norm(difference[:-1]), abs(difference[-1])])
-    return sums, steps, False, errors / np.maximum(scales, 1e-300)
+    return sums, steps, False, _relative(errors, scales)
+
+
+def _relative(differences, scales):
+    # Each difference over its scale.  A zero scale comes only from the zero
+    # datum, where an exact zero difference is relatively zero and any other
+    # is infinitely large; there is no absolute floor to divide by instead.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.divide(differences, scales)
+    return np.where(np.equal(differences, 0.0), 0.0, ratios)
 
 
 def hum_control(state, region, horizon):
@@ -336,8 +345,9 @@ def hum_control(state, region, horizon):
 
     Raises UncontrollableError when the observability constant is
     numerically zero, IllConditionedError when the Gramian condition number
-    exceeds 1e12, and NumericalError when the HUM datum overflows, which
-    happens at horizons below about 1e-304.
+    exceeds 1e12, and NumericalError when the HUM datum or its Gramian
+    form overflows, which happens at horizons below about 3e-304 for a
+    unit datum.
     """
     if not isinstance(state, ModalState):
         raise TypeError("hum_control expects a ModalState datum")
@@ -360,13 +370,16 @@ def hum_control(state, region, horizon):
             diagnostics={"condition": cond, "observability": obs, "modes": K},
         )
 
-    steering = g.entries
-    coeffs = zposv(steering, -1j * a0)
-    if not np.isfinite(coeffs).all():
-        raise NumericalError(
+    def overflow():
+        return NumericalError(
             "HUM datum overflows: the horizon is too short to represent it",
             diagnostics={"horizon": T, "observability": obs, "modes": K},
         )
+
+    steering = g.entries
+    coeffs = zposv(steering, -1j * a0)
+    if not np.isfinite(coeffs).all():
+        raise overflow()
 
     lam = spectrum.eigenvalues[:K]
     idx = region.node_indices(spectrum.grid)
@@ -378,11 +391,14 @@ def hum_control(state, region, horizon):
 
     # One replay gives the forcing integral and, for the duality identity,
     # the observed energy of y, against the Gramian quadratic form of y0.
-    # Both are quadratic in the datum, which grows like 1/T, so the replay
-    # runs on the datum scaled by 2^-e to max |coeffs| in [1/2, 1): its
-    # squares stay finite whenever the datum is, the power of two is exact,
-    # and the relative residual and estimates do not depend on it.
-    e = math.frexp(float(np.max(np.abs(coeffs))))[1]
+    # The datum grows like 1/T; the replay's squared samples are about
+    # |y0|^2 and the two forms about |y0|^2 T.  So the replay runs on the
+    # datum scaled by 2^-e to a largest real or imaginary part (finite where
+    # a modulus may not be) times T^(1/4) in [1/2, 1).  That puts both
+    # within a factor T^(-1/2) or T^(1/2) of one, as far from overflow as
+    # from underflow.  The power of two is exact, and the relative residual
+    # and estimates do not depend on it.
+    e = math.frexp(float(np.max(np.abs(coeffs.view(float)))) * T**0.25)[1]
     unit = math.ldexp(1.0, -e)
     scaled = coeffs * unit
     lhs = float(np.real(np.vdot(scaled, steering @ scaled)))
@@ -391,7 +407,11 @@ def hum_control(state, region, horizon):
     a_final = np.exp(1j * lam * T) * (a0 - 1j * (sums[:-1] / unit))
     final_norm = float(np.linalg.norm(a_final))
     rhs = float(sums[-1].real)
-    residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    residual = float(_relative(abs(lhs - rhs), max(abs(lhs), abs(rhs))))
+    try:
+        identity_lhs, identity_rhs = math.ldexp(lhs, 2 * e), math.ldexp(rhs, 2 * e)
+    except OverflowError:
+        raise overflow() from None
 
     return ControlResult(
         hum_coefficients=coeffs,
@@ -400,8 +420,8 @@ def hum_control(state, region, horizon):
         final_state_norm=final_norm,
         gramian_condition=cond,
         observability=obs,
-        identity_lhs=math.ldexp(lhs, 2 * e),
-        identity_rhs=math.ldexp(rhs, 2 * e),
+        identity_lhs=identity_lhs,
+        identity_rhs=identity_rhs,
         identity_residual=residual,
         region=region.snapped(spectrum.grid),
         replay_steps=n_steps,

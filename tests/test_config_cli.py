@@ -791,11 +791,28 @@ class TestCliHum:
         assert report["identity_residual"] <= control.VERIFICATION_TOLERANCE
         assert report["identity_lhs"] > 1.0 / float(horizon)
         assert report["identity_rhs"] == pytest.approx(report["identity_lhs"], rel=1e-9)
+        lhs, rhs = report["identity_lhs"], report["identity_rhs"]
+        assert report["identity_residual"] == abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+
+    def test_horizon_next_to_overflow_verifies(self, tmp_path, capsys):
+        # the Gramian form is about 3.6e307 here, and the modulus of a
+        # steering coefficient exceeds the float range although its parts
+        # do not; the Gramian's subnormal entries draw a zpocon warning
+        args = ["hum", "--T", "4e-304", "--n", "64", "--modes", "5", "--no-timestamp"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert cli.main([*args, "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "hum.json").read_text())
+        lhs, rhs = report["identity_lhs"], report["identity_rhs"]
+        assert lhs > 1e307
+        assert report["identity_residual"] == abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+        assert report["identity_residual"] <= control.VERIFICATION_TOLERANCE
 
     def test_overflowing_datum_exits_3(self, tmp_path, capsys):
-        # below T ~ 1e-304 the steering datum itself exceeds the float range
+        # below T ~ 3e-304 the steering datum itself exceeds the float range
         args = ["hum", "--T", "1e-305", "--n", "64", "--modes", "5", "--no-timestamp"]
-        with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             assert cli.main([*args, "--out", str(tmp_path / "o")]) == 3
         captured = capsys.readouterr()
         assert json.loads(captured.out)["error"]["diagnostics"]["horizon"] == 1e-305

@@ -27,7 +27,7 @@ from fraclab import control
 from fraclab.config import MAX_HORIZON, MAX_NODES, RunConfig
 from fraclab.control import VERIFICATION_TOLERANCE, _trajectory
 from fraclab.dynamics import _forced_increment
-from fraclab.errors import IllConditionedError, UncontrollableError
+from fraclab.errors import IllConditionedError, NumericalError, UncontrollableError
 from oracles import forced_evolve, simpson_or_trapezoid
 
 RNG = np.random.default_rng(20260823)
@@ -422,6 +422,36 @@ class TestHumControl:
         result = hum_control(zero, region, 1.0)
         assert result.final_state_norm == 0.0
         assert np.all(result.control_samples == 0.0)
+
+    def test_zero_datum_verifies(self, setup):
+        # no absolute floor: the zero forms and sums are relatively exact
+        spectrum, region, state = setup
+        zero = ModalState(coefficients=np.zeros(8), spectrum=spectrum)
+        result = hum_control(zero, region, 1.0)
+        assert result.identity_residual == 0.0
+        assert result.replay_error_estimate == 0.0
+        assert result.identity_error_estimate == 0.0
+
+    @pytest.mark.parametrize("horizon", [1.0, 1e-150, 1e-300])
+    def test_residual_is_relative_to_the_reported_forms(self, setup, horizon):
+        # the replay's power-of-two scaling is exact, so the residual taken
+        # from the reported forms is the reported residual at every horizon
+        spectrum, region, state = setup
+        result = hum_control(state, region, horizon)
+        lhs, rhs = result.identity_lhs, result.identity_rhs
+        assert lhs > 1.0 / horizon
+        assert result.identity_residual == abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+        assert result.identity_residual > 0.0
+
+    @pytest.mark.parametrize(("norm", "horizon"), [(1e5, 1e-300), (1e102, 1e-100)])
+    def test_overflowing_datum_raises(self, setup, norm, horizon):
+        # the first datum's coefficients overflow; the second's are finite
+        # but its Gramian form, about |y0|^2 T, is not
+        spectrum, region, state = setup
+        large = ModalState(coefficients=norm * state.coefficients, spectrum=spectrum)
+        with pytest.raises(NumericalError, match="overflows") as info:
+            hum_control(large, region, horizon)
+        assert info.value.diagnostics["horizon"] == horizon
 
     def test_one_eigensolve(self, setup, eigensolves):
         spectrum, region, state = setup
