@@ -17,22 +17,11 @@ bit-identical to scipy's:
   scipy.linalg.eigh(block, overwrite_a=True, subset_by_index=...);
 - `zheevr`: eigenvalues of a Hermitian matrix, as scipy.linalg.eigvalsh;
 - `zposv`: Hermitian positive definite solve, as
-  scipy.linalg.solve(a, b, assume_a="pos"), followed by the `zpocon`
-  estimate that scipy.linalg.solve also makes.
+  scipy.linalg.solve(a, b, assume_a="pos").
 
 A non-finite input to `zheevr` or `zposv` raises ValueError, as scipy's
 check_finite does; `dsyevr` leaves that check to its caller, which holds
 the block it built.  A routine reporting failure raises NumericalError.
-
-scipy.linalg.solve warns when zpocon's reciprocal 1-norm condition estimate
-falls below machine epsilon, and that warning can fire behind the HUM
-condition gate, which bounds the spectral condition number by 1e12.
-zpocon returns 0 when its estimate of the inverse's norm nears overflow,
-which a Gramian of norm about T meets below T = 1e-301 whatever its
-condition; and the 1-norm condition number of a K x K matrix may exceed
-the spectral one K-fold, so beyond 1 / (1e12 eps), about 4500 modes, the
-gate does not exclude a true estimate below eps either.  `zposv` therefore
-keeps the estimate and warns with a RuntimeWarning on the same test.
 """
 
 import ctypes
@@ -41,7 +30,6 @@ import importlib.util
 import os
 import re
 import sys
-import warnings
 
 import numpy as np
 import scipy
@@ -54,7 +42,6 @@ _MODULE = "scipy.linalg.cython_lapack"
 
 _INT = ctypes.POINTER(ctypes.c_int)
 _DOUBLE = ctypes.POINTER(ctypes.c_double)
-_CHAR = ctypes.c_char_p
 _CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
     ("PyCapsule_GetName", ctypes.pythonapi)
 )
@@ -63,33 +50,26 @@ _CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
 )
 
 # LP64 prototypes as the capsules name them, with the Cython typedefs for
-# double and double complex shown as `d` and `z`.  Complex arrays pass as
-# double pointers to their interleaved (re, im) storage.
-# dsyevr: jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z,
-# ldz, isuppz, work, lwork, iwork, liwork, info.
-_DSYEVR_SIGNATURE = (
-    "void (char *, char *, char *, int *, d *, int *, d *, d *, int *, int *, d *, "
-    "int *, d *, d *, int *, int *, d *, int *, int *, int *, int *)"
-)
-_DSYEVR_TYPE = ctypes.CFUNCTYPE(
-    None, _CHAR, _CHAR, _CHAR, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE,
-    _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _INT, _INT, _INT, _INT,
-)
-# zheevr: dsyevr's arguments with rwork and lrwork after lwork.
-_ZHEEVR_SIGNATURE = (
-    "void (char *, char *, char *, int *, z *, int *, d *, d *, int *, int *, d *, "
-    "int *, d *, z *, int *, int *, z *, int *, d *, int *, int *, int *, int *)"
-)
-_ZHEEVR_TYPE = ctypes.CFUNCTYPE(
-    None, _CHAR, _CHAR, _CHAR, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE,
-    _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _INT, _INT, _INT, _INT,
-)
-# zposv: uplo, n, nrhs, a, lda, b, ldb, info.
-_ZPOSV_SIGNATURE = "void (char *, int *, int *, z *, int *, z *, int *, int *)"
-_ZPOSV_TYPE = ctypes.CFUNCTYPE(None, _CHAR, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _INT, _INT)
-# zpocon: uplo, n, a, lda, anorm, rcond, work, rwork, info.
-_ZPOCON_SIGNATURE = "void (char *, int *, z *, int *, d *, d *, z *, d *, int *)"
-_ZPOCON_TYPE = ctypes.CFUNCTYPE(None, _CHAR, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _DOUBLE, _INT)
+# double and double complex shown as `d` and `z`.  Each is checked against
+# its capsule and is the one declaration of the routine's ctypes prototype.
+_SIGNATURES = {
+    # jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz,
+    # isuppz, work, lwork, iwork, liwork, info.
+    "dsyevr": (
+        "void (char *, char *, char *, int *, d *, int *, d *, d *, int *, int *, d *, "
+        "int *, d *, d *, int *, int *, d *, int *, int *, int *, int *)"
+    ),
+    # dsyevr's arguments with rwork and lrwork after lwork.
+    "zheevr": (
+        "void (char *, char *, char *, int *, z *, int *, d *, d *, int *, int *, d *, "
+        "int *, d *, z *, int *, int *, z *, int *, d *, int *, int *, int *, int *)"
+    ),
+    # uplo, n, nrhs, a, lda, b, ldb, info.
+    "zposv": "void (char *, int *, int *, z *, int *, z *, int *, int *)",
+}
+# ctypes type of each argument.  Complex arrays pass as double pointers to
+# their interleaved (re, im) storage.
+_ARGUMENT_TYPES = {"char *": ctypes.c_char_p, "int *": _INT, "d *": _DOUBLE, "z *": _DOUBLE}
 
 
 def _load():
@@ -119,26 +99,26 @@ def _load():
 _CAPSULES = _load().__pyx_capi__
 
 
-def _lapack_function(name, signature, prototype):
+def _lapack_function(name, signature):
     """A cython_lapack routine as a ctypes function, which releases the GIL.
 
     The capsule's name is the routine's C prototype; with the Cython
     typedefs for double and double complex shown as `d` and `z` it must
     read `signature`, else ImportError, so that a scipy whose LAPACK takes
     other argument types fails here rather than with wrong memory reads.
+    The ctypes prototype is read from the same `signature`.
     """
     capsule = _CAPSULES[name]
     raw = _CAPSULE_NAME(capsule)
     found = re.sub(r"\b__pyx_t_\w+_d\b", "d", raw.decode()).replace("__pyx_t_double_complex", "z")
     if found != signature:
         raise ImportError(f"{_MODULE}.{name} is {found!r}, expected {signature!r}")
+    arguments = signature.removeprefix("void (").removesuffix(")").split(", ")
+    prototype = ctypes.CFUNCTYPE(None, *(_ARGUMENT_TYPES[argument] for argument in arguments))
     return prototype(_CAPSULE_POINTER(capsule, raw))
 
 
-_dsyevr = _lapack_function("dsyevr", _DSYEVR_SIGNATURE, _DSYEVR_TYPE)
-_zheevr = _lapack_function("zheevr", _ZHEEVR_SIGNATURE, _ZHEEVR_TYPE)
-_zposv = _lapack_function("zposv", _ZPOSV_SIGNATURE, _ZPOSV_TYPE)
-_zpocon = _lapack_function("zpocon", _ZPOCON_SIGNATURE, _ZPOCON_TYPE)
+_dsyevr, _zheevr, _zposv = (_lapack_function(name, signature) for name, signature in _SIGNATURES.items())
 
 
 def _ptr(array):
@@ -246,12 +226,9 @@ def zposv(a, b):
 
     Runs zposv with uplo 'U' on Fortran-order copies of a and of the
     vector b, which is what scipy.linalg.solve(a, b, assume_a="pos") does,
-    so x is bit-identical to it.  Then estimates the reciprocal 1-norm
-    condition number from the Cholesky factor by zpocon and, as
-    scipy.linalg.solve does, warns when it falls below machine epsilon.
-    Raises ValueError for mismatched shapes or a non-finite entry, and
-    NumericalError when a is not positive definite or zposv reports
-    failure.
+    so x is bit-identical to it.  Raises ValueError for mismatched shapes
+    or a non-finite entry, and NumericalError when a is not positive
+    definite or zposv reports failure.
     """
     a = _square_copy(a)
     n = len(a)
@@ -260,15 +237,9 @@ def zposv(a, b):
         if not a[0, 0].real > 0.0:
             raise NumericalError("positive definite solve failed: not positive definite", diagnostics={"info": 1})
         return x / a[0, 0]
-    anorm = ctypes.c_double(np.abs(a).sum(axis=0).max())
     info = ctypes.c_int()
     _zposv(b"U", ctypes.c_int(n), ctypes.c_int(1), _ptr(a), ctypes.c_int(n), _ptr(x), ctypes.c_int(n), info)
     if info.value != 0:
         reason = "not positive definite" if info.value > 0 else "invalid argument"
         raise NumericalError(f"positive definite solve failed: {reason}", diagnostics={"info": info.value})
-    rcond = ctypes.c_double()
-    work, rwork = np.empty(2 * n, dtype=complex), np.empty(n)
-    _zpocon(b"U", ctypes.c_int(n), _ptr(a), ctypes.c_int(n), anorm, rcond, _ptr(work), _ptr(rwork), info)
-    if rcond.value < np.finfo(float).eps:
-        warnings.warn(f"ill-conditioned matrix: reciprocal condition estimate {rcond.value:.3e}", RuntimeWarning)
     return x

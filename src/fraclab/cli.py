@@ -354,15 +354,15 @@ def cmd_sweep(config, emitter):
     cfg = config.sweep
     runner = _CELL_COMMANDS[cfg.command][0]
 
-    def run_cell(beta):
+    def run_cell(beta, prefix):
         cell = override_section(config, cfg.command, beta=beta)
-        buffer = Emitter(directory=None, stamp=emitter.stamp)
-        return buffer, runner(getattr(cell, cfg.command), buffer)
+        writer = Emitter(emitter.directory, emitter.stamp, prefix)
+        return writer, runner(getattr(cell, cfg.command), writer)
 
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        cells = list(pool.map(run_cell, cfg.betas))
-    for (buffer, _), prefix in zip(cells, _cell_prefixes(cfg.betas)):  # single writer, fixed cell order
-        emitter.absorb(buffer, prefix)
+        cells = list(pool.map(run_cell, cfg.betas, _cell_prefixes(cfg.betas)))
+    for writer, _ in cells:  # manifest entries in cell order, whatever order the cells finished in
+        emitter.artifacts.extend(writer.artifacts)
     lines = [line for _, line in cells]
     lines.append(f"sweep: {cfg.command} over betas={[f'{b:g}' for b in cfg.betas]} jobs={cfg.jobs}")
     return "\n".join(lines)

@@ -229,27 +229,25 @@ def utc_stamp():
 
 @dataclass
 class Emitter:
-    """Collects named text artifacts and serializes them through one writer.
+    """Writes named text artifacts into a run directory and keeps their entries.
 
-    With a directory set, write() lands each file on disk at once, encoding
-    and hashing it slice by slice, and keeps only its manifest entry (name,
-    SHA-256 digest, byte count), not the text.  Buffered emitters
-    (directory=None) hold (name, text) pairs so a sweep can compute cells
-    concurrently and have the main thread replay them in a fixed order.
-    `stamp` is the run's start time for the SVG comments and the manifest,
-    or None to keep the output byte-reproducible.
+    write() lands each file on disk at once, encoding and hashing it slice
+    by slice, and keeps only its manifest entry (name, SHA-256 digest, byte
+    count), not the text.  `prefix` leads every name written, so each sweep
+    cell writes its own files as it runs.  `stamp` is the run's start time
+    for the SVG comments and the manifest, or None to keep the output
+    byte-reproducible.
     """
 
-    directory: str = None
+    directory: str
     stamp: str = None
-    artifacts: list = field(default_factory=list)  # in emission order, each led by its name
+    prefix: str = ""
+    artifacts: list = field(default_factory=list)  # (name, sha256, bytes) in emission order
 
     def write(self, name, text):
-        if any(existing == name for existing, *_ in self.artifacts):
+        name = self.prefix + name
+        if any(existing == name for existing, _, _ in self.artifacts):
             raise FraclabError(f"artifact {name!r} emitted twice")
-        if self.directory is None:
-            self.artifacts.append((name, text))
-            return
         digest, size = hashlib.sha256(), 0
         with open(os.path.join(self.directory, name), "wb") as handle:
             for start in range(0, len(text), _SLICE):
@@ -258,16 +256,10 @@ class Emitter:
                 size += handle.write(data)
         self.artifacts.append((name, digest.hexdigest(), size))
 
-    def absorb(self, other, prefix):
-        """Replay a buffered emitter's artifacts through this writer, each
-        name prefixed by `prefix`."""
-        for name, text in other.artifacts:
-            self.write(prefix + name, text)
-
 
 def write_manifest(emitter, command, config_echo, version):
-    """Append the manifest (the entries of everything a directory-backed
-    emitter wrote so far) to a run."""
+    """Append the manifest (the entries of everything the emitter wrote so
+    far) to a run."""
     files = [{"name": name, "sha256": sha256, "bytes": size} for name, sha256, size in emitter.artifacts]
     manifest = {
         "tool": "fraclab",

@@ -206,7 +206,7 @@ def compute_spectrum(op, modes):
 
     scale = op.norm_bound
     residual = np.linalg.norm(apply(op, vec) - vec * lam, axis=0)
-    worst = float(residual.max()) if len(residual) else 0.0
+    worst = float(residual.max())
     if not worst <= 1e-9 * scale:  # a NaN residual fails too
         raise NumericalError(
             "eigenpair residual too large",

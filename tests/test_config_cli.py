@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 import warnings
 import weakref
 from dataclasses import asdict, fields
@@ -321,8 +322,8 @@ class TestCliDeterminism:
         ids=lambda args: args[0],
     )
     def test_manifest_entries_match_bytes_on_disk(self, tmp_path, args):
-        # entries come from the bytes as they are written; a sweep's cells
-        # are buffered and land through the absorbing emitter
+        # entries come from the bytes as they are written; each sweep cell
+        # writes its own files and the run's manifest lists its entries
         out = tmp_path / "o"
         assert cli.main(args + ["--out", str(out), "--no-timestamp"]) == 0
         entries = json.loads((out / "manifest.json").read_text())["files"]
@@ -777,7 +778,7 @@ class TestCliHum:
         assert "step cap" in captured.err
         assert len(captured.err) < 1000
 
-    @pytest.mark.parametrize("horizon", ["1e-160", "1e-300"])
+    @pytest.mark.parametrize("horizon", ["1e-160", "1e-300", "1e-302", "1e-303"])
     def test_shortest_horizons_verify(self, horizon, tmp_path, capsys):
         # the HUM datum grows like 1/T, so the observed energy of the
         # unscaled replay overflows; the scaled replay verifies
@@ -797,11 +798,13 @@ class TestCliHum:
     def test_horizon_next_to_overflow_verifies(self, tmp_path, capsys):
         # the Gramian form is about 3.6e307 here, and the modulus of a
         # steering coefficient exceeds the float range although its parts
-        # do not; the Gramian's subnormal entries draw a zpocon warning
+        # do not; the Gramian's entries are subnormal, and the run warns of
+        # nothing
         args = ["hum", "--T", "4e-304", "--n", "64", "--modes", "5", "--no-timestamp"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert cli.main([*args, "--out", str(tmp_path / "o")]) == 0
+        assert [str(w.message) for w in caught] == []
         report = json.loads((tmp_path / "o" / "hum.json").read_text())
         lhs, rhs = report["identity_lhs"], report["identity_rhs"]
         assert lhs > 1e307
@@ -811,9 +814,10 @@ class TestCliHum:
     def test_overflowing_datum_exits_3(self, tmp_path, capsys):
         # below T ~ 3e-304 the steering datum itself exceeds the float range
         args = ["hum", "--T", "1e-305", "--n", "64", "--modes", "5", "--no-timestamp"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert cli.main([*args, "--out", str(tmp_path / "o")]) == 3
+        assert [str(w.message) for w in caught] == []
         captured = capsys.readouterr()
         assert json.loads(captured.out)["error"]["diagnostics"]["horizon"] == 1e-305
         assert "overflows" in captured.err
@@ -964,6 +968,54 @@ class TestCliSweep:
         assert names == sorted(p.name for p in par.iterdir())
         match, mismatch, errors = filecmp.cmpfiles(seq, par, names, shallow=False)
         assert mismatch == [] and errors == []
+
+    def test_cells_finishing_out_of_order_keep_the_manifest_order(self, tmp_path, monkeypatch):
+        # the first cell is held until the last one is done, so the cells
+        # finish in the order 0.5, 0.75, 0.3
+        spectrum, text = cli._CELL_COMMANDS["spectrum"]
+        last_done, finished = threading.Event(), []
+
+        def held(cfg, emitter):
+            if cfg.beta == 0.3:
+                assert last_done.wait(timeout=60)
+            line = spectrum(cfg, emitter)
+            finished.append(cfg.beta)
+            if cfg.beta == 0.75:
+                last_done.set()
+            return line
+
+        args = ["sweep", "--n", "16", "--modes", "2", "--no-timestamp", "--out"]
+        assert cli.main([*args, str(tmp_path / "seq")]) == 0
+        monkeypatch.setitem(cli._CELL_COMMANDS, "spectrum", (held, text))
+        out = tmp_path / "par"
+        assert cli.main([*args, str(out), "--jobs", "2"]) == 0
+        assert finished == [0.5, 0.75, 0.3]
+        entries = json.loads((out / "manifest.json").read_text())["files"]
+        assert [e["name"] for e in entries] == [
+            f"beta{b}_spectrum.{suffix}" for b in ("0.3", "0.5", "0.75") for suffix in ("csv", "svg")
+        ]
+        for entry in entries:
+            data = (out / entry["name"]).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+            assert entry["bytes"] == len(data)
+        assert tree_bytes(out) == tree_bytes(tmp_path / "seq")
+
+    def test_failing_cell_exits_3_without_a_manifest(self, tmp_path, capsys, monkeypatch):
+        spectrum, text = cli._CELL_COMMANDS["spectrum"]
+
+        def failing(cfg, emitter):
+            if cfg.beta == 0.5:
+                raise NumericalError("cell failed", diagnostics={"beta": cfg.beta})
+            return spectrum(cfg, emitter)
+
+        monkeypatch.setitem(cli._CELL_COMMANDS, "spectrum", (failing, text))
+        out = tmp_path / "o"
+        args = ["sweep", "--n", "16", "--modes", "2", "--jobs", "2", "--no-timestamp", "--out", str(out)]
+        assert cli.main(args) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"]["diagnostics"] == {"beta": 0.5}
+        assert "cell failed" in captured.err
+        assert not (out / "manifest.json").exists()
 
     def test_beta_flag_narrows_sweep(self, tmp_path):
         cfg = tmp_path / "sw.ini"

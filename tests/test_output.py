@@ -42,17 +42,19 @@ def test_mixed_rows_keep_strings_and_integers():
     )
 
 
-def test_absorb_prefixes_names_and_refuses_duplicates():
-    buffer = Emitter()
-    buffer.write("a.csv", "1\n")
-    buffer.write("a.svg", "<svg/>\n")
-    target = Emitter()
-    target.absorb(buffer, "beta0.5_")
-    assert target.artifacts == [("beta0.5_a.csv", "1\n"), ("beta0.5_a.svg", "<svg/>\n")]
-    target.absorb(buffer, "beta0.6_")
-    assert len(target.artifacts) == 4
-    with pytest.raises(FraclabError, match="emitted twice"):
-        target.absorb(buffer, "beta0.5_")
+def test_prefix_leads_names_and_duplicates_are_refused(tmp_path):
+    # two sweep cells writing into one run directory
+    first = Emitter(str(tmp_path), prefix="beta0.5_")
+    second = Emitter(str(tmp_path), prefix="beta0.6_")
+    first.write("a.csv", "1\n")
+    first.write("a.svg", "<svg/>\n")
+    second.write("a.csv", "2\n")
+    assert [name for name, _, _ in first.artifacts] == ["beta0.5_a.csv", "beta0.5_a.svg"]
+    assert [name for name, _, _ in second.artifacts] == ["beta0.6_a.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["beta0.5_a.csv", "beta0.5_a.svg", "beta0.6_a.csv"]
+    assert (tmp_path / "beta0.6_a.csv").read_text() == "2\n"
+    with pytest.raises(FraclabError, match="'beta0.5_a.csv' emitted twice"):
+        first.write("a.csv", "1\n")
 
 
 def test_directory_emitter_keeps_entries_not_texts(tmp_path):

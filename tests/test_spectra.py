@@ -1,5 +1,6 @@
 """Eigenpair computation, the asymptotic law, gaps, and spectral diagnostics."""
 
+import functools
 import math
 import threading
 import tracemalloc
@@ -265,14 +266,14 @@ class TestDirectSolve:
         assert spectra._parity_workers() == workers
 
     def test_capsule_is_the_lp64_dsyevr_prototype(self):
-        signature = _lapack._DSYEVR_SIGNATURE
+        signature = _lapack._SIGNATURES["dsyevr"]
         assert signature.count("int *") == 11 and signature.count("d *") == 7
-        _lapack._lapack_function("dsyevr", signature, _lapack._DSYEVR_TYPE)
+        assert len(_lapack._lapack_function("dsyevr", signature).argtypes) == 21
         # another prototype is refused when the routine is bound, which
         # happens at import, not when it is called
         for wrong in (signature.replace("int *", "long *"), signature.replace("d *", "float *", 1)):
             with pytest.raises(ImportError, match="dsyevr"):
-                _lapack._lapack_function("dsyevr", wrong, _lapack._DSYEVR_TYPE)
+                _lapack._lapack_function("dsyevr", wrong)
 
 
 class TestSolverGuards:
@@ -312,7 +313,7 @@ class TestSolverGuards:
             if args[17][0] != -1:  # not the workspace query
                 args[20][0] = 7
 
-        monkeypatch.setattr(_lapack, "_dsyevr", _lapack._DSYEVR_TYPE(failing))
+        monkeypatch.setattr(_lapack, "_dsyevr", type(_lapack._dsyevr)(failing))
         with pytest.raises(NumericalError, match="eigensolver failed") as caught:
             compute_spectrum(assemble_operator(Grid(64), 0.5), 4)
         assert caught.value.diagnostics["info"] == 7
@@ -322,6 +323,36 @@ class TestSolverGuards:
         with pytest.raises(NumericalError, match="residual") as caught:
             compute_spectrum(assemble_operator(Grid(64), 0.5), 4)
         assert math.isnan(caught.value.diagnostics["residual"])
+
+
+@functools.cache
+def first_eigenvalues(beta):
+    """lambda_1 on the grids h = 1/256, 1/512 and 1/1024 (n = 511, 1023, 2047)."""
+    return tuple(
+        float(compute_spectrum(assemble_operator(Grid(n), beta), 1).eigenvalues[0]) for n in (511, 1023, 2047)
+    )
+
+
+class TestConvergenceOrder:
+    # lambda_1 of the restricted fractional Laplacian at beta = 1/2
+    # (Kulczycki, Kwasnicki, Malecki & Stos, Proc. LMS 2010)
+    LAMBDA1_HALF = 1.1577738836977
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
+    def test_first_eigenvalue_converges_at_first_order(self, beta):
+        coarse, middle, fine = first_eigenvalues(beta)
+        assert 0.9 <= math.log2((coarse - middle) / (middle - fine)) <= 1.1
+
+    def test_first_eigenvalue_converges_to_the_known_constant(self):
+        lam = first_eigenvalues(0.5)
+        errors = [abs(value - self.LAMBDA1_HALF) for value in lam]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 0.9 <= math.log2(coarse / fine) <= 1.1
+        # two-grid Richardson removes the O(h) term; the >= 100x gain holds
+        # at k = 1 only, since at k = 10 the order is pre-asymptotic and
+        # Richardson gains 2-11x
+        richardson = 2.0 * lam[2] - lam[1]
+        assert 100.0 * abs(richardson - self.LAMBDA1_HALF) <= errors[2]
 
 
 class TestAsymptoticLaw:

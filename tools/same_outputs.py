@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Check that the working tree's program writes what PARENT's writes.
+
+Usage: python3 tools/same_outputs.py PARENT
+
+PARENT is any git revision.  Its `src` tree is exported with `git archive`,
+and the working tree's `src` is copied beside it, into a temporary
+directory.  Each command below then runs with --no-timestamp against both
+copies, from working directories at the same relative place, so relative
+paths in the output read the same.  For each command the output trees,
+stdout, stderr and exit codes are compared and one line is printed; the
+script exits 1 if any command differs, and 0 otherwise.  The twenty
+commands take about 20 s on 2 cores.
+"""
+
+import io
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+# Config files the commands name, written into each working directory.
+CONFIGS = {
+    "sweep_hum.ini": "[sweep]\ncommand = hum\nbetas = 0.6, 0.75, 0.9\n",
+    "wave.ini": "[evolve]\nequation = wave\n",
+}
+HORIZON = ("hum", "--n", "64", "--modes", "5", "--T")
+COMMANDS = [
+    ("spectrum",),
+    ("gaps",),
+    ("evolve",),
+    ("observability",),
+    ("sharpness",),
+    ("hum",),
+    ("pohozaev",),
+    ("sweep",),
+    ("sweep", "--jobs", "2", "--n", "127"),
+    ("sweep", "--config", "sweep_hum.ini", "--jobs", "2", "--n", "127"),
+    ("evolve", "--config", "wave.ini"),
+    ("hum", "--modes", "1"),
+    ("hum", "--beta", "0.3", "--modes", "40"),
+    *((*HORIZON, horizon) for horizon in ("1e-150", "1e-300", "1e-301", "1e-302", "1e-303", "4e-304", "1e-305")),
+]
+
+
+def export_parent(parent, destination):
+    archive = subprocess.run(
+        ["git", "-C", str(REPO), "archive", "--format=tar", parent, "src"], capture_output=True
+    )
+    if archive.returncode != 0:
+        sys.exit(f"same_outputs: git archive {parent} failed: {archive.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(destination, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+
+
+def tree(directory):
+    """Every file under `directory` by relative path, with its bytes."""
+    return {
+        path.relative_to(directory).as_posix(): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def run(side, index, argv):
+    """Exit code, stdout, stderr and output tree of one command on one side."""
+    cwd = side / "runs" / str(index)
+    cwd.mkdir(parents=True)
+    for name, text in CONFIGS.items():
+        (cwd / name).write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(side / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fraclab.cli", *argv, "--no-timestamp", "--out", "out"],
+        cwd=cwd, env=env, capture_output=True, text=True,
+    )
+    out = cwd / "out"
+    # a traceback or warning names the copy's own path
+    stdout, stderr = (text.replace(str(side), "<side>") for text in (proc.stdout, proc.stderr))
+    return proc.returncode, stdout, stderr, tree(out) if out.is_dir() else {}
+
+
+def main(argv):
+    if len(argv) != 1:
+        sys.exit("usage: python3 tools/same_outputs.py PARENT")
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as temp:
+        parent, change = Path(temp) / "parent", Path(temp) / "change"
+        export_parent(argv[0], parent)
+        shutil.copytree(REPO / "src", change / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        differing = 0
+        for index, command in enumerate(COMMANDS):
+            before, after = run(parent, index, command), run(change, index, command)
+            fields = [name for name, a, b in zip(("exit code", "stdout", "stderr"), before, after) if a != b]
+            names = before[3].keys() | after[3].keys()
+            files = sorted(name for name in names if before[3].get(name) != after[3].get(name))
+            if files:
+                fields.append("tree (" + ", ".join(files) + ")")
+            differing += bool(fields)
+            verdict = "differs in " + "; ".join(fields) if fields else "same"
+            print(f"{' '.join(command)} [exit {after[0]}]: {verdict}", flush=True)
+    print(f"{len(COMMANDS) - differing} of {len(COMMANDS)} commands the same")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
