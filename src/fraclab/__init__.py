@@ -9,7 +9,6 @@ control synthesis, and boundary-trace identities of Pohozaev type.
 from .errors import (
     ConfigError,
     FraclabError,
-    IllConditionedError,
     NumericalError,
     UncontrollableError,
 )

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import _PARSERS, RunConfig, load_config, override_section
-from .control import VANISHING_DECAY, VERIFICATION_TOLERANCE, hum_control, sharpness_experiment
+from .control import VANISHING_DECAY, hum_control, sharpness_experiment
 from .dynamics import (
     ModalState,
     WaveModalState,
@@ -236,43 +236,19 @@ def _table_command(name, cfg, emitter):
     return f"{name}: n={cfg.n} T={cfg.T:g} epsilon={cfg.epsilon:g}  {printed}"
 
 
-def _check_hum_verification(report):
-    """Raise NumericalError when the replay or the duality identity, or the
-    error estimate of either quadrature, misses VERIFICATION_TOLERANCE, or
-    the replay was cut at its step cap."""
-    checked = (
-        "relative_final_norm",
-        "identity_residual",
-        "replay_error_estimate",
-        "identity_error_estimate",
-    )
-    problems = [
-        f"{key} = {report[key]:.3e} exceeds {VERIFICATION_TOLERANCE:g}"
-        for key in checked
-        if not report[key] <= VERIFICATION_TOLERANCE  # nan fails too
-    ]
-    if report["replay_capped"]:
-        problems.append(f"replay would need {report['replay_steps']:.3e} steps, past its step cap")
-    if problems:
-        diagnostics = {key: report[key] for key in checked + ("replay_steps", "replay_capped")}
-        diagnostics["tolerance"] = VERIFICATION_TOLERANCE
-        raise NumericalError("hum verification failed: " + "; ".join(problems), diagnostics)
-
-
 def cmd_hum(cfg, emitter):
     sp = _spectrum_for(cfg.beta, cfg.n, cfg.modes)
     region = ObservationRegion.boundary_layers(cfg.epsilon)
     a0 = _make_datum(cfg.datum, cfg.modes, cfg.seed)
     state = ModalState(coefficients=a0, spectrum=sp)
     result = hum_control(state, region, cfg.T)
-    initial = float(np.linalg.norm(a0))
     # control_csv shapes the tree, not the result; hum.json has never echoed it
     report = asdict(cfg)
     del report["control_csv"]
     report.update(
-        initial_norm=initial,
+        initial_norm=float(np.linalg.norm(a0)),
         final_state_norm=result.final_state_norm,
-        relative_final_norm=result.final_state_norm / initial if initial > 0 else 0.0,
+        relative_final_norm=result.relative_final_norm,
         observability=result.observability,
         gramian_condition=result.gramian_condition,
         identity_lhs=result.identity_lhs,
@@ -286,7 +262,6 @@ def cmd_hum(cfg, emitter):
         steering_re=result.hum_coefficients.real.tolist(),
         steering_im=result.hum_coefficients.imag.tolist(),
     )
-    _check_hum_verification(report)
     emitter.write("hum.json", json_text(report))
     if cfg.control_csv:
         idx = region.node_indices(sp.grid)
@@ -299,7 +274,7 @@ def cmd_hum(cfg, emitter):
         emitter.write("control.csv", csv_text(header, table))
     return (
         f"hum: beta={cfg.beta:g} K={cfg.modes} T={cfg.T:g} "
-        f"final/initial={report['relative_final_norm']:.3e} "
+        f"final/initial={result.relative_final_norm:.3e} "
         f"condition={result.gramian_condition:.3e}"
     )
 

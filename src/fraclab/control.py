@@ -22,7 +22,7 @@ import numpy as np
 
 from ._lapack import zheevr, zposv
 from .dynamics import ModalState, _forced_increment
-from .errors import IllConditionedError, NumericalError, UncontrollableError
+from .errors import NumericalError, UncontrollableError
 from .regions import ObservationRegion
 
 __all__ = [
@@ -39,15 +39,12 @@ __all__ = [
     "hum_control",
 ]
 
-# Condition number above which control synthesis is refused.
-CONDITION_LIMIT = 1e12
-
 # Total decay const(K_max)/const(K_min) below which a sharpness row is
 # classified as vanishing; calibrated against direct Gramian computations on
 # both sides of the dichotomy (see sharpness_experiment docstring).
 VANISHING_DECAY = 1e-2
 
-# Relative accuracy, against the datum norm, that the HUM replay resolves.
+# Relative accuracy to which hum_control verifies a control, or refuses it.
 VERIFICATION_TOLERANCE = 1e-9
 
 # Gauss-Legendre nodes per panel of the HUM replay's composite rules.
@@ -61,7 +58,7 @@ PANEL_NODES = 32
 BLOCK_BYTES = 1 << 19
 
 # Most samples the HUM replay's accepted rule may take; beyond it the replay
-# takes none and sets ControlResult.replay_capped.
+# takes none and hum_control refuses the control.
 REPLAY_STEP_CAP = 2_000_000
 
 
@@ -238,20 +235,22 @@ class ControlResult:
     control_samples[j, i] is the control at time j * control_dt on the i-th
     region node, for j = 0..1000 and control_dt = T / 1000.  The two error
     estimates are relative: the replay's to the datum norm, the duality
-    energy's to the Gramian quadratic form identity_lhs.
+    energy's to the Gramian quadratic form identity_lhs.  hum_control
+    returns only verified controls, so replay_capped is always False.
     """
 
     hum_coefficients: np.ndarray
     control_samples: np.ndarray
     control_dt: float
     final_state_norm: float
+    relative_final_norm: float  # to the datum norm
     gramian_condition: float
     observability: float
     identity_lhs: float
     identity_rhs: float
     identity_residual: float
     region: ObservationRegion
-    replay_steps: int  # a float when replay_capped
+    replay_steps: int
     replay_capped: bool
     replay_error_estimate: float
     identity_error_estimate: float
@@ -339,15 +338,14 @@ def hum_control(state, region, horizon):
     block by block and passing one block per call to the kernel.  It
     records the second's sample count and the relative differences of the
     two as a-posteriori error estimates.  When the second rule would exceed
-    REPLAY_STEP_CAP samples, nothing is sampled: the result says so,
-    carries NaN sums and estimates, and gives the sample count the replay
-    would need as a float.
+    REPLAY_STEP_CAP samples, nothing is sampled.
 
     Raises UncontrollableError when the observability constant is
-    numerically zero, IllConditionedError when the Gramian condition number
-    exceeds 1e12, and NumericalError when the HUM datum or its Gramian
-    form overflows, which happens at horizons below about 3e-304 for a
-    unit datum.
+    numerically zero, and NumericalError when the HUM datum or its Gramian
+    form overflows (at horizons below about 3e-304 for a unit datum) or the
+    control fails its verification: the relative final state, the identity
+    residual or an error estimate exceeds VERIFICATION_TOLERANCE, or the
+    replay would pass its step cap (replay_steps, a float, says how far).
     """
     if not isinstance(state, ModalState):
         raise TypeError("hum_control expects a ModalState datum")
@@ -358,16 +356,12 @@ def hum_control(state, region, horizon):
 
     g = schrodinger_gramian(spectrum, region, T, K)
     obs = observability_constant(g)
+    # the Gramian's form observes part of a conserved energy over [0, T], so
+    # its largest eigenvalue is at most T and this bounds its condition by 1e12
     if obs <= 1e-12 * T:
         raise UncontrollableError(
             "observability constant is numerically zero at this truncation",
             diagnostics={"observability": obs, "horizon": T, "modes": K},
-        )
-    cond = gramian_condition(g)
-    if cond > CONDITION_LIMIT:
-        raise IllConditionedError(
-            f"Gramian condition {cond:.3e} exceeds limit {CONDITION_LIMIT:.1e}",
-            diagnostics={"condition": cond, "observability": obs, "modes": K},
         )
 
     def overflow():
@@ -413,12 +407,31 @@ def hum_control(state, region, horizon):
     except OverflowError:
         raise overflow() from None
 
+    checked = {
+        "relative_final_norm": float(_relative(final_norm, u0_norm)),
+        "identity_residual": residual,
+        "replay_error_estimate": float(errors[0]),
+        "identity_error_estimate": float(errors[1]),
+    }
+    problems = [
+        f"{key} = {value:.3e} exceeds {VERIFICATION_TOLERANCE:g}"
+        for key, value in checked.items()
+        if not value <= VERIFICATION_TOLERANCE  # nan fails too
+    ]
+    if capped:
+        problems.append(f"replay would need {n_steps:.3e} steps, past its step cap")
+    if problems:
+        diagnostics = {**checked, "replay_steps": n_steps, "replay_capped": capped}
+        diagnostics["tolerance"] = VERIFICATION_TOLERANCE
+        raise NumericalError("hum verification failed: " + "; ".join(problems), diagnostics)
+
     return ControlResult(
         hum_coefficients=coeffs,
         control_samples=y_report,
         control_dt=T / 1000.0,
         final_state_norm=final_norm,
-        gramian_condition=cond,
+        relative_final_norm=checked["relative_final_norm"],
+        gramian_condition=gramian_condition(g),
         observability=obs,
         identity_lhs=identity_lhs,
         identity_rhs=identity_rhs,
@@ -426,6 +439,6 @@ def hum_control(state, region, horizon):
         region=region.snapped(spectrum.grid),
         replay_steps=n_steps,
         replay_capped=capped,
-        replay_error_estimate=float(errors[0]),
-        identity_error_estimate=float(errors[1]),
+        replay_error_estimate=checked["replay_error_estimate"],
+        identity_error_estimate=checked["identity_error_estimate"],
     )

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The command line driver maps these onto process exit codes: configuration
-problems exit with 2, numerical failures with 3, and I/O trouble with 4.
+problems exit with 2, numerical failures with 3, and I/O trouble with 4.  A
+numerical failure includes a HUM control that hum_control could not verify.
 """
 
 
@@ -25,10 +26,6 @@ class NumericalError(FraclabError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = dict(diagnostics or {})
-
-
-class IllConditionedError(NumericalError):
-    """A linear system was refused because its condition number is too large."""
 
 
 class UncontrollableError(NumericalError):

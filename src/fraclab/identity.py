@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import phase_average_matrix
+from .control import _relative, phase_average_matrix
 
 __all__ = [
     "BoundaryTrace",
@@ -130,7 +130,7 @@ def eigen_pohozaev_check(spectrum, mode):
     lhs = trace.squared_sum
     gamma = math.gamma(1.0 + spectrum.beta)
     rhs = 2.0 * spectrum.beta * float(spectrum.eigenvalues[k - 1]) / gamma**2
-    residual = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+    residual = float(_relative(abs(lhs - rhs), abs(rhs)))
     fits = (trace.left_residual, trace.right_residual)
     return PohozaevCheck(mode=k, lhs=lhs, rhs=rhs, residual=residual, fit_residuals=fits)
 
@@ -199,7 +199,7 @@ def schrodinger_pohozaev_report(state, duration):
     uT = phi @ (np.exp(1j * state.eigenvalues * T) * a)
     cross = float(np.imag(_virial_term(uT, spectrum.grid) - _virial_term(u0, spectrum.grid)))
     rhs = dirichlet + cross
-    residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    residual = float(_relative(abs(lhs - rhs), max(abs(lhs), abs(rhs))))
     return PohozaevReport(
         lhs=lhs,
         rhs=rhs,

@@ -695,8 +695,8 @@ class TestCliHum:
         assert report["replay_capped"] is False
         assert report["replay_error_estimate"] == result.replay_error_estimate
         assert report["identity_error_estimate"] == result.identity_error_estimate
-        assert report["replay_error_estimate"] <= cli.VERIFICATION_TOLERANCE / 100.0
-        assert report["identity_error_estimate"] <= cli.VERIFICATION_TOLERANCE / 100.0
+        assert report["replay_error_estimate"] <= control.VERIFICATION_TOLERANCE / 100.0
+        assert report["identity_error_estimate"] <= control.VERIFICATION_TOLERANCE / 100.0
         idx = region.node_indices(spectrum.grid)
         header, rows = read_csv(out / "control.csv")
         assert header[0] == "t"
@@ -836,21 +836,26 @@ class TestCliHum:
         assert "relative_final_norm" in captured.err
 
     @pytest.mark.parametrize("key", ["replay_error_estimate", "identity_error_estimate"])
-    def test_error_estimate_beyond_tolerance_fails(self, key):
-        report = {
-            "relative_final_norm": 1e-13,
-            "identity_residual": 1e-14,
-            "replay_error_estimate": 1e-12,
-            "identity_error_estimate": 1e-12,
-            "replay_steps": 16384,
-            "replay_capped": False,
-        }
-        cli._check_hum_verification(report)
-        report[key] = 2.0 * control.VERIFICATION_TOLERANCE
+    def test_error_estimate_beyond_tolerance_fails(self, key, monkeypatch):
+        # hum_control, which cmd_hum calls, refuses a control whose replay
+        # reports an error estimate past the tolerance
+        spectrum = compute_spectrum(assemble_operator(Grid(64), 0.6), 5)
+        state = ModalState(coefficients=cli._make_datum("random", 5, 0), spectrum=spectrum)
+        region = ObservationRegion.boundary_layers(0.2)
+        hum_control(state, region, 1.0)
+        replay = control._replay
+
+        def reporting(*args):
+            sums, steps, capped, errors = replay(*args)
+            errors = errors.copy()
+            errors[["replay_error_estimate", "identity_error_estimate"].index(key)] = 2e-9
+            return sums, steps, capped, errors
+
+        monkeypatch.setattr(control, "_replay", reporting)
         with pytest.raises(NumericalError) as info:
-            cli._check_hum_verification(report)
+            hum_control(state, region, 1.0)
         assert str(info.value) == f"hum verification failed: {key} = 2.000e-09 exceeds 1e-09"
-        assert info.value.diagnostics[key] == report[key]
+        assert info.value.diagnostics[key] == 2e-9
 
     def test_control_csv_toggle(self, tmp_path):
         cfg = tmp_path / "hum.ini"

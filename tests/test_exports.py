@@ -13,7 +13,7 @@ import fraclab
 
 # Modules whose __all__ the package re-exports, in full.
 REEXPORTED = ("operator", "spectra", "regions", "dynamics", "control", "identity")
-ERRORS = ("FraclabError", "ConfigError", "NumericalError", "IllConditionedError", "UncontrollableError")
+ERRORS = ("FraclabError", "ConfigError", "NumericalError", "UncontrollableError")
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fraclab.__path__))
 
 
