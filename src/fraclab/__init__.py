@@ -20,11 +20,9 @@ from .operator import (
     centered_difference_weights,
 )
 from .spectra import (
-    GapReport,
     Spectrum,
     asymptotic_eigenvalue,
     compute_spectrum,
-    gap_sequence,
 )
 from .regions import ObservationRegion
 from .dynamics import (

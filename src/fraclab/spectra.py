@@ -36,19 +36,13 @@ from .operator import DiscreteOperator, Grid, apply, check_order
 
 __all__ = [
     "Spectrum",
-    "GapReport",
     "compute_spectrum",
     "asymptotic_eigenvalue",
-    "gap_sequence",
 ]
 
 # Numerical ties below this relative separation are reported but kept in
 # index order.
 TIE_TOLERANCE = 1e-12
-
-# Log-log slope of numeric gaps below which the gap sequence is classified
-# as vanishing.
-VANISHING_SLOPE = -0.05
 
 def _parity_workers():
     """Parity blocks solved at once: 2 when the BLAS runs one thread, else 1.
@@ -237,43 +231,3 @@ def asymptotic_eigenvalue(beta, k):
     if np.isscalar(k):
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """First differences of an eigenvalue sequence with a dichotomy verdict."""
-
-    gaps: np.ndarray
-    verdict: str  # "uniform-gap" or "vanishing-gap"
-    slope: float = None  # log-log slope of numeric gaps; None for the asymptotic law
-
-
-def gap_sequence(source, modes):
-    """Consecutive eigenvalue gaps from a Spectrum or from the asymptotic law.
-
-    Passing a fractional order uses the asymptotic main term, for which the
-    verdict is exactly the beta < 1/2 dichotomy.  Passing a Spectrum takes
-    numeric gaps and classifies by the least-squares slope of log(gap) against
-    log(k): slopes below -0.05 mean vanishing gap.
-    """
-    k = int(modes)
-    if k < 2:
-        raise ValueError("need at least two modes to form a gap")
-    if isinstance(source, Spectrum):
-        if k > source.modes:
-            raise ValueError(f"spectrum holds {source.modes} modes, requested {k}")
-        lam = np.asarray(source.eigenvalues[:k])
-        gaps = np.diff(lam)
-        if np.any(gaps <= 0):
-            slope = float("-inf")
-        else:
-            idx = np.arange(1, k, dtype=float)
-            slope = float(np.polyfit(np.log(idx), np.log(gaps), 1)[0])
-        verdict = "vanishing-gap" if slope < VANISHING_SLOPE else "uniform-gap"
-        return GapReport(gaps=gaps, verdict=verdict, slope=slope)
-    b = check_order(source)
-    lam = asymptotic_eigenvalue(b, np.arange(1, k + 1))
-    gaps = np.diff(lam)
-    verdict = "vanishing-gap" if b < 0.5 else "uniform-gap"
-    return GapReport(gaps=gaps, verdict=verdict)
-

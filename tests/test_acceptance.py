@@ -25,7 +25,6 @@ from fraclab import (
     asymptotic_eigenvalue,
     compute_spectrum,
     eigen_pohozaev_check,
-    gap_sequence,
     hum_control,
     modal_invariants,
     phase_average_matrix,
@@ -85,32 +84,29 @@ def test_criterion_02_asymptotic_eigenvalue_agreement(get_spectrum):
 
 
 def test_criterion_03_gap_dichotomy(get_spectrum):
-    """Eigenvalue gaps vanish below the half order and stay uniform at and
+    """Eigenvalue gaps shrink below the half order, equal pi/2 at it and grow
     above it, in the closed-form law exactly and in the numerics at n=2048."""
     for beta in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0):
-        report = gap_sequence(beta, 20)
-        want = "vanishing-gap" if beta < 0.5 else "uniform-gap"
-        assert report.verdict == want
-        trend = np.diff(report.gaps)
+        gaps = np.diff(asymptotic_eigenvalue(beta, np.arange(1, 21)))
+        trend = np.diff(gaps)
         if beta < 0.5:
             assert np.all(trend < 0.0)
         elif beta > 0.5:
             assert np.all(trend > 0.0)
         else:
-            np.testing.assert_allclose(report.gaps, np.pi / 2.0, atol=1e-12)
+            np.testing.assert_allclose(gaps, np.pi / 2.0, atol=1e-12)
 
-    verdicts = {}
-    for beta in (0.4, 0.5, 0.6):
-        report = gap_sequence(get_spectrum(beta, 2048, 10), 10)
-        verdicts[beta] = (report.verdict, report.slope)
-    assert verdicts[0.4][0] == "vanishing-gap"
-    assert verdicts[0.5][0] == "uniform-gap"
-    assert verdicts[0.6][0] == "uniform-gap"
-    mean_gap = float(np.mean(gap_sequence(get_spectrum(0.5, 2048, 10), 10).gaps))
+    numeric = {
+        beta: np.diff(get_spectrum(beta, 2048, 10).eigenvalues[:10])
+        for beta in (0.4, 0.5, 0.6)
+    }
+    assert np.all(np.diff(numeric[0.4]) < 0.0)
+    assert np.all(np.diff(numeric[0.6]) > 0.0)
+    mean_gap = float(np.mean(numeric[0.5]))
     assert abs(mean_gap - np.pi / 2.0) / (np.pi / 2.0) < 0.02
     print(
-        "criterion 03: numeric slopes "
-        + ", ".join(f"{b:g}: {s:+.3f}" for b, (_, s) in sorted(verdicts.items()))
+        "criterion 03: numeric gaps "
+        + ", ".join(f"{b:g}: {g[0]:.4f} to {g[-1]:.4f}" for b, g in numeric.items())
         + f"; mean gap at 0.5 = {mean_gap:.4f}"
     )
 

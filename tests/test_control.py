@@ -271,6 +271,21 @@ class TestGramianScalars:
                     if g.eigenvalues[0] > 1e-12 * T:
                         assert gramian_condition(g) < 1e12
 
+    def test_short_horizon_condition_is_the_region_mass_condition(self):
+        # as T -> 0 the phase averages tend to T, so G tends to T R: a large
+        # condition at a tiny horizon is cond(R), not lost digits, down to the
+        # subnormal horizons hum admits; the `hum --n 64 --modes 5` cell has
+        # cond(R) = 2.8e5 and TestHumControl's setup cell 9.4e6
+        for beta, n, modes, epsilon in ((0.6, 64, 5, 0.2), (0.6, 256, 8, 0.25)):
+            spectrum = compute_spectrum(assemble_operator(Grid(n), beta), modes)
+            region = ObservationRegion.boundary_layers(epsilon)
+            R = Gramian(entries=region_mass_matrix(spectrum, region, modes), modes=modes)
+            for T in (1e-9, 1e-50, 1e-150, 1e-300, 1e-303, 4e-304, 3e-304):
+                g = schrodinger_gramian(spectrum, region, T, modes)
+                assert abs(gramian_condition(g) / gramian_condition(R) - 1.0) <= 1e-8
+                ratio = observability_constant(g) / T / observability_constant(R)
+                assert abs(ratio - 1.0) <= 1e-8
+
     def test_constant_and_condition_share_one_eigensolve(self, get_spectrum, eigensolves):
         spectrum = get_spectrum(0.5, 64, 6)
         g = schrodinger_gramian(spectrum, ObservationRegion.boundary_layers(0.25), 2.0, 6)

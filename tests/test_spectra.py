@@ -17,7 +17,6 @@ from fraclab import (
     assemble_operator,
     asymptotic_eigenvalue,
     compute_spectrum,
-    gap_sequence,
     spectra,
 )
 from fraclab import _lapack
@@ -391,49 +390,9 @@ class TestAsymptoticLaw:
 
 class TestGapSequence:
     def test_asymptotic_half_order_gap_is_constant(self):
-        report = gap_sequence(0.5, 12)
-        assert report.verdict == "uniform-gap"
-        np.testing.assert_allclose(report.gaps, math.pi / 2.0, atol=1e-12)
-
-    @pytest.mark.parametrize(
-        "beta,verdict",
-        [
-            (0.25, "vanishing-gap"),
-            (0.4, "vanishing-gap"),
-            (0.5, "uniform-gap"),
-            (0.6, "uniform-gap"),
-            (1.0, "uniform-gap"),
-        ],
-    )
-    def test_asymptotic_dichotomy(self, beta, verdict):
-        assert gap_sequence(beta, 20).verdict == verdict
+        gaps = np.diff(asymptotic_eigenvalue(0.5, np.arange(1, 13)))
+        np.testing.assert_allclose(gaps, math.pi / 2.0, atol=1e-12)
 
     def test_asymptotic_gap_frozen_value(self):
-        report = gap_sequence(0.25, 11)
-        assert report.gaps[-1] == pytest.approx(0.19699941423286305, rel=1e-14)
-
-    @pytest.mark.parametrize(
-        "beta,verdict",
-        [(0.4, "vanishing-gap"), (0.5, "uniform-gap"), (0.6, "uniform-gap")],
-    )
-    def test_numeric_dichotomy(self, get_spectrum, beta, verdict):
-        spectrum = get_spectrum(beta, 2048, 10)
-        report = gap_sequence(spectrum, 10)
-        assert report.verdict == verdict
-        assert report.slope is not None
-
-    def test_numeric_slopes_frozen(self, get_spectrum):
-        slopes = {
-            beta: gap_sequence(get_spectrum(beta, 2048, 10), 10).slope
-            for beta in (0.4, 0.5, 0.6)
-        }
-        assert slopes[0.4] == pytest.approx(-0.196, abs=5e-3)
-        assert slopes[0.5] == pytest.approx(-0.0045, abs=5e-3)
-        assert slopes[0.6] == pytest.approx(0.18, abs=5e-3)
-
-    def test_validation(self, get_spectrum):
-        with pytest.raises(ValueError):
-            gap_sequence(0.5, 1)
-        spectrum = get_spectrum(0.5, 256, 8)
-        with pytest.raises(ValueError):
-            gap_sequence(spectrum, spectrum.modes + 1)
+        lam = asymptotic_eigenvalue(0.25, np.array([10, 11]))
+        assert lam[1] - lam[0] == pytest.approx(0.19699941423286305, rel=1e-14)
