@@ -1,11 +1,12 @@
-"""The program's LAPACK calls, made through scipy's cython_lapack capsules.
+"""The LAPACK calls that numpy.linalg lacks, through scipy's cython_lapack.
 
+numpy.linalg has no subset eigensolve and no positive definite solve.
 scipy.linalg.cython_lapack exports each LAPACK routine as a PyCapsule that
 holds its C function pointer.  This module loads that one extension file on
 its own, from the scipy installation, so a run never imports the rest of
 scipy.linalg, whose package import took more than half of the program's
-start-up.  A module already registered under the extension's name
-is reused, and the one loaded here is registered under it, so a later
+start-up.  A module already registered under the extension's name is
+reused, and the one loaded here is registered under it, so a later
 `import scipy.linalg` and this module share it.  A scipy without the file
 fails at import with ImportError.
 
@@ -15,13 +16,14 @@ bit-identical to scipy's:
 
 - `dsyevr`: lowest eigenpairs of a real symmetric block, as
   scipy.linalg.eigh(block, overwrite_a=True, subset_by_index=...);
-- `zheevr`: eigenvalues of a Hermitian matrix, as scipy.linalg.eigvalsh;
 - `zposv`: Hermitian positive definite solve, as
   scipy.linalg.solve(a, b, assume_a="pos").
 
-A non-finite input to `zheevr` or `zposv` raises ValueError, as scipy's
-check_finite does; `dsyevr` leaves that check to its caller, which holds
-the block it built.  A routine reporting failure raises NumericalError.
+A non-finite input to `zposv` raises ValueError, as scipy's check_finite
+does; `dsyevr` leaves that check to its caller, which holds the block it
+built.  A routine reporting failure raises NumericalError.  The Gramian
+eigenvalues need neither: `control.Gramian` takes them from
+numpy.linalg.eigvalsh.
 """
 
 import ctypes
@@ -36,7 +38,7 @@ import scipy
 
 from .errors import NumericalError
 
-__all__ = ["dsyevr", "zheevr", "zposv"]
+__all__ = ["dsyevr", "zposv"]
 
 _MODULE = "scipy.linalg.cython_lapack"
 
@@ -58,11 +60,6 @@ _SIGNATURES = {
     "dsyevr": (
         "void (char *, char *, char *, int *, d *, int *, d *, d *, int *, int *, d *, "
         "int *, d *, d *, int *, int *, d *, int *, int *, int *, int *)"
-    ),
-    # dsyevr's arguments with rwork and lrwork after lwork.
-    "zheevr": (
-        "void (char *, char *, char *, int *, z *, int *, d *, d *, int *, int *, d *, "
-        "int *, d *, z *, int *, int *, z *, int *, d *, int *, int *, int *, int *)"
     ),
     # uplo, n, nrhs, a, lda, b, ldb, info.
     "zposv": "void (char *, int *, int *, z *, int *, z *, int *, int *)",
@@ -118,7 +115,7 @@ def _lapack_function(name, signature):
     return prototype(_CAPSULE_POINTER(capsule, raw))
 
 
-_dsyevr, _zheevr, _zposv = (_lapack_function(name, signature) for name, signature in _SIGNATURES.items())
+_dsyevr, _zposv = (_lapack_function(name, signature) for name, signature in _SIGNATURES.items())
 
 
 def _ptr(array):
@@ -133,13 +130,6 @@ def _checked_copy(a, shape):
     if not np.isfinite(copy).all():
         raise ValueError("array must not contain infs or NaNs")
     return copy
-
-
-def _square_copy(a):
-    n = np.shape(a)[0] if np.ndim(a) == 2 else 0
-    if n == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {np.shape(a)}")
-    return _checked_copy(a, (n, n))
 
 
 def dsyevr(block, take):
@@ -184,43 +174,6 @@ def dsyevr(block, take):
     return w[:take], z
 
 
-def zheevr(a):
-    """Ascending eigenvalues of a Hermitian matrix, as scipy.linalg.eigvalsh(a).
-
-    Runs zheevr on a Fortran-order copy with jobz 'N', range 'A', uplo 'L'
-    and the workspace sizes of a query, which is what eigvalsh passes.
-    Raises ValueError for an empty, non-square or non-finite matrix and
-    NumericalError when zheevr reports failure.
-    """
-    a = _square_copy(a)
-    n = len(a)
-    w = np.empty(n)
-    unused = np.empty(1, dtype=complex)  # z, not referenced for jobz 'N'
-    isuppz = np.empty(2, dtype=np.intc)
-    m, info, zero = ctypes.c_int(), ctypes.c_int(), ctypes.c_double(0.0)
-
-    def call(work, rwork, iwork, lwork, lrwork, liwork):
-        _zheevr(
-            b"N", b"A", b"L", ctypes.c_int(n), _ptr(a), ctypes.c_int(n),
-            zero, zero, ctypes.c_int(1), ctypes.c_int(n), zero, m, _ptr(w),
-            _ptr(unused), ctypes.c_int(1), _ptr(isuppz),
-            _ptr(work), ctypes.c_int(lwork), _ptr(rwork), ctypes.c_int(lrwork),
-            _ptr(iwork), ctypes.c_int(liwork), info,
-        )
-
-    work, rwork, iwork = np.empty(1, dtype=complex), np.empty(1), np.empty(1, dtype=np.intc)
-    call(work, rwork, iwork, -1, -1, -1)  # workspace query
-    if info.value == 0:
-        lwork, lrwork, liwork = int(work[0].real), int(rwork[0]), int(iwork[0])
-        work, rwork, iwork = np.empty(lwork, dtype=complex), np.empty(lrwork), np.empty(liwork, dtype=np.intc)
-        call(work, rwork, iwork, lwork, lrwork, liwork)
-    if info.value != 0 or m.value != n:
-        raise NumericalError(
-            "Hermitian eigensolve failed", diagnostics={"info": info.value, "eigenvalues": m.value}
-        )
-    return w
-
-
 def zposv(a, b):
     """Solution x of a x = b for a Hermitian positive definite matrix a.
 
@@ -230,8 +183,10 @@ def zposv(a, b):
     or a non-finite entry, and NumericalError when a is not positive
     definite or zposv reports failure.
     """
-    a = _square_copy(a)
-    n = len(a)
+    n = np.shape(a)[0] if np.ndim(a) == 2 else 0
+    if n == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {np.shape(a)}")
+    a = _checked_copy(a, (n, n))
     x = _checked_copy(b, (n,))
     if n == 1:  # scipy.linalg.solve divides by a 1 x 1 matrix, and so does this
         if not a[0, 0].real > 0.0:

@@ -268,7 +268,7 @@ def cmd_hum(cfg, emitter):
         header = ["t"] + [f"{part}_{i + 1}" for i in idx for part in ("re", "im")]
         values = result.control_samples
         table = np.empty((values.shape[0], 1 + 2 * values.shape[1]))
-        table[:, 0] = result.control_dt * np.arange(values.shape[0])
+        table[:, 0] = result.control_times
         table[:, 1::2] = values.real
         table[:, 2::2] = values.imag
         emitter.write("control.csv", csv_text(header, table))
@@ -367,7 +367,7 @@ def _build_parser():
     for name, text in commands.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", metavar="PATH", help="INI config file")
-        p.add_argument("--out", metavar="DIR", help="output directory (default fraclab-out)")
+        p.add_argument("--out", metavar="DIR", help="output directory (default: the config's out key, else fraclab-out)")
         for key, flag_help in _VALUE_FLAGS.items():
             p.add_argument(f"--{key}", help=flag_help)
         p.add_argument(
@@ -400,8 +400,10 @@ def _validated_overrides(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    out_dir = args.out or "fraclab-out"
     try:
+        config = load_config(args.config) if args.config else RunConfig()
+        # resolved before --verify, which checks the directory a run writes
+        out_dir = args.out or config.out or "fraclab-out"
         if args.verify:
             ok, lines = verify_manifest(out_dir)
             for line in lines:
@@ -409,7 +411,6 @@ def main(argv=None):
             print("verify: ok" if ok else "verify: drift detected")
             return 0 if ok else 1
 
-        config = load_config(args.config) if args.config else RunConfig()
         overrides = _validated_overrides(args)
         if args.command == "sweep":
             # --beta narrows the sweep list and --jobs sets its workers; the
@@ -420,8 +421,6 @@ def main(argv=None):
         else:
             config = override_section(config, args.command, **overrides)
         section = _check_run(config, args.command)
-        if args.out is None and config.out is not None:
-            out_dir = config.out
         os.makedirs(out_dir, exist_ok=True)
         emitter = Emitter(directory=out_dir, stamp=None if args.no_timestamp else utc_stamp())
         if args.command == "sweep":

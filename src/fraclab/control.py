@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import LinAlgError, eigvalsh
 
-from ._lapack import zheevr, zposv
+from ._lapack import zposv
 from .dynamics import ModalState, _forced_increment
 from .errors import NumericalError, UncontrollableError
 from .regions import ObservationRegion
@@ -71,8 +72,12 @@ class Gramian:
 
     @cached_property
     def eigenvalues(self):
-        """Ascending eigenvalues of the entries, from one Hermitian solve."""
-        return zheevr(self.entries)
+        """Ascending eigenvalues of the entries, from one Hermitian solve
+        (numpy.linalg.eigvalsh); raises NumericalError when it does not converge."""
+        try:
+            return eigvalsh(self.entries)
+        except LinAlgError as exc:
+            raise NumericalError(f"Hermitian eigensolve failed: {exc}") from None
 
 
 def region_mass_matrix(spectrum, region, modes):
@@ -232,16 +237,17 @@ def sharpness_experiment(spectra, mode_counts, region, horizon):
 class ControlResult:
     """Synthesized HUM control with its verification record.
 
-    control_samples[j, i] is the control at time j * control_dt on the i-th
-    region node, for j = 0..1000 and control_dt = T / 1000.  The two error
-    estimates are relative: the replay's to the datum norm, the duality
-    energy's to the Gramian quadratic form identity_lhs.  hum_control
-    returns only verified controls, so replay_capped is always False.
+    control_samples[j, i] is the control at time control_times[j] on the
+    i-th region node, for the 1001 times np.linspace(0, T, 1001), which end
+    exactly at T.  The two error estimates are relative: the replay's to the
+    datum norm, the duality energy's to the Gramian quadratic form
+    identity_lhs.  hum_control returns only verified controls, so
+    replay_capped is always False.
     """
 
     hum_coefficients: np.ndarray
     control_samples: np.ndarray
-    control_dt: float
+    control_times: np.ndarray
     final_state_norm: float
     relative_final_norm: float  # to the datum norm
     gramian_condition: float
@@ -380,8 +386,9 @@ def hum_control(state, region, horizon):
     phi_region = spectrum.vectors[idx, :K]
     u0_norm = float(np.linalg.norm(a0))
 
-    # Reported control samples on the conventional grid dt = T / 1000.
-    y_report = _trajectory(lam, coeffs, phi_region, np.linspace(0.0, T, 1001))
+    # Reported control samples on the conventional grid of step T / 1000.
+    report_times = np.linspace(0.0, T, 1001)
+    y_report = _trajectory(lam, coeffs, phi_region, report_times)
 
     # One replay gives the forcing integral and, for the duality identity,
     # the observed energy of y, against the Gramian quadratic form of y0.
@@ -428,7 +435,7 @@ def hum_control(state, region, horizon):
     return ControlResult(
         hum_coefficients=coeffs,
         control_samples=y_report,
-        control_dt=T / 1000.0,
+        control_times=report_times,
         final_state_norm=final_norm,
         relative_final_norm=checked["relative_final_norm"],
         gramian_condition=gramian_condition(g),

@@ -348,6 +348,25 @@ class TestCliDeterminism:
         assert drift.returncode == 1
         assert "drift" in drift.stdout
 
+    def test_verify_reads_the_config_out_key(self, tmp_path, monkeypatch, capsys):
+        # --verify checks the directory a run writes: --out, then the
+        # config's out key, then fraclab-out
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.ini").write_text("out = results\n[spectrum]\nn = 16\nmodes = 4\n")
+        config = ["spectrum", "--config", "c.ini"]
+        assert cli.main([*config, "--no-timestamp"]) == 0
+        assert cli.main(["spectrum", "--n", "16", "--modes", "4", "--no-timestamp"]) == 0
+        assert (tmp_path / "results" / "manifest.json").is_file()
+        capsys.readouterr()
+        assert cli.main([*config, "--verify"]) == 0
+        assert capsys.readouterr().out.endswith("verify: ok\n")
+        with open(tmp_path / "results" / "spectrum.csv", "a") as f:
+            f.write("tampered\n")
+        assert cli.main([*config, "--verify"]) == 1
+        assert capsys.readouterr().out.endswith("verify: drift detected\n")
+        assert cli.main([*config, "--verify", "--out", "fraclab-out"]) == 0
+        assert cli.main(["spectrum", "--verify"]) == 0
+
 
 # one out-of-range and one malformed value per flag
 FLAG_VALUES = [
@@ -704,7 +723,7 @@ class TestCliHum:
         assert header[2::2] == [f"im_{i + 1}" for i in idx]
         table = np.array(rows, dtype=float)
         assert np.any(table[:, 1:] != 0.0)
-        np.testing.assert_array_equal(table[:, 0], [r * result.control_dt for r in range(len(rows))])
+        np.testing.assert_array_equal(table[:, 0], result.control_times)
         np.testing.assert_array_equal(table[:, 1::2], result.control_samples.real)
         np.testing.assert_array_equal(table[:, 2::2], result.control_samples.imag)
 
@@ -856,6 +875,16 @@ class TestCliHum:
             hum_control(state, region, 1.0)
         assert str(info.value) == f"hum verification failed: {key} = 2.000e-09 exceeds 1e-09"
         assert info.value.diagnostics[key] == 2e-9
+
+    def test_control_csv_last_time_is_the_horizon(self, tmp_path):
+        # 1000 steps of T / 1000 give 3.9700000000000006; the last sample
+        # is taken at T itself
+        out = tmp_path / "o"
+        assert cli.main(["hum", "--n", "64", "--modes", "5", "--T", "3.97", "--out", str(out)]) == 0
+        header, rows = read_csv(out / "control.csv")
+        times = [float(row[0]) for row in rows]
+        assert rows[-1][0] == "3.9700000000000002"
+        assert times == np.linspace(0.0, 3.97, 1001).tolist()
 
     def test_control_csv_toggle(self, tmp_path):
         cfg = tmp_path / "hum.ini"

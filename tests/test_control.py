@@ -1,10 +1,12 @@
 """Observability Gramians, the sharpness table, and HUM control synthesis."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fraclab import (
     ControlResult,
@@ -23,7 +25,7 @@ from fraclab import (
     sharpness_experiment,
     wave_gramian,
 )
-from fraclab import control
+from fraclab import cli, control
 from fraclab.config import MAX_HORIZON, MAX_NODES, RunConfig
 from fraclab.control import VERIFICATION_TOLERANCE, _trajectory
 from fraclab.dynamics import _forced_increment
@@ -50,13 +52,13 @@ def replay_partition(samples, block):
 def eigensolves(monkeypatch):
     """Shapes of the matrices passed to the Gramian eigensolve, in call order."""
     shapes = []
-    solve = control.zheevr
+    solve = control.eigvalsh
 
     def counting(a):
         shapes.append(np.shape(a))
         return solve(a)
 
-    monkeypatch.setattr(control, "zheevr", counting)
+    monkeypatch.setattr(control, "eigvalsh", counting)
     return shapes
 
 # the region covering every interior node
@@ -294,6 +296,56 @@ class TestGramianScalars:
         assert eigensolves == [(6, 6)]
 
 
+class TestGramianEigensolve:
+    # numpy.linalg.eigvalsh runs the LAPACK code that scipy.linalg.eigvalsh
+    # runs, and gives the same bits on these Gramians and matrices
+    def test_eigenvalues_are_scipy_eigvalsh(self, gramian):
+        assert gramian.eigenvalues.tobytes() == scipy.linalg.eigvalsh(gramian.entries).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_small_and_random_matrices(self, n, hermitian):
+        a = hermitian(n, 1e3, n)
+        g = Gramian(entries=a, modes=n)
+        assert g.eigenvalues.tobytes() == scipy.linalg.eigvalsh(a).tobytes()
+
+    @pytest.mark.parametrize("horizon", [1e-300, 1e76])
+    def test_extreme_horizons(self, get_spectrum, horizon):
+        # a horizon near the shortest that hum verifies, whose tiny Gramian
+        # both LAPACK drivers rescale, and the largest below the norm
+        # (about 8.2e76) from which scipy's zheevr rescales and numpy's
+        # zheevd does not
+        spectrum = get_spectrum(0.6, 1024, 20)
+        g = schrodinger_gramian(spectrum, ObservationRegion.boundary_layers(0.2), horizon, 20)
+        assert g.eigenvalues.tobytes() == scipy.linalg.eigvalsh(g.entries).tobytes()
+
+    def test_entries_are_left_unchanged(self, gramian):
+        before = gramian.entries.copy()
+        eigenvalues = Gramian(entries=gramian.entries, modes=gramian.modes).eigenvalues
+        assert len(eigenvalues) == gramian.modes
+        assert gramian.entries.tobytes() == before.tobytes()
+
+    def test_failed_eigensolve_raises_numerical_error(self):
+        # LAPACK does not converge on a NaN entry
+        entries = np.eye(3, dtype=complex)
+        entries[1, 1] = math.nan
+        with pytest.raises(NumericalError, match="eigensolve failed"):
+            Gramian(entries=entries, modes=3).eigenvalues
+
+    def test_failed_eigensolve_exits_3(self, tmp_path, capsys, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(control, "eigvalsh", failing)
+        args = ["hum", "--n", "64", "--modes", "5", "--out", str(tmp_path / "o"), "--no-timestamp"]
+        assert cli.main(args) == 3
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "NumericalError"
+        assert error["message"] == "Hermitian eigensolve failed: Eigenvalues did not converge"
+        assert "numerical failure" in captured.err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 class TestSharpness:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -404,13 +456,21 @@ class TestHumControl:
         result = hum_control(state, region, 1.0)
         n_nodes = len(region.node_indices(spectrum.grid))
         assert result.control_samples.shape == (1001, n_nodes)
-        assert result.control_dt == pytest.approx(1e-3)
+        assert result.control_times.tobytes() == np.linspace(0.0, 1.0, 1001).tobytes()
+
+    def test_control_times_end_at_the_horizon(self, setup):
+        # 1000 steps of T / 1000 overshoot T = 3.97 by one ulp; the sample
+        # times are the linspace the control is sampled at, which ends at T
+        spectrum, region, state = setup
+        result = hum_control(state, region, 3.97)
+        assert result.control_times.tobytes() == np.linspace(0.0, 3.97, 1001).tobytes()
+        assert result.control_times[-1] == 3.97
 
     def test_control_samples_are_the_free_trajectory(self, setup):
-        # the reported control is y on the region at t_j = j * control_dt
+        # the reported control is y on the region at the times control_times
         spectrum, region, state = setup
         result = hum_control(state, region, 1.0)
-        t = result.control_dt * np.arange(1001)
+        t = result.control_times
         phi_region = spectrum.vectors[region.node_indices(spectrum.grid), :8]
         want = (np.exp(1j * np.outer(t, spectrum.eigenvalues[:8])) * result.hum_coefficients) @ phi_region.T
         eps = np.finfo(float).eps
@@ -423,7 +483,7 @@ class TestHumControl:
         # tolerance reflects its own quadrature error
         spectrum, region, state = setup
         result = hum_control(state, region, 1.0)
-        out = forced_evolve(state, result.control_samples, result.control_dt, region)
+        out = forced_evolve(state, result.control_samples, result.control_times[1], region)
         assert np.linalg.norm(out) < 1e-6
 
     def test_trajectory_matches_oracle(self, setup):

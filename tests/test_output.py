@@ -207,7 +207,7 @@ def test_hum_control_csv_matches_per_cell(tmp_path):
     idx = region.node_indices(spectrum.grid)
     header = ["t"] + [f"{part}_{i + 1}" for i in idx for part in ("re", "im")]
     rows = [
-        [j * result.control_dt] + [v for z in samples.tolist() for v in (z.real, z.imag)]
-        for j, samples in enumerate(result.control_samples)
+        [t] + [v for z in samples.tolist() for v in (z.real, z.imag)]
+        for t, samples in zip(result.control_times.tolist(), result.control_samples)
     ]
     assert (out / "control.csv").read_text() == per_cell(header, rows)
