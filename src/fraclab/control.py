@@ -180,7 +180,7 @@ class SharpnessTable:
     conditions: np.ndarray
     resolved: np.ndarray  # constant above the eigensolve's rounding floor
     decay_ratios: np.ndarray  # const at K_max over const at K_min, per beta
-    verdicts: tuple  # "vanishing" or "uniform" per beta
+    verdicts: tuple  # "vanishing", "uniform" or "unresolved" per beta
 
 
 def sharpness_experiment(spectra, mode_counts, region, horizon):
@@ -199,12 +199,17 @@ def sharpness_experiment(spectra, mode_counts, region, horizon):
     A Hermitian eigensolve of a K x K Gramian resolves eigenvalues only down
     to about K * eps * lambda_max, so a constant counts as resolved when it
     is positive and the condition number stays below 1 / (K * eps); below
-    that floor its digits are rounding noise.
+    that floor its digits are rounding noise.  A verdict reads only resolved
+    digits: a row whose smallest-span constant is unresolved is
+    "unresolved"; an unresolved largest-span constant lies below its floor,
+    so its row is "vanishing" when that floor is below VANISHING_DECAY times
+    the smallest-span constant, and "unresolved" otherwise.
     """
     counts = tuple(sorted(int(k) for k in mode_counts))
     if not counts:
         raise ValueError("need at least one mode count")
-    betas, constants, conditions = [], [], []
+    eps = np.finfo(float).eps
+    betas, constants, conditions, floors = [], [], [], []
     for b, spectrum in spectra:
         if betas and b <= betas[-1]:
             raise ValueError(f"orders must ascend, got {b} after {betas[-1]}")
@@ -217,20 +222,35 @@ def sharpness_experiment(spectra, mode_counts, region, horizon):
         betas.append(b)
         constants.append([observability_constant(g) for g in gramians])
         conditions.append([gramian_condition(g) for g in gramians])
+        # the largest span's rounding floor, from its cached eigenvalues
+        floors.append(counts[-1] * eps * float(gramians[-1].eigenvalues[-1]))
     constants = np.reshape(constants, (-1, len(counts)))
     conditions = np.reshape(conditions, (-1, len(counts)))
-    floor = 1.0 / (np.asarray(counts) * np.finfo(float).eps)
+    resolved = (constants > 0.0) & (conditions < 1.0 / (np.asarray(counts) * eps))
     decay = verdicts = None
     if len(counts) >= 2:
         decay = constants[:, -1] / constants[:, 0]
-        verdicts = tuple("vanishing" if r < VANISHING_DECAY else "uniform" for r in decay)
+        verdicts = tuple(
+            _verdict(row, ratio, ok, floor)
+            for row, ratio, ok, floor in zip(constants.tolist(), decay.tolist(), resolved.tolist(), floors)
+        )
     return SharpnessTable(
         constants=constants,
         conditions=conditions,
-        resolved=(constants > 0.0) & (conditions < floor),
+        resolved=resolved,
         decay_ratios=decay,
         verdicts=verdicts,
     )
+
+
+def _verdict(constants, ratio, resolved, floor):
+    # A row's verdict from its smallest- and largest-span constants, read
+    # only where they are resolved; `floor` bounds an unresolved last one.
+    if not resolved[0]:
+        return "unresolved"
+    if resolved[-1]:
+        return "vanishing" if ratio < VANISHING_DECAY else "uniform"
+    return "vanishing" if floor < VANISHING_DECAY * constants[0] else "unresolved"
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ problems exit with 2, numerical failures with 3, and I/O trouble with 4.  A
 numerical failure includes a HUM control that hum_control could not verify.
 """
 
+__all__ = ["FraclabError", "ConfigError", "NumericalError", "UncontrollableError"]
+
 
 class FraclabError(Exception):
     """Base class for all package-specific errors."""

@@ -17,10 +17,8 @@ import numpy as np
 from .control import _relative, phase_average_matrix
 
 __all__ = [
-    "BoundaryTrace",
     "PohozaevCheck",
     "PohozaevReport",
-    "boundary_trace",
     "eigen_pohozaev_check",
     "schrodinger_pohozaev_report",
     "two_sided_estimate_ratio",
@@ -49,7 +47,8 @@ def _second_exponent(beta):
 
 
 def _layer_fit(vectors, grid, beta):
-    """Boundary coefficients and relative layer misfits of an (n, k) block.
+    """Boundary coefficients and relative layer misfits of an (n, k) block,
+    the one entry point of the trace fit (a single vector is an (n, 1) column).
 
     Each column is fitted on both layers against the two leading boundary
     powers by one least-squares product per layer; the coefficient of
@@ -74,39 +73,6 @@ def _layer_fit(vectors, grid, beta):
 
 
 @dataclass(frozen=True)
-class BoundaryTrace:
-    """Leading boundary coefficients u(x) ~ c * dist(x)^beta at each endpoint."""
-
-    left: complex
-    right: complex
-    left_residual: float
-    right_residual: float
-
-    @property
-    def squared_sum(self):
-        return abs(self.left) ** 2 + abs(self.right) ** 2
-
-
-def boundary_trace(values, grid, beta):
-    """Extract the boundary coefficients of a node vector by layer fitting.
-
-    Fits values on max(8, n // 64) nodes per side, skipping the two nodes
-    nearest each endpoint, against the two leading boundary powers; the
-    reported coefficient multiplies dist^beta.  Residuals are relative
-    misfits of the two-power model on each layer and shrink under grid
-    refinement for vectors with genuine d^beta behaviour.
-    """
-    u = np.asarray(values)
-    if u.shape != (grid.n_interior,):
-        raise ValueError(
-            f"expected a vector of {grid.n_interior} interior values, got shape {u.shape}"
-        )
-    coefficients, residuals = _layer_fit(u[:, None], grid, beta)
-    (left, right), (left_res, right_res) = coefficients[:, 0].tolist(), residuals[:, 0].tolist()
-    return BoundaryTrace(left=left, right=right, left_residual=left_res, right_residual=right_res)
-
-
-@dataclass(frozen=True)
 class PohozaevCheck:
     """Eigenfunction identity: sum of squared boundary coefficients vs target."""
 
@@ -126,12 +92,16 @@ def eigen_pohozaev_check(spectrum, mode):
     k = int(mode)
     if not 1 <= k <= spectrum.modes:
         raise ValueError(f"mode must lie in [1, {spectrum.modes}], got {mode}")
-    trace = boundary_trace(spectrum.vectors[:, k - 1], spectrum.grid, spectrum.beta)
-    lhs = trace.squared_sum
+    # an (n, 1) view of the vector: the strides the fit's products were
+    # checked on (a k - 1 : k slice has others)
+    column = spectrum.vectors[:, k - 1][:, None]
+    coefficients, residuals = _layer_fit(column, spectrum.grid, spectrum.beta)
+    left, right = coefficients[:, 0].tolist()
+    lhs = abs(left) ** 2 + abs(right) ** 2
     gamma = math.gamma(1.0 + spectrum.beta)
     rhs = 2.0 * spectrum.beta * float(spectrum.eigenvalues[k - 1]) / gamma**2
     residual = float(_relative(abs(lhs - rhs), abs(rhs)))
-    fits = (trace.left_residual, trace.right_residual)
+    fits = tuple(residuals[:, 0].tolist())
     return PohozaevCheck(mode=k, lhs=lhs, rhs=rhs, residual=residual, fit_residuals=fits)
 
 

@@ -400,6 +400,38 @@ class TestSharpness:
         table = sharpness_experiment([(0.5, get_spectrum(0.5, 64, 40))], tuple(cells), region, 1.0)
         assert table.resolved.tolist() == [[True, False, True, False]]
 
+    def test_unresolved_smallest_span_gives_no_verdict(self):
+        # every constant of both rows sits below the eigensolve floor: their
+        # ratios are rounding noise and decide neither regime
+        region = ObservationRegion.boundary_layers(0.2)
+        spectra = {b: compute_spectrum(assemble_operator(Grid(1024), b), 80) for b in (0.25, 0.3)}
+        table = sharpness_experiment(spectra.items(), (40, 60, 80), region, 4.0)
+        assert not table.resolved.any()
+        assert table.verdicts == ("unresolved", "unresolved")
+
+    @pytest.mark.parametrize(
+        "first,last,verdict",
+        [
+            ((-200.0, 10.0), (200.0, 10.0), "unresolved"),
+            ((200.0, 10.0), (-1.0, math.inf), "vanishing"),
+            ((50.0, 10.0), (-1.0, math.inf), "unresolved"),
+        ],
+        ids=["first-unresolved", "floor-decides", "floor-too-high"],
+    )
+    def test_verdict_reads_only_resolved_constants(self, get_spectrum, monkeypatch, first, last, verdict):
+        # synthetic (constant, condition) cells at K = 5 and 40, constants in
+        # units of the real K = 40 Gramian's floor 40 eps lambda_max, which
+        # bounds an unresolved last constant; 200 and 50 floors sit on either
+        # side of 1 / VANISHING_DECAY = 100
+        spectrum = get_spectrum(0.5, 64, 40)
+        region = ObservationRegion.boundary_layers(0.2)
+        floor = 40 * np.finfo(float).eps * schrodinger_gramian(spectrum, region, 1.0, 40).eigenvalues[-1]
+        cells = {5: (first[0] * floor, first[1]), 40: (last[0] * floor, last[1])}
+        monkeypatch.setattr(control, "observability_constant", lambda g: cells[g.modes][0])
+        monkeypatch.setattr(control, "gramian_condition", lambda g: cells[g.modes][1])
+        table = sharpness_experiment([(0.5, spectrum)], tuple(cells), region, 1.0)
+        assert table.verdicts == (verdict,)
+
     def test_one_eigensolve_per_gramian(self, get_spectrum, eigensolves):
         # B orders x C counts Gramians, each solved once for both its
         # constant and its condition number

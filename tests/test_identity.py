@@ -8,7 +8,6 @@ import pytest
 from fraclab import (
     Grid,
     ModalState,
-    boundary_trace,
     eigen_pohozaev_check,
     schrodinger_pohozaev_report,
     two_sided_estimate_ratio,
@@ -18,26 +17,31 @@ from fraclab.identity import _layer_fit, _second_exponent
 RNG = np.random.default_rng(20260823)
 
 
+def one_fit(values, grid, beta):
+    """Coefficients and residuals of one vector, each a (left, right) pair."""
+    coefficients, residuals = _layer_fit(np.asarray(values)[:, None], grid, beta)
+    return coefficients[:, 0], residuals[:, 0]
+
+
 class TestBoundaryTrace:
     def test_classical_sine_profile(self):
         # sin(pi (x + 1) / 2) behaves like (pi/2) * dist near both endpoints
         grid = Grid(512)
         u = np.sin(np.pi * (grid.nodes + 1.0) / 2.0)
-        trace = boundary_trace(u, grid, 1.0)
+        (left, right), residuals = one_fit(u, grid, 1.0)
         assert _second_exponent(1.0) == 2.0  # the fit is on d and d^2
-        assert trace.left == pytest.approx(np.pi / 2.0, rel=1e-3)
-        assert trace.right == pytest.approx(np.pi / 2.0, rel=1e-3)
+        assert left == pytest.approx(np.pi / 2.0, rel=1e-3)
+        assert right == pytest.approx(np.pi / 2.0, rel=1e-3)
         # the d^3 term of the sine is outside the two-power model, leaving
         # a small but nonzero layer misfit
-        assert trace.left_residual < 1e-4
-        assert trace.right_residual < 1e-4
+        assert 0.0 < residuals.min() and residuals.max() < 1e-4
 
     def test_classical_cosine_profile(self):
         grid = Grid(512)
         u = np.cos(np.pi * grid.nodes / 2.0)
-        trace = boundary_trace(u, grid, 1.0)
-        assert trace.left == pytest.approx(np.pi / 2.0, rel=1e-3)
-        assert trace.right == pytest.approx(np.pi / 2.0, rel=1e-3)
+        (left, right), _ = one_fit(u, grid, 1.0)
+        assert left == pytest.approx(np.pi / 2.0, rel=1e-3)
+        assert right == pytest.approx(np.pi / 2.0, rel=1e-3)
 
     def test_pure_power_recovered_exactly(self):
         # a vector that is exactly c1 d^beta + c2 d^(2 beta) near the left
@@ -47,66 +51,42 @@ class TestBoundaryTrace:
         d_left = 1.0 + grid.nodes
         d_right = 1.0 - grid.nodes
         u = 3.0 * d_left**beta - 2.0 * d_left ** (2 * beta)
-        trace = boundary_trace(u, grid, beta)
-        assert trace.left == pytest.approx(3.0, rel=1e-10)
-        assert trace.left_residual < 1e-10
+        (left, _), (left_residual, _) = one_fit(u, grid, beta)
+        assert left == pytest.approx(3.0, rel=1e-10)
+        assert left_residual < 1e-10
         v = 0.5 * d_right**beta + 1.5 * d_right ** (2 * beta)
-        trace_v = boundary_trace(v, grid, beta)
-        assert trace_v.right == pytest.approx(0.5, rel=1e-10)
-        assert trace_v.right_residual < 1e-10
+        (_, right), (_, right_residual) = one_fit(v, grid, beta)
+        assert right == pytest.approx(0.5, rel=1e-10)
+        assert right_residual < 1e-10
 
     def test_odd_profile_gives_opposite_signs(self, get_spectrum):
         spectrum = get_spectrum(0.5, 256, 2)
         # the second eigenfunction is odd: its boundary coefficients match
         # up to sign
-        trace = boundary_trace(spectrum.vectors[:, 1], spectrum.grid, 0.5)
-        assert trace.left == pytest.approx(-trace.right, rel=1e-10)
+        (left, right), _ = one_fit(spectrum.vectors[:, 1], spectrum.grid, 0.5)
+        assert left == pytest.approx(-right, rel=1e-10)
 
     def test_complex_linearity(self):
         grid = Grid(256)
         u = RNG.standard_normal(256)
         v = RNG.standard_normal(256)
-        tu = boundary_trace(u, grid, 0.6)
-        tv = boundary_trace(v, grid, 0.6)
-        tw = boundary_trace(u + 2.0j * v, grid, 0.6)
-        assert tw.left == pytest.approx(tu.left + 2.0j * tv.left, rel=1e-12)
-        assert tw.right == pytest.approx(tu.right + 2.0j * tv.right, rel=1e-12)
+        cu, _ = one_fit(u, grid, 0.6)
+        cv, _ = one_fit(v, grid, 0.6)
+        cw, _ = one_fit(u + 2.0j * v, grid, 0.6)
+        np.testing.assert_allclose(cw, cu + 2.0j * cv, rtol=1e-12)
 
     def test_real_input_gives_real_coefficients(self):
         grid = Grid(256)
-        trace = boundary_trace(RNG.standard_normal(256), grid, 0.5)
-        assert isinstance(trace.left, float)
-        assert isinstance(trace.right, float)
-
-    def test_squared_sum(self):
-        grid = Grid(256)
-        trace = boundary_trace(RNG.standard_normal(256), grid, 0.5)
-        assert trace.squared_sum == pytest.approx(
-            abs(trace.left) ** 2 + abs(trace.right) ** 2
-        )
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            boundary_trace(np.ones(100), Grid(256), 0.5)
+        coefficients, residuals = one_fit(RNG.standard_normal(256), grid, 0.5)
+        assert coefficients.dtype == residuals.dtype == np.float64
 
     def test_too_coarse_grid_rejected(self):
         # the layer needs max(8, n // 64) nodes plus two skipped per side
-        with pytest.raises(ValueError):
-            boundary_trace(np.ones(16), Grid(16), 0.5)
+        with pytest.raises(ValueError, match="too coarse"):
+            one_fit(np.ones(16), Grid(16), 0.5)
 
 
 class TestLayerFit:
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_boundary_trace_is_the_one_column_fit(self, dtype):
-        grid = Grid(256)
-        u = RNG.standard_normal(256).astype(dtype)
-        if dtype is complex:
-            u += 1j * RNG.standard_normal(256)
-        trace = boundary_trace(u, grid, 0.6)
-        coefficients, residuals = _layer_fit(u[:, None], grid, 0.6)
-        assert (trace.left, trace.right) == tuple(coefficients[:, 0])
-        assert (trace.left_residual, trace.right_residual) == tuple(residuals[:, 0])
-
     @pytest.mark.parametrize("beta,n", [(0.3, 256), (0.5, 512), (0.75, 512), (1.0, 512)])
     def test_block_fit_matches_column_fits(self, get_spectrum, beta, n):
         # the trajectory identity fits all modes at once, the eigenfunction
@@ -231,13 +211,10 @@ class TestTrajectoryReport:
         rng = np.random.default_rng(75)
         a = rng.standard_normal(K) + 1j * rng.standard_normal(K)
         state = ModalState(coefficients=a, spectrum=spectrum)
-        fits = [boundary_trace(spectrum.vectors[:, k], spectrum.grid, beta) for k in range(K)]
+        traces = np.column_stack([one_fit(spectrum.vectors[:, k], spectrum.grid, beta)[0] for k in range(K)])
         times = np.linspace(0.0, T, intervals + 1)
         flow = np.exp(1j * np.outer(times, spectrum.eigenvalues[:K])) * a
-        density = sum(
-            np.abs(flow @ np.array([getattr(fit, side) for fit in fits])) ** 2
-            for side in ("left", "right")
-        )
+        density = sum(np.abs(flow @ side) ** 2 for side in traces)
         w = np.ones(intervals + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0

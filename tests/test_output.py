@@ -1,6 +1,7 @@
-"""Artifact rendering: CSV number formatting and the emitter."""
+"""Artifact rendering: CSV number formatting, JSON reports and the emitter."""
 
 import hashlib
+import json
 import sys
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from fraclab import ModalState, ObservationRegion, cli, hum_control, output
 from fraclab.config import RunConfig
 from fraclab.errors import FraclabError
-from fraclab.output import _BLOCK, Emitter, csv_text
+from fraclab.output import _BLOCK, Emitter, csv_text, json_text
 
 SPECIAL = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e300, 3.0, -42.0, 0.1]
 
@@ -194,6 +195,42 @@ def test_array_renders_as_its_list():
 def test_table_that_is_not_2d_numeric_is_refused(table):
     with pytest.raises(ValueError):
         csv_text(["x"], table)
+
+
+def test_json_non_finite_floats_become_strings_at_any_depth():
+    nan, inf = float("nan"), float("inf")
+    report = {"x": nan, "rows": [[1.5, inf], ({"deep": [-inf]},)], "scalar": np.float64(-inf)}
+    assert json.loads(json_text(report)) == {
+        "x": "nan",
+        "rows": [[1.5, "inf"], [{"deep": ["-inf"]}]],
+        "scalar": "-inf",
+    }
+
+
+def test_json_arrays_and_tuples_become_lists():
+    report = {
+        "constants": np.array([[0.5, np.nan], [2.0, 3.0]]),
+        "resolved": np.array([[True, False], [False, True]]),
+        "counts": (5, 10),
+        "ratio": np.float64(0.25),
+    }
+    assert json.loads(json_text(report)) == {
+        "constants": [[0.5, "nan"], [2.0, 3.0]],
+        "resolved": [[True, False], [False, True]],
+        "counts": [5, 10],
+        "ratio": 0.25,
+    }
+
+
+def test_json_layout_sorts_keys_indents_two_spaces_and_ends_in_a_newline():
+    assert json_text({"b": {"z": 1, "a": (True,)}, "a": None}) == (
+        '{\n  "a": null,\n  "b": {\n    "a": [\n      true\n    ],\n    "z": 1\n  }\n}\n'
+    )
+
+
+def test_json_keeps_non_ascii_text():
+    text = json_text({"title": "β = ½, ε → 0, Schrödinger"})
+    assert text == '{\n  "title": "β = ½, ε → 0, Schrödinger"\n}\n'
 
 
 def test_hum_control_csv_matches_per_cell(tmp_path):
