@@ -219,15 +219,7 @@ def _table_command(name, cfg, emitter):
     ]
     emitter.write(f"{name}.csv", csv_text(TABLE_HEADER, rows))
     summary = asdict(cfg)
-    summary.update(
-        betas=betas,
-        constants=constants,
-        conditions=conditions,
-        resolved=table.resolved,
-        decay_ratios=table.decay_ratios,
-        verdicts=table.verdicts,
-        vanishing_threshold=VANISHING_DECAY,
-    )
+    summary.update(asdict(table), betas=betas, vanishing_threshold=VANISHING_DECAY)
     emitter.write(f"{name}.json", json_text(summary))
     if table.verdicts is not None:
         printed = ", ".join(f"beta={b:g}: {v}" for b, v in zip(betas, table.verdicts))
@@ -246,18 +238,7 @@ def cmd_hum(cfg, emitter):
     report = asdict(cfg)
     del report["control_csv"]
     report.update(
-        initial_norm=float(np.linalg.norm(a0)),
-        final_state_norm=result.final_state_norm,
-        relative_final_norm=result.relative_final_norm,
-        observability=result.observability,
-        gramian_condition=result.gramian_condition,
-        identity_lhs=result.identity_lhs,
-        identity_rhs=result.identity_rhs,
-        identity_residual=result.identity_residual,
-        replay_steps=result.replay_steps,
-        replay_capped=result.replay_capped,
-        replay_error_estimate=result.replay_error_estimate,
-        identity_error_estimate=result.identity_error_estimate,
+        {key: value for key, value in vars(result).items() if np.isscalar(value)},
         region=[list(pair) for pair in result.region.intervals],
         steering_re=result.hum_coefficients.real.tolist(),
         steering_im=result.hum_coefficients.imag.tolist(),
@@ -290,15 +271,8 @@ def cmd_pohozaev(cfg, emitter):
     if np.linalg.norm(a) > 0.0:
         ratio = two_sided_estimate_ratio(state, report.trace_integral)
     payload = asdict(cfg)
-    payload.update(
-        lhs=report.lhs,
-        rhs=report.rhs,
-        dirichlet_term=report.dirichlet_term,
-        cross_term=report.cross_term,
-        residual=report.residual,
-        two_sided_ratio=ratio,
-        eigen_checks=checks,
-    )
+    payload.update(asdict(report), two_sided_ratio=ratio, eigen_checks=checks)
+    del payload["trace_integral"]  # only the numerator of two_sided_ratio
     emitter.write("pohozaev.json", json_text(payload))
     return (
         f"pohozaev: beta={cfg.beta:g} n={cfg.n} datum={cfg.datum} "
@@ -401,7 +375,9 @@ def _validated_overrides(args):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else RunConfig()
+        if args.out == "":
+            raise ConfigError("--out must name a directory")
+        config = load_config(args.config) if args.config is not None else RunConfig()
         # resolved before --verify, which checks the directory a run writes
         out_dir = args.out or config.out or "fraclab-out"
         if args.verify:

@@ -174,11 +174,12 @@ class SharpnessTable:
 
     Rows run over the orders and columns over the mode counts, both ascending.
     A table of one mode count has no decay ratios and no verdicts (None).
+    The table commands write every field to their JSON report as it stands.
     """
 
     constants: np.ndarray
     conditions: np.ndarray
-    resolved: np.ndarray  # constant above the eigensolve's rounding floor
+    resolved: np.ndarray  # constant above its span's rounding floor K * eps * lambda_max
     decay_ratios: np.ndarray  # const at K_max over const at K_min, per beta
     verdicts: tuple  # "vanishing", "uniform" or "unresolved" per beta
 
@@ -197,9 +198,10 @@ def sharpness_experiment(spectra, mode_counts, region, horizon):
     their small-K value).
 
     A Hermitian eigensolve of a K x K Gramian resolves eigenvalues only down
-    to about K * eps * lambda_max, so a constant counts as resolved when it
-    is positive and the condition number stays below 1 / (K * eps); below
-    that floor its digits are rounding noise.  A verdict reads only resolved
+    to about the floor K * eps * lambda_max (the Weyl bound), so a constant
+    counts as resolved when it lies above its span's floor; below it the
+    digits are rounding noise.  The condition numbers are reported beside
+    the constants and decide nothing.  A verdict reads only resolved
     digits: a row whose smallest-span constant is unresolved is
     "unresolved"; an unresolved largest-span constant lies below its floor,
     so its row is "vanishing" when that floor is below VANISHING_DECAY times
@@ -222,18 +224,16 @@ def sharpness_experiment(spectra, mode_counts, region, horizon):
         betas.append(b)
         constants.append([observability_constant(g) for g in gramians])
         conditions.append([gramian_condition(g) for g in gramians])
-        # the largest span's rounding floor, from its cached eigenvalues
-        floors.append(counts[-1] * eps * float(gramians[-1].eigenvalues[-1]))
-    constants = np.reshape(constants, (-1, len(counts)))
-    conditions = np.reshape(conditions, (-1, len(counts)))
-    resolved = (constants > 0.0) & (conditions < 1.0 / (np.asarray(counts) * eps))
+        # each span's rounding floor, from its cached eigenvalues
+        floors.append([k * eps * float(g.eigenvalues[-1]) for k, g in zip(counts, gramians)])
+    shape = (-1, len(counts))
+    constants, conditions, floors = (np.reshape(v, shape) for v in (constants, conditions, floors))
+    resolved = constants > floors
     decay = verdicts = None
     if len(counts) >= 2:
         decay = constants[:, -1] / constants[:, 0]
-        verdicts = tuple(
-            _verdict(row, ratio, ok, floor)
-            for row, ratio, ok, floor in zip(constants.tolist(), decay.tolist(), resolved.tolist(), floors)
-        )
+        rows = zip(constants.tolist(), decay.tolist(), resolved.tolist(), floors[:, -1].tolist())
+        verdicts = tuple(_verdict(*row) for row in rows)
     return SharpnessTable(
         constants=constants,
         conditions=conditions,
@@ -262,12 +262,15 @@ class ControlResult:
     exactly at T.  The two error estimates are relative: the replay's to the
     datum norm, the duality energy's to the Gramian quadratic form
     identity_lhs.  hum_control returns only verified controls, so
-    replay_capped is always False.
+    replay_capped is always False.  `hum` writes every scalar field to
+    hum.json as it stands, so each number of that report comes from this
+    verified record.
     """
 
     hum_coefficients: np.ndarray
     control_samples: np.ndarray
     control_times: np.ndarray
+    initial_norm: float  # of the datum
     final_state_norm: float
     relative_final_norm: float  # to the datum norm
     gramian_condition: float
@@ -456,6 +459,7 @@ def hum_control(state, region, horizon):
         hum_coefficients=coeffs,
         control_samples=y_report,
         control_times=report_times,
+        initial_norm=u0_norm,
         final_state_norm=final_norm,
         relative_final_norm=checked["relative_final_norm"],
         gramian_condition=gramian_condition(g),

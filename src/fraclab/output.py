@@ -8,7 +8,7 @@ writes the fixed-point cells (finite, 1e-4 <= |x| < 1e17) byte-identical to
 %.17g; a slow lane formats the rest (zeros, nan, infinities, subnormals,
 exponent-style values) with the %-format itself.  JSON is emitted with sorted
 keys; non-finite floats are rendered as the strings "nan", "inf", "-inf" to
-stay standard-compliant.  Every run records a manifest listing each emitted
+stay standard-compliant, and a complex value is refused.  Every run records a manifest listing each emitted
 file with its SHA-256 digest and byte count, taken from the bytes as they are
 written; verify_manifest re-hashes the files in bounded reads and reports
 drift.
@@ -209,8 +209,6 @@ def _sanitize(obj):
         if obj == float("-inf"):
             return "-inf"
         return obj
-    if isinstance(obj, complex):
-        return {"re": _sanitize(obj.real), "im": _sanitize(obj.imag)}
     if hasattr(obj, "item") and not hasattr(obj, "__len__"):  # numpy scalar
         return _sanitize(obj.item())
     if hasattr(obj, "tolist"):  # numpy array
@@ -219,7 +217,10 @@ def _sanitize(obj):
 
 
 def json_text(obj):
-    """Stable-key-order JSON rendering with sanitized non-finite floats."""
+    """Stable-key-order JSON rendering with sanitized non-finite floats.
+
+    No report holds a complex value, so one raises TypeError instead of
+    being written in a layout no reader expects."""
     return json.dumps(_sanitize(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 

@@ -39,6 +39,7 @@ from fraclab.config import (
     override_section,
     parse_config,
 )
+from fraclab.output import json_text
 
 FRACLAB = [sys.executable, "-m", "fraclab.cli"]
 
@@ -484,6 +485,28 @@ class TestCliErrors:
         )
         assert proc.returncode == 4
 
+    def test_empty_config_path_is_a_missing_file(self, tmp_path, monkeypatch, capsys):
+        # an empty path names no file: neither the defaults nor, under
+        # --verify, the default directory stand in for it
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["spectrum", "--n", "16", "--modes", "2"]) == 0
+        assert (tmp_path / "fraclab-out" / "manifest.json").is_file()
+        capsys.readouterr()
+        assert cli.main(["spectrum", "--config", "", "--out", "o"]) == 4
+        assert cli.main(["spectrum", "--config", "", "--verify"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("fraclab: i/o error: ") == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("verify", [False, True], ids=["run", "verify"])
+    def test_empty_out_exits_2(self, tmp_path, monkeypatch, capsys, verify):
+        monkeypatch.chdir(tmp_path)
+        args = ["spectrum", "--n", "16", "--modes", "2", "--out", ""]
+        assert cli.main(args + ["--verify"] * verify) == 2
+        assert capsys.readouterr() == ("", "fraclab: config error: --out must name a directory\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("body", ['{"files": [', "[]", '{"files": [{"size": 3}]}'])
     def test_malformed_manifest_exits_4(self, tmp_path, capsys, body):
         (tmp_path / "manifest.json").write_text(body)
@@ -615,6 +638,56 @@ class TestReportEcho:
         assert "control_csv" not in report
         for key, value in echoed.items():
             assert report[key] == (list(value) if isinstance(value, tuple) else value), key
+
+
+def _as_written(value):
+    """`value` as a JSON report reads it back."""
+    return json.loads(json_text(value))
+
+
+class TestReportRecords:
+    # each JSON report holds the fields of the record it comes from
+
+    def test_hum_report_holds_every_scalar_of_the_control(self, tmp_path):
+        out = tmp_path / "o"
+        assert cli.main(["hum", "--n", "64", "--modes", "5", "--out", str(out), "--no-timestamp"]) == 0
+        cfg = override_section(RunConfig(), "hum", n=64, modes=5).hum
+        spectrum = compute_spectrum(assemble_operator(Grid(cfg.n), cfg.beta), cfg.modes)
+        a0 = cli._make_datum(cfg.datum, cfg.modes, cfg.seed)
+        state = ModalState(coefficients=a0, spectrum=spectrum)
+        result = hum_control(state, ObservationRegion.boundary_layers(cfg.epsilon), cfg.T)
+        scalars = {f.name: getattr(result, f.name) for f in fields(result)}
+        scalars = {key: value for key, value in scalars.items() if np.isscalar(value)}
+        assert "initial_norm" in scalars and "replay_steps" in scalars
+        report = json.loads((out / "hum.json").read_text())
+        for key, value in scalars.items():
+            assert report[key] == _as_written(value), key
+
+    def test_pohozaev_report_holds_the_report_but_its_trace_integral(self, tmp_path):
+        out = tmp_path / "o"
+        assert cli.main(["pohozaev", "--n", "64", "--modes", "4", "--out", str(out), "--no-timestamp"]) == 0
+        cfg = override_section(RunConfig(), "pohozaev", n=64, modes=4).pohozaev
+        spectrum = compute_spectrum(assemble_operator(Grid(cfg.n), cfg.beta), cfg.modes)
+        a = cli._make_datum(cfg.datum, cfg.modes, cfg.seed)
+        state = ModalState(coefficients=a, spectrum=spectrum)
+        record = asdict(identity.schrodinger_pohozaev_report(state, cfg.T))
+        payload = json.loads((out / "pohozaev.json").read_text())
+        assert "trace_integral" not in payload
+        del record["trace_integral"]
+        for key, value in record.items():
+            assert payload[key] == _as_written(value), key
+
+    def test_table_report_holds_the_table(self, tmp_path):
+        out = tmp_path / "o"
+        assert cli.main(["observability", "--n", "64", "--out", str(out), "--no-timestamp"]) == 0
+        cfg = override_section(RunConfig(), "observability", n=64).observability
+        largest = cfg.mode_counts[-1]
+        spectra = [(b, compute_spectrum(assemble_operator(Grid(cfg.n), b), largest)) for b in cfg.betas]
+        region = ObservationRegion.boundary_layers(cfg.epsilon)
+        table = control.sharpness_experiment(spectra, cfg.mode_counts, region, cfg.T)
+        summary = json.loads((out / "observability.json").read_text())
+        for key, value in asdict(table).items():
+            assert summary[key] == _as_written(value), key
 
 
 class TestCliObservability:

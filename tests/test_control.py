@@ -26,7 +26,7 @@ from fraclab import (
     wave_gramian,
 )
 from fraclab import cli, control
-from fraclab.config import MAX_HORIZON, MAX_NODES, RunConfig
+from fraclab.config import MAX_HORIZON, MAX_NODES, ObservabilityConfig, RunConfig
 from fraclab.control import VERIFICATION_TOLERANCE, _trajectory
 from fraclab.dynamics import _forced_increment
 from fraclab.errors import NumericalError, UncontrollableError
@@ -377,8 +377,8 @@ class TestSharpness:
 
     def test_resolved_marks_the_rounding_floor(self):
         # at the `sharpness` defaults the beta = 1/4 constant is resolved at
-        # K = 30 and is eigensolver noise at K = 40, where the condition
-        # number passes 1 / (K eps)
+        # K = 30 and is eigensolver noise at K = 40, below its floor
+        # K eps lambda_max
         cfg = RunConfig().sharpness
         region = ObservationRegion.boundary_layers(cfg.epsilon)
         op = assemble_operator(Grid(cfg.n), 0.25)
@@ -388,17 +388,38 @@ class TestSharpness:
         assert resolved[30] is True
         assert resolved[40] is False
 
-    def test_resolved_needs_sign_and_condition_below_floor(self, get_spectrum, monkeypatch):
-        # synthetic cells on either side of each half of the rule: K=10 is
-        # negative but well conditioned, K=40 sits between 1/(K eps) and 1/eps
-        eps = np.finfo(float).eps
-        cells = {5: (1e-3, 10.0), 10: (-1e-3, 10.0), 20: (1e-3, 0.5 / (20 * eps)),
-                 40: (1e-3, 2.0 / (40 * eps))}
-        monkeypatch.setattr(control, "observability_constant", lambda g: cells[g.modes][0])
-        monkeypatch.setattr(control, "gramian_condition", lambda g: cells[g.modes][1])
+    def test_resolved_is_above_each_span_floor(self, get_spectrum, monkeypatch):
+        # synthetic constants at -1, 0.5 and 2 times their span's real floor
+        # K eps lambda_max: only the last clears it
+        spectrum = get_spectrum(0.5, 64, 40)
         region = ObservationRegion.boundary_layers(0.2)
-        table = sharpness_experiment([(0.5, get_spectrum(0.5, 64, 40))], tuple(cells), region, 1.0)
-        assert table.resolved.tolist() == [[True, False, True, False]]
+        eps = np.finfo(float).eps
+        factors = {5: -1.0, 20: 0.5, 40: 2.0}
+        floors = {
+            k: k * eps * float(schrodinger_gramian(spectrum, region, 1.0, k).eigenvalues[-1])
+            for k in factors
+        }
+        monkeypatch.setattr(control, "observability_constant", lambda g: factors[g.modes] * floors[g.modes])
+        table = sharpness_experiment([(0.5, spectrum)], tuple(factors), region, 1.0)
+        assert table.resolved.tolist() == [[False, False, True]]
+
+    @pytest.mark.parametrize("case", ["sharpness-defaults", "six-orders"])
+    def test_resolved_is_the_sign_and_condition_rule(self, case):
+        # on a PSD Gramian a constant above K eps lambda_max is exactly a
+        # positive one whose condition number is below 1 / (K eps); the six
+        # orders are the benchmark's table at a test-sized grid
+        if case == "sharpness-defaults":
+            cfg = RunConfig().sharpness
+        else:
+            cfg = ObservabilityConfig(betas=(0.25, 0.4, 0.5, 0.6, 0.75, 0.9), mode_counts=(10, 20, 40, 80), n=511)
+        region = ObservationRegion.boundary_layers(cfg.epsilon)
+        largest = cfg.mode_counts[-1]
+        spectra = ((b, compute_spectrum(assemble_operator(Grid(cfg.n), b), largest)) for b in cfg.betas)
+        table = sharpness_experiment(spectra, cfg.mode_counts, region, cfg.T)
+        eps = np.finfo(float).eps
+        old = (table.constants > 0.0) & (table.conditions < 1.0 / (np.asarray(cfg.mode_counts) * eps))
+        assert table.resolved.tolist() == old.tolist()
+        assert table.resolved.any() and not table.resolved.all()
 
     def test_unresolved_smallest_span_gives_no_verdict(self):
         # every constant of both rows sits below the eigensolve floor: their
@@ -411,24 +432,19 @@ class TestSharpness:
 
     @pytest.mark.parametrize(
         "first,last,verdict",
-        [
-            ((-200.0, 10.0), (200.0, 10.0), "unresolved"),
-            ((200.0, 10.0), (-1.0, math.inf), "vanishing"),
-            ((50.0, 10.0), (-1.0, math.inf), "unresolved"),
-        ],
+        [(-200.0, 200.0, "unresolved"), (200.0, -1.0, "vanishing"), (50.0, -1.0, "unresolved")],
         ids=["first-unresolved", "floor-decides", "floor-too-high"],
     )
     def test_verdict_reads_only_resolved_constants(self, get_spectrum, monkeypatch, first, last, verdict):
-        # synthetic (constant, condition) cells at K = 5 and 40, constants in
-        # units of the real K = 40 Gramian's floor 40 eps lambda_max, which
-        # bounds an unresolved last constant; 200 and 50 floors sit on either
-        # side of 1 / VANISHING_DECAY = 100
+        # synthetic constants at K = 5 and 40, in units of the real K = 40
+        # Gramian's floor 40 eps lambda_max, which bounds an unresolved last
+        # constant; 200 and 50 floors sit on either side of
+        # 1 / VANISHING_DECAY = 100
         spectrum = get_spectrum(0.5, 64, 40)
         region = ObservationRegion.boundary_layers(0.2)
         floor = 40 * np.finfo(float).eps * schrodinger_gramian(spectrum, region, 1.0, 40).eigenvalues[-1]
-        cells = {5: (first[0] * floor, first[1]), 40: (last[0] * floor, last[1])}
-        monkeypatch.setattr(control, "observability_constant", lambda g: cells[g.modes][0])
-        monkeypatch.setattr(control, "gramian_condition", lambda g: cells[g.modes][1])
+        cells = {5: first * floor, 40: last * floor}
+        monkeypatch.setattr(control, "observability_constant", lambda g: cells[g.modes])
         table = sharpness_experiment([(0.5, spectrum)], tuple(cells), region, 1.0)
         assert table.verdicts == (verdict,)
 

@@ -228,6 +228,15 @@ def test_json_layout_sorts_keys_indents_two_spaces_and_ends_in_a_newline():
     )
 
 
+@pytest.mark.parametrize(
+    "value", [1j, np.complex128(1 + 2j), np.array([1j])], ids=["complex", "numpy-scalar", "array"]
+)
+def test_json_refuses_complex_values(value):
+    # no report holds a complex value; one that does is a bug, not a {re, im} object
+    with pytest.raises(TypeError, match="complex"):
+        json_text({"nested": [value]})
+
+
 def test_json_keeps_non_ascii_text():
     text = json_text({"title": "β = ½, ε → 0, Schrödinger"})
     assert text == '{\n  "title": "β = ½, ε → 0, Schrödinger"\n}\n'

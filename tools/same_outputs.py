@@ -9,8 +9,8 @@ directory.  Each command below then runs with --no-timestamp against both
 copies, from working directories at the same relative place, so relative
 paths in the output read the same.  For each command the output trees,
 stdout, stderr and exit codes are compared and one line is printed; the
-script exits 1 if any command differs, and 0 otherwise.  The thirty-two
-commands take about 23 s on 2 cores (Xeon).
+script exits 1 if any command differs, and 0 otherwise.  The thirty-four
+commands take about 25 s on 2 cores (Xeon).
 """
 
 import io
@@ -37,6 +37,7 @@ CONFIGS = {
     "hum_no_csv.ini": "[hum]\ncontrol_csv = false\n",
     "sweep_gaps.ini": "[sweep]\ncommand = gaps\nbetas = 0.25, 0.5, 0.75\n[gaps]\nn = 1023\nmodes = 40\n",
     "evolve_zero.ini": "[evolve]\ndatum = zero\n",
+    "unresolved.ini": "[sharpness]\nbetas = 0.25, 0.3\nmode_counts = 40, 60, 80\nn = 1024\n",
 }
 HORIZON = ("hum", "--n", "64", "--modes", "5", "--T")
 COMMANDS = [
@@ -68,6 +69,10 @@ COMMANDS = [
     ("pohozaev", "--n", "511"),
     # flat data: the zero datum's plot has a constant range
     ("evolve", "--config", "evolve_zero.ini"),
+    # a table whose smallest-span constants are all unresolved, and a table
+    # of one mode count (no decay ratios, no verdicts)
+    ("sharpness", "--config", "unresolved.ini"),
+    ("observability", "--modes", "5"),
     *(
         (*HORIZON, horizon)
         for horizon in ("1e-150", "1e-300", "1e-301", "1e-302", "1e-303", "4e-304", "1e-305", "1e6", "1e299")
