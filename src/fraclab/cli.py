@@ -244,6 +244,11 @@ def cmd_hum(cfg, emitter):
         steering_im=result.hum_coefficients.imag.tolist(),
     )
     emitter.write("hum.json", json_text(report))
+    summary = (
+        f"hum: beta={cfg.beta:g} K={cfg.modes} T={cfg.T:g} "
+        f"final/initial={result.relative_final_norm:.3e} "
+        f"condition={result.gramian_condition:.3e}"
+    )
     if cfg.control_csv:
         idx = region.node_indices(sp.grid)
         header = ["t"] + [f"{part}_{i + 1}" for i in idx for part in ("re", "im")]
@@ -252,12 +257,9 @@ def cmd_hum(cfg, emitter):
         table[:, 0] = result.control_times
         table[:, 1::2] = values.real
         table[:, 2::2] = values.imag
+        del result, values  # the samples are freed before their text is rendered
         emitter.write("control.csv", csv_text(header, table))
-    return (
-        f"hum: beta={cfg.beta:g} K={cfg.modes} T={cfg.T:g} "
-        f"final/initial={result.relative_final_norm:.3e} "
-        f"condition={result.gramian_condition:.3e}"
-    )
+    return summary
 
 
 def cmd_pohozaev(cfg, emitter):

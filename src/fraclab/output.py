@@ -6,10 +6,13 @@ Every cell, integer or float, is rendered as the %.17g spec renders it:
 identical inputs produce byte-identical files.  A vectorised numpy kernel
 writes the fixed-point cells (finite, 1e-4 <= |x| < 1e17) byte-identical to
 %.17g; a slow lane formats the rest (zeros, nan, infinities, subnormals,
-exponent-style values) with the %-format itself.  JSON is emitted with sorted
-keys; non-finite floats are rendered as the strings "nan", "inf", "-inf" to
-stay standard-compliant, and a complex value is refused.  Every run records a manifest listing each emitted
-file with its SHA-256 digest and byte count, taken from the bytes as they are
+exponent-style values) with the %-format itself.  The text grows in place,
+one block at a time, so it is held once: CPython resizes a str in place
+when `+=` appends to it while its one variable is its only reference.
+JSON is emitted with sorted keys; non-finite floats are rendered as the
+strings "nan", "inf", "-inf" to stay standard-compliant, and a complex
+value is refused.  Every run records a manifest listing each emitted file
+with its SHA-256 digest and byte count, taken from the bytes as they are
 written; verify_manifest re-hashes the files in bounded reads and reports
 drift.
 """
@@ -171,10 +174,12 @@ def csv_text(header, table):
     least one column (an array, or a list of equal-length rows); anything
     else raises ValueError.  The text is byte-identical to one %-format of
     _CELL_SPEC per cell, integers included.  A vectorised kernel renders the
-    cells in blocks of _BLOCK, each decoded at once, so the text is joined
-    from block strings; cells outside its fixed-point range (zeros, nan,
-    infinities, subnormals, exponent-style values) go through
-    `_CELL_SPEC % x`, the slow lane.
+    cells in blocks of _BLOCK, each decoded at once and appended to the
+    text, which grows in place: CPython resizes a str that `+=` extends
+    while the local variable is its only reference, so no list of block
+    strings and no join copy is alive beside it.  Cells outside the
+    kernel's fixed-point range (zeros, nan, infinities, subnormals,
+    exponent-style values) go through `_CELL_SPEC % x`, the slow lane.
     """
     table = np.asarray(table)
     if table.ndim != 2 or table.shape[1] == 0 or table.dtype.kind not in "iuf":
@@ -184,14 +189,14 @@ def csv_text(header, table):
         )
     ncols = table.shape[1]
     values = table.ravel().astype(np.float64, copy=False)
-    blocks = [",".join(header) + "\n"]
+    text = ",".join(header) + "\n"
     for start in range(0, values.size, _BLOCK):
         block = values[start : start + _BLOCK]
         # each row's last cell, at flat index ncols - 1 modulo ncols, ends in '\n'
         separators = np.full(block.size, ord(","), dtype=np.uint8)
         separators[ncols - 1 - start % ncols :: ncols] = ord("\n")
-        blocks.append(_render_block(block, separators))
-    return "".join(blocks)
+        text += _render_block(block, separators)  # in place while `text` is the only reference
+    return text
 
 
 def _sanitize(obj):

@@ -39,7 +39,7 @@ from fraclab.config import (
     override_section,
     parse_config,
 )
-from fraclab.output import json_text
+from fraclab.output import csv_text, json_text
 
 FRACLAB = [sys.executable, "-m", "fraclab.cli"]
 
@@ -799,6 +799,25 @@ class TestCliHum:
         np.testing.assert_array_equal(table[:, 0], result.control_times)
         np.testing.assert_array_equal(table[:, 1::2], result.control_samples.real)
         np.testing.assert_array_equal(table[:, 2::2], result.control_samples.imag)
+
+    def test_control_csv_renders_with_no_control_result_alive(self, tmp_path, monkeypatch):
+        # the control samples are dropped once their table is built, before
+        # control.csv is rendered
+        refs, alive = [], []
+
+        def tracked_hum(*args):
+            result = hum_control(*args)
+            refs.append(weakref.ref(result.control_samples))
+            return result
+
+        def tracked_csv(header, table):
+            alive.append(refs[0]() is not None)
+            return csv_text(header, table)
+
+        monkeypatch.setattr(cli, "hum_control", tracked_hum)
+        monkeypatch.setattr(cli, "csv_text", tracked_csv)
+        assert cli.main([*self.HUM_ARGS, "--out", str(tmp_path / "o")]) == 0
+        assert alive == [False]
 
     def test_failed_replay_exits_3(self, tmp_path, capsys, monkeypatch):
         replay = control._forced_increment

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -195,6 +196,19 @@ def test_array_renders_as_its_list():
 def test_table_that_is_not_2d_numeric_is_refused(table):
     with pytest.raises(ValueError):
         csv_text(["x"], table)
+
+
+def test_text_grows_in_place_as_one_copy():
+    # one copy of the text plus one block's temporaries; joining a list of
+    # block strings would hold the text twice
+    table = np.random.default_rng(0).standard_normal((_BLOCK, 101))  # 101 blocks
+    tracemalloc.start()
+    try:
+        text = csv_text([f"c{i}" for i in range(101)], table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * len(text)
 
 
 def test_json_non_finite_floats_become_strings_at_any_depth():
