@@ -37,7 +37,7 @@ from .identity import (
 from .operator import Grid, assemble_operator
 from .output import Emitter, csv_text, json_text, utc_stamp, verify_manifest, write_manifest
 from .regions import ObservationRegion
-from .spectra import asymptotic_eigenvalue, compute_spectrum
+from .spectra import asymptotic_eigenvalue, compute_spectra, compute_spectrum
 from .svgplot import Series, line_plot
 
 SPECTRUM_HEADER = ("k", "lambda_numeric", "lambda_asymptotic", "gap_numeric", "gap_asymptotic")
@@ -208,8 +208,11 @@ def cmd_evolve(cfg, emitter):
 def _table_command(name, cfg, emitter):
     region = ObservationRegion.boundary_layers(cfg.epsilon)
     betas = sorted(cfg.betas)
-    # one spectrum at a time: each is computed as its row is reached
-    spectra = ((b, _spectrum_for(b, cfg.n, cfg.mode_counts[-1])) for b in betas)
+    ops = (assemble_operator(Grid(cfg.n), b) for b in betas)
+    # Each spectrum is yielded as its row is reached and dropped once the row
+    # is done; map, unlike zip or a generator, keeps no reference to it while
+    # the next one is computed.
+    spectra = map(lambda sp: (sp.beta, sp), compute_spectra(ops, cfg.mode_counts[-1]))
     table = sharpness_experiment(spectra, cfg.mode_counts, region, cfg.T)
     constants, conditions = table.constants.tolist(), table.conditions.tolist()
     rows = [

@@ -374,7 +374,8 @@ def hum_control(state, region, horizon):
     form overflows (at horizons below about 3e-304 for a unit datum) or the
     control fails its verification: the relative final state, the identity
     residual or an error estimate exceeds VERIFICATION_TOLERANCE, or the
-    replay would pass its step cap (replay_steps, a float, says how far).
+    replay would pass its step cap (replay_steps, a float, says how far);
+    a verification failure's diagnostics carry the Gramian's condition.
     """
     if not isinstance(state, ModalState):
         raise TypeError("hum_control expects a ModalState datum")
@@ -450,9 +451,12 @@ def hum_control(state, region, horizon):
     ]
     if capped:
         problems.append(f"replay would need {n_steps:.3e} steps, past its step cap")
+    condition = gramian_condition(g)
     if problems:
+        # cond(G) * eps nears the tolerance at short horizons, which tells a
+        # refusal there from a wrong control
         diagnostics = {**checked, "replay_steps": n_steps, "replay_capped": capped}
-        diagnostics["tolerance"] = VERIFICATION_TOLERANCE
+        diagnostics.update(gramian_condition=condition, tolerance=VERIFICATION_TOLERANCE)
         raise NumericalError("hum verification failed: " + "; ".join(problems), diagnostics)
 
     return ControlResult(
@@ -462,7 +466,7 @@ def hum_control(state, region, horizon):
         initial_norm=u0_norm,
         final_state_norm=final_norm,
         relative_final_norm=checked["relative_final_norm"],
-        gramian_condition=gramian_condition(g),
+        gramian_condition=condition,
         observability=obs,
         identity_lhs=identity_lhs,
         identity_rhs=identity_rhs,

@@ -308,6 +308,9 @@ def verify_manifest(directory):
             raise OSError(f"manifest {path}: entry {name!r} resolves outside the run directory")
     ok = True
     lines = []
+    # one buffer for every read: a fresh 1 MiB bytes per read is mapped and
+    # faulted in anew when allocations that size are served by mmap
+    buffer = memoryview(bytearray(_READ))
     for name, sha256 in entries:
         target = os.path.join(directory, name)
         if not os.path.exists(target):
@@ -316,8 +319,8 @@ def verify_manifest(directory):
             continue
         digest = hashlib.sha256()
         with open(target, "rb") as handle:
-            while data := handle.read(_READ):
-                digest.update(data)
+            while count := handle.readinto(buffer):
+                digest.update(buffer[:count])
         if digest.hexdigest() == sha256:
             lines.append(f"ok       {name}")
         else:

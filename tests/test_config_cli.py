@@ -28,6 +28,7 @@ from fraclab import (
 from fraclab import cli
 from fraclab import control
 from fraclab import identity
+from fraclab import spectra
 from fraclab.config import (
     _PARSERS,
     _SECTION_TYPES,
@@ -444,7 +445,7 @@ class TestCliErrors:
         self, tmp_path, capsys, monkeypatch, args, ini, message
     ):
         solves = []
-        monkeypatch.setattr(cli, "compute_spectrum", lambda *a: solves.append(a))
+        monkeypatch.setattr(spectra, "_parity_pairs", lambda *a: solves.append(a))
         if ini is not None:
             cfg = tmp_path / "c.ini"
             cfg.write_text(ini)
@@ -727,24 +728,35 @@ class TestCliObservability:
 
     def test_table_command_holds_one_spectrum_at_a_time(self, tmp_path, monkeypatch):
         # each order's spectrum is dropped once its row of Gramians is done,
-        # before the next order's eigensolve
-        refs, held = [], []
+        # before the next order's spectrum is built; the next order's parity
+        # solves may run meanwhile, but never more than one order ahead
+        refs, held, ahead = [], [], []
+        build, submit = spectra.Spectrum, spectra._submit
+        betas = [0.25, 0.5, 0.75]
 
-        def tracked(op, modes):
+        def tracked(**fields):
             held.append(sum(ref() is not None for ref in refs))
-            spectrum = compute_spectrum(op, modes)
+            spectrum = build(**fields)
             refs.append(weakref.ref(spectrum))
             return spectrum
 
-        monkeypatch.setattr(cli, "compute_spectrum", tracked)
+        def submitting(pool, op, takes):
+            # orders ahead of the spectra built, per solve submitted
+            ahead.extend(betas.index(op.beta) - len(refs) for _ in takes)
+            return submit(pool, op, takes)
+
+        monkeypatch.setattr(spectra, "_WORKERS", 2)
+        monkeypatch.setattr(spectra, "Spectrum", tracked)
+        monkeypatch.setattr(spectra, "_submit", submitting)
         cfg = tmp_path / "sharp.ini"
         cfg.write_text("[sharpness]\nbetas = 0.75, 0.25, 0.5\nmode_counts = 5, 10\nn = 64\n")
         out = tmp_path / "o"
         assert cli.main(["sharpness", "--config", str(cfg), "--out", str(out), "--no-timestamp"]) == 0
         assert held == [0, 0, 0]
         assert [ref() for ref in refs] == [None, None, None]
+        assert len(ahead) == 6 and max(ahead) <= 1
         summary = json.loads((out / "sharpness.json").read_text())
-        assert summary["betas"] == [0.25, 0.5, 0.75]
+        assert summary["betas"] == betas
 
 
 class TestCliHum:

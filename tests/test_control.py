@@ -607,6 +607,9 @@ class TestHumControl:
         assert diagnostics["identity_residual"] > VERIFICATION_TOLERANCE
         assert diagnostics["tolerance"] == VERIFICATION_TOLERANCE
         assert diagnostics["replay_capped"] is False
+        # the refusal reports the condition that tells rounding from a wrong control
+        gramian = schrodinger_gramian(spectrum, region, horizon, state.modes)
+        assert diagnostics["gramian_condition"] == gramian_condition(gramian)
 
     @pytest.mark.parametrize(("norm", "horizon"), [(1e5, 1e-300), (1e102, 1e-100)])
     def test_overflowing_datum_raises(self, setup, norm, horizon):

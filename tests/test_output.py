@@ -78,7 +78,7 @@ def test_verify_hashes_in_bounded_reads(tmp_path, monkeypatch):
     emitter = Emitter(directory=str(tmp_path))
     emitter.write("big.csv", text)
     output.write_manifest(emitter, "test", {}, "0")
-    sizes = []
+    sizes, buffers = [], set()
 
     class Recorded:
         def __init__(self, handle):
@@ -90,9 +90,10 @@ def test_verify_hashes_in_bounded_reads(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             self.handle.close()
 
-        def read(self, size=-1):
-            sizes.append(size)
-            return self.handle.read(size)
+        def readinto(self, buffer):
+            sizes.append(len(buffer))
+            buffers.add(id(buffer.obj))
+            return self.handle.readinto(buffer)
 
     def recording_open(path, mode="r", **kwargs):
         handle = open(path, mode, **kwargs)
@@ -100,7 +101,9 @@ def test_verify_hashes_in_bounded_reads(tmp_path, monkeypatch):
 
     monkeypatch.setattr(output, "open", recording_open, raising=False)
     assert output.verify_manifest(str(tmp_path)) == (True, ["ok       big.csv"])
+    # five reads into one reused buffer
     assert sizes == [output._READ] * 5
+    assert len(buffers) == 1
     path = tmp_path / "big.csv"
     data = bytearray(path.read_bytes())
     assert len(data) > 3 * output._READ

@@ -4,6 +4,7 @@ import functools
 import math
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -273,6 +274,110 @@ class TestDirectSolve:
         for wrong in (signature.replace("int *", "long *"), signature.replace("d *", "float *", 1)):
             with pytest.raises(ImportError, match="dsyevr"):
                 _lapack._lapack_function("dsyevr", wrong)
+
+
+class TestComputeSpectra:
+    N, MODES = 201, 30
+
+    @classmethod
+    def _operators(cls, hiding=True):
+        # with `hiding`, the middle operator's even block hides a lower pair
+        # from its first take and is solved again
+        middle = (
+            DiscreteOperator(grid=Grid(cls.N), beta=0.5, first_row=TestTruncatedParitySolve._skewed_row(cls.N, True))
+            if hiding
+            else assemble_operator(Grid(cls.N), 0.5)
+        )
+        return [assemble_operator(Grid(cls.N), 0.25), middle, assemble_operator(Grid(cls.N), 0.9)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_one_operator_at_a_time(self, workers, monkeypatch):
+        monkeypatch.setattr(spectra, "_WORKERS", workers)
+        ops = self._operators()
+        expected = [compute_spectrum(op, self.MODES) for op in ops]
+        calls = TestTruncatedParitySolve._record_solves(monkeypatch)
+        got = list(spectra.compute_spectra(iter(ops), self.MODES))
+        first = (self.MODES + 1) // 2 + 1
+        even, odd = self.N - self.N // 2, self.N // 2
+        assert sorted(calls) == sorted([(even, first), (odd, first)] * 3 + [(even, self.MODES)])
+        assert len(got) == len(expected)
+        for one, other in zip(got, expected):
+            assert (one.beta, one.grid) == (other.beta, other.grid)
+            assert np.array_equal(one.eigenvalues, other.eigenvalues)
+            assert np.array_equal(one.vectors, other.vectors)
+            assert one.ties == other.ties
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_more_blocks_alive_than_workers(self, workers, monkeypatch):
+        # with two workers each solve waits for another to start, so two
+        # blocks are alive at every solve, whichever operators they belong
+        # to; a third alive block would show in the count
+        alive, peak, lock = [0], [0], threading.Lock()
+        build, solve = spectra._parity_block, spectra._lowest_pairs
+        barrier = threading.Barrier(2, timeout=30)
+
+        def release():
+            with lock:
+                alive[0] -= 1
+
+        def counted(row, sign):
+            block = build(row, sign)
+            with lock:
+                alive[0] += 1
+                peak[0] = max(peak[0], alive[0])
+            weakref.finalize(block, release)
+            return block
+
+        def meeting(block, take):
+            if workers == 2:
+                barrier.wait()
+            return solve(block, take)
+
+        monkeypatch.setattr(spectra, "_WORKERS", workers)
+        monkeypatch.setattr(spectra, "_parity_block", counted)
+        monkeypatch.setattr(spectra, "_lowest_pairs", meeting)
+        # six solves, so the two-worker barrier always meets in pairs
+        assert len(list(spectra.compute_spectra(self._operators(hiding=False), self.MODES))) == 3
+        assert peak == [workers] and alive == [0]
+
+    def test_next_operator_is_solved_while_the_current_one_merges(self, monkeypatch):
+        # the first Spectrum is built only once a solve of the second
+        # operator has started; without the overlap the wait times out
+        ops = self._operators(hiding=False)[:2]
+        started = threading.Event()
+        build, solve = spectra.Spectrum, spectra._parity_pairs
+
+        def solving(op, sign, take):
+            if op is ops[1]:
+                started.set()
+            return solve(op, sign, take)
+
+        def waiting(**fields):
+            if fields["beta"] == ops[0].beta:
+                assert started.wait(timeout=30)
+            return build(**fields)
+
+        monkeypatch.setattr(spectra, "_WORKERS", 2)
+        monkeypatch.setattr(spectra, "_parity_pairs", solving)
+        monkeypatch.setattr(spectra, "Spectrum", waiting)
+        assert [sp.beta for sp in spectra.compute_spectra(ops, self.MODES)] == [0.25, 0.5]
+
+    def test_one_worker_solves_each_operator_when_asked(self, monkeypatch):
+        # on a multithreaded BLAS nothing overlaps: an operator's solves
+        # start only after the previous Spectrum was handed out
+        events = []
+        solve = spectra._parity_pairs
+
+        def solving(op, sign, take):
+            events.append(("solve", op.beta))
+            return solve(op, sign, take)
+
+        monkeypatch.setattr(spectra, "_WORKERS", 1)
+        monkeypatch.setattr(spectra, "_parity_pairs", solving)
+        ops = self._operators(hiding=False)
+        for sp in spectra.compute_spectra(ops, self.MODES):
+            events.append(("yield", sp.beta))
+        assert events == [(kind, op.beta) for op in ops for kind in ("solve", "solve", "yield")]
 
 
 class TestSolverGuards:
