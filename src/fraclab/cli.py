@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .config import _PARSERS, RunConfig, load_config, override_section
+from .config import RunConfig, _parsed, load_config, override_section
 from .control import VANISHING_DECAY, hum_control, sharpness_experiment
 from .dynamics import (
     ModalState,
@@ -209,10 +209,7 @@ def _table_command(name, cfg, emitter):
     region = ObservationRegion.boundary_layers(cfg.epsilon)
     betas = sorted(cfg.betas)
     ops = (assemble_operator(Grid(cfg.n), b) for b in betas)
-    # Each spectrum is yielded as its row is reached and dropped once the row
-    # is done; map, unlike zip or a generator, keeps no reference to it while
-    # the next one is computed.
-    spectra = map(lambda sp: (sp.beta, sp), compute_spectra(ops, cfg.mode_counts[-1]))
+    spectra = compute_spectra(ops, cfg.mode_counts[-1])
     table = sharpness_experiment(spectra, cfg.mode_counts, region, cfg.T)
     constants, conditions = table.constants.tolist(), table.conditions.tolist()
     rows = [
@@ -323,7 +320,7 @@ def cmd_sweep(config, emitter):
 
 
 # Flags taking a value, named after their config keys.  Argparse keeps the
-# text; _validated_overrides runs it through the config file's parser.
+# text; main runs it through the config file's parser.
 _VALUE_FLAGS = {
     "beta": "fractional order in (0, 1]",
     "n": "number of interior grid nodes",
@@ -364,19 +361,6 @@ def _build_parser():
     return parser
 
 
-def _validated_overrides(args):
-    """Flag values parsed as the same keys in a config file."""
-    overrides = {}
-    for key in (*_VALUE_FLAGS, "jobs"):
-        text = getattr(args, key, None)  # only sweep has --jobs
-        if text is not None:
-            try:
-                overrides[key] = _PARSERS[key](text)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-    return overrides
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
@@ -392,7 +376,9 @@ def main(argv=None):
             print("verify: ok" if ok else "verify: drift detected")
             return 0 if ok else 1
 
-        overrides = _validated_overrides(args)
+        # each flag given, parsed as the same key in a config file (only sweep has --jobs)
+        flags = {key: getattr(args, key, None) for key in (*_VALUE_FLAGS, "jobs")}
+        overrides = {key: _parsed(key, text, None) for key, text in flags.items() if text is not None}
         if args.command == "sweep":
             # --beta narrows the sweep list and --jobs sets its workers; the
             # rest flows into the cells
@@ -424,7 +410,7 @@ def main(argv=None):
             "error": {
                 "type": type(exc).__name__,
                 "message": str(exc),
-                "diagnostics": getattr(exc, "diagnostics", None) or {},
+                "diagnostics": exc.diagnostics,
             }
         }
         print(json_text(body), end="")

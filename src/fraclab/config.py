@@ -2,11 +2,15 @@
 
 Sections mirror the CLI subcommands; keys before any section header act as
 global defaults for every section that accepts them (beta and modes as
-one-entry betas and mode_counts lists).  Unknown sections, unknown keys,
-malformed numbers, and out-of-range values are all rejected with the
-offending line number.  An empty text yields each section's defaults as
-RunConfig below holds them; they differ between sections (hum: beta=0.6,
-modes=20, T=1; the table commands: a list of orders and of mode counts).
+one-entry betas and mode_counts lists), and a section's own key wins over
+them.  Unknown sections, unknown keys, malformed numbers, and out-of-range
+values are all rejected with the offending line number.  Every value, from
+the prelude, a section or a command-line flag, is parsed by the same
+per-key parser and reaches its section through override_section, the one
+place that maps a scalar beta or modes to a list field.  An empty text
+yields each section's defaults as RunConfig below holds them; they differ
+between sections (hum: beta=0.6, modes=20, T=1; the table commands: a list
+of orders and of mode counts).
 Section fields carry their file-key names.  gaps shares the spectrum class
 and sharpness the observability class; the sharpness defaults of that
 shared table class live on RunConfig.
@@ -32,7 +36,7 @@ __all__ = [
 
 def _checked(convert, accept, rule):
     """Parser that converts text and rejects it, malformed or out of range,
-    with the message '<rule>, got <text>'; `rule` starts with the key."""
+    with the message '<rule>, got <text>'."""
 
     def parse(text):
         try:
@@ -83,15 +87,14 @@ _parse_seed = _checked(int, lambda s: s >= 0, "seed must be a nonnegative intege
 _parse_samples = _checked(int, lambda s: s >= 2, "samples must be at least 2")
 
 
-def _parse_equation(text):
-    eq = text.strip().lower()
-    if eq not in ("schrodinger", "wave"):
-        raise ValueError(f"equation must be 'schrodinger' or 'wave', got {text}")
-    return eq
+# The line scan strips every value, so the word parsers below only fold case.
+_parse_equation = _checked(
+    str.lower, lambda eq: eq in ("schrodinger", "wave"), "equation must be 'schrodinger' or 'wave'"
+)
 
 
 def _parse_datum(text):
-    spec = text.strip().lower()
+    spec = text.lower()
     if spec in ("zero", "random"):
         return spec
     try:
@@ -126,20 +129,18 @@ def _parse_mode_counts(text):
     return vals
 
 
-def _parse_bool(text):
-    flag = text.strip().lower()
-    if flag in ("true", "yes", "1", "on"):
-        return True
-    if flag in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean (true/false), got {text}")
-
-
-def _parse_command(text):
-    cmd = text.strip().lower()
-    if cmd not in _SECTION_TYPES or cmd == "sweep":
-        raise ValueError(f"sweep command must name a non-sweep subcommand, got {text}")
-    return cmd
+_BOOLEANS = {
+    **dict.fromkeys(("true", "yes", "1", "on"), True),
+    **dict.fromkeys(("false", "no", "0", "off"), False),
+}
+_parse_bool = _checked(
+    lambda text: _BOOLEANS.get(text.lower()), lambda flag: flag is not None, "expected a boolean (true/false)"
+)
+_parse_command = _checked(
+    str.lower,
+    lambda cmd: cmd in _SECTION_TYPES and cmd != "sweep",
+    "sweep command must name a non-sweep subcommand",
+)
 
 
 @dataclass(frozen=True)
@@ -241,8 +242,16 @@ def _section_keys(section):
 
 
 # scalar key -> the list field that takes it, one entry long, in a section
-# without the scalar; the global prelude and the flags both map through it
+# without the scalar; override_section maps it, so the global prelude and the
+# flags, which both reach every section through it, map it the same way
 _LIST_KEYS = {"beta": "betas", "modes": "mode_counts"}
+
+
+def _field(section, key):
+    """The field of `section` that `key` sets, or None if it sets none."""
+    names = _section_keys(section)
+    field = key if key in names else _LIST_KEYS.get(key)
+    return field if field in names else None
 
 
 def _unknown_key(key, section, line=None):
@@ -250,9 +259,10 @@ def _unknown_key(key, section, line=None):
     return ConfigError(f"unknown key {key!r} in [{section}]; allowed keys: {allowed}", line=line)
 
 
-def _parsed(key, value, line):
+def _parsed(key, text, line):
+    """The value of `key` read from `text`; a bad one is a ConfigError at `line`."""
     try:
-        return _PARSERS[key](value)
+        return _PARSERS[key](text)
     except ValueError as exc:
         raise ConfigError(str(exc), line=line) from None
 
@@ -260,14 +270,17 @@ def _parsed(key, value, line):
 def parse_config(text):
     """Parse INI-style text into a RunConfig with defaults filled.
 
-    Raises ConfigError carrying the line number for unknown sections or
-    keys, malformed values, values out of range, and duplicate keys.
+    A line scan first raises ConfigError, with the line number, for
+    malformed lines, unknown sections or keys, and duplicate keys.  Values
+    are parsed after it, section by section in RunConfig order: the prelude
+    keys a section takes, then the section's own keys, each applied through
+    override_section, which is the path the flags take too.  So a section's
+    own key wins over the prelude, and a prelude value is parsed once for
+    each section that takes it.  A malformed or out-of-range value is a
+    ConfigError with its line number.
     """
     section = None  # None = global prelude
-    global_items = []  # (key, value, line)
-    section_items = {name: [] for name in _SECTION_TYPES}
-    seen = set()
-    out_dir = None
+    scanned = {None: {}} | {name: {} for name in _SECTION_TYPES}  # key -> (text, line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
         if not line:
@@ -287,35 +300,23 @@ def parse_config(text):
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", line=lineno)
-        if (section, key) in seen:
+        if key in scanned[section]:
             where = f"[{section}]" if section else "the global prelude"
             raise ConfigError(f"duplicate key {key!r} in {where}", line=lineno)
-        seen.add((section, key))
         if section is None:
-            if key == "out":
-                out_dir = value
-                continue
-            if key not in _PARSERS:
+            if key not in _PARSERS and key != "out":
                 raise ConfigError(f"unknown key {key!r}", line=lineno)
-            global_items.append((key, value, lineno))
-        else:
-            if key not in _section_keys(section):
-                raise _unknown_key(key, section, line=lineno)
-            section_items[section].append((key, value, lineno))
+        elif key not in _section_keys(section):
+            raise _unknown_key(key, section, line=lineno)
+        scanned[section][key] = value, lineno
 
-    defaults = RunConfig()
-    resolved = {}
-    for name in _SECTION_TYPES:
-        updates = {}
-        allowed = _section_keys(name)
-        for key, value, lineno in global_items:
-            key = key if key in allowed else _LIST_KEYS.get(key, key)
-            if key in allowed:
-                updates[key] = _parsed(key, value, lineno)
-        for key, value, lineno in section_items[name]:
-            updates[key] = _parsed(key, value, lineno)
-        resolved[name] = replace(getattr(defaults, name), **updates)
-    return RunConfig(out=out_dir, **resolved)
+    prelude = scanned.pop(None)
+    config = RunConfig(out=prelude.pop("out", (None,))[0])
+    for name, own in scanned.items():
+        for items in ({key: item for key, item in prelude.items() if _field(name, key)}, own):
+            values = {key: _parsed(key, *item) for key, item in items.items()}
+            config = override_section(config, name, **values)
+    return config
 
 
 def load_config(path):
@@ -328,21 +329,23 @@ def load_config(path):
     return parse_config(text)
 
 
-def override_section(config, command, **updates):
+def override_section(config, command, /, **updates):
     """Copy of `config` with non-None updates applied to one command section.
 
-    For list-typed sections a scalar `beta` update becomes a one-element
-    betas list and `modes` a one-element mode_counts list, as in the global
-    prelude.  An update that the section does not take is a ConfigError, as
-    the same key in that section of a config file is.
+    This is the one path from a parsed value to a section field, for the
+    config file's prelude and sections and for the flags alike.  For
+    list-typed sections a scalar `beta` update becomes a one-element betas
+    list and `modes` a one-element mode_counts list.  An update that the
+    section does not take is a ConfigError, as the same key in that section
+    of a config file is.  `config` and `command` are positional-only, so
+    that a section key of either name ([sweep] has `command`) is an update.
     """
-    names = _section_keys(command)
     clean = {}
     for key, value in updates.items():
         if value is None:
             continue
-        field = key if key in names else _LIST_KEYS.get(key, key)
-        if field not in names:
+        field = _field(command, key)
+        if field is None:
             raise _unknown_key(key, command)
         clean[field] = value if field == key else (value,)
     return replace(config, **{command: replace(getattr(config, command), **clean)})

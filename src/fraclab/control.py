@@ -187,8 +187,8 @@ class SharpnessTable:
 def sharpness_experiment(spectra, mode_counts, region, horizon):
     """Observability constants across one or more mode counts for several orders.
 
-    `spectra` yields (order, Spectrum) pairs with ascending orders, each
-    spectrum holding at least max(mode_counts) modes.  A spectrum is dropped
+    `spectra` yields Spectrum records in ascending order of their `beta`,
+    each holding at least max(mode_counts) modes.  A spectrum is dropped
     once its row of Gramians is done, so a generator that computes each one
     on demand keeps one alive at a time.  With two or more counts a row is
     classified "vanishing" when the constant falls by more than a factor 100
@@ -212,7 +212,8 @@ def sharpness_experiment(spectra, mode_counts, region, horizon):
         raise ValueError("need at least one mode count")
     eps = np.finfo(float).eps
     betas, constants, conditions, floors = [], [], [], []
-    for b, spectrum in spectra:
+    for spectrum in spectra:
+        b = spectrum.beta
         if betas and b <= betas[-1]:
             raise ValueError(f"orders must ascend, got {b} after {betas[-1]}")
         if counts[-1] > spectrum.modes:

@@ -188,7 +188,7 @@ def test_criterion_06_observability_sharpness(get_spectrum):
     start = time.monotonic()
     region = ObservationRegion.boundary_layers(0.2)
     spectra = {b: get_spectrum(b, 1024, 40) for b in (0.25, 0.5, 0.75)}
-    table = sharpness_experiment(spectra.items(), (5, 10, 20, 30, 40), region, 4.0)
+    table = sharpness_experiment(spectra.values(), (5, 10, 20, 30, 40), region, 4.0)
     elapsed = time.monotonic() - start
 
     betas = sorted(spectra)

@@ -72,6 +72,9 @@ beta = 0.6
 T = 2.5
 control_csv = no
 datum = zero
+
+[sweep]
+command = hum
 """
         cfg = parse_config(text)
         assert cfg.out == "results"
@@ -82,6 +85,8 @@ datum = zero
         assert cfg.hum.T == 2.5
         assert cfg.hum.control_csv is False
         assert cfg.hum.datum == "zero"
+        # a key named like override_section's section parameter
+        assert cfg.sweep.command == "hum"
 
     def test_empty_text_gives_defaults(self):
         cfg = parse_config("")
@@ -105,6 +110,44 @@ datum = zero
         assert cfg.observability.mode_counts == (7,)
         assert cfg.sharpness.mode_counts == (7,)
         assert cfg.sweep == RunConfig().sweep
+
+    # a value for each key that differs from every section's default
+    SAMPLES = {
+        "beta": "0.4", "betas": "0.35, 0.65", "n": "64", "modes": "7", "mode_counts": "3, 6",
+        "T": "2", "epsilon": "0.25", "seed": "3", "samples": "11", "equation": "wave",
+        "datum": "zero", "control_csv": "no", "command": "gaps", "jobs": "2",
+    }
+
+    @pytest.mark.parametrize("key", list(SAMPLES))
+    def test_prelude_key_is_a_section_override(self, key):
+        # a prelude key sets each section as the same parsed value given to
+        # override_section does, and leaves a section that refuses it alone
+        text = self.SAMPLES[key]
+        cfg, defaults = parse_config(f"{key} = {text}\n"), RunConfig()
+        taken = 0
+        for section in _SECTION_TYPES:
+            try:
+                expected = override_section(defaults, section, **{key: _PARSERS[key](text)})
+                taken += 1
+            except ConfigError:
+                expected = defaults
+            assert getattr(cfg, section) == getattr(expected, section), section
+        assert taken >= 1
+
+    @pytest.mark.parametrize(
+        "prelude,sharpness_betas",
+        [("betas = 0.3, 0.6\nbeta = 0.4\n", (0.4,)), ("beta = 0.4\nbetas = 0.3, 0.6\n", (0.3, 0.6))],
+        ids=["betas-then-beta", "beta-then-betas"],
+    )
+    @pytest.mark.parametrize("own", ["betas = 0.7, 0.9\nn = 128\n", "n = 128\nbetas = 0.7, 0.9\n"])
+    def test_section_key_wins_over_the_prelude(self, prelude, sharpness_betas, own):
+        # within the prelude the later line wins; a section's own key wins
+        # over either
+        cfg = parse_config(f"{prelude}n = 64\n[observability]\n{own}")
+        assert cfg.observability.betas == (0.7, 0.9)
+        assert cfg.observability.n == 128
+        assert cfg.sharpness.betas == sharpness_betas
+        assert cfg.sharpness.n == 64
 
     def test_list_values(self):
         cfg = parse_config(
@@ -683,7 +726,7 @@ class TestReportRecords:
         assert cli.main(["observability", "--n", "64", "--out", str(out), "--no-timestamp"]) == 0
         cfg = override_section(RunConfig(), "observability", n=64).observability
         largest = cfg.mode_counts[-1]
-        spectra = [(b, compute_spectrum(assemble_operator(Grid(cfg.n), b), largest)) for b in cfg.betas]
+        spectra = [compute_spectrum(assemble_operator(Grid(cfg.n), b), largest) for b in cfg.betas]
         region = ObservationRegion.boundary_layers(cfg.epsilon)
         table = control.sharpness_experiment(spectra, cfg.mode_counts, region, cfg.T)
         summary = json.loads((out / "observability.json").read_text())

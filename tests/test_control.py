@@ -355,7 +355,7 @@ class TestSharpness:
             b: compute_spectrum(assemble_operator(Grid(256), b), 20)
             for b in (0.25, 0.75)
         }
-        return sharpness_experiment(spectra.items(), (5, 10, 20), region, 4.0)
+        return sharpness_experiment(spectra.values(), (5, 10, 20), region, 4.0)
 
     def test_verdict_dichotomy(self, table):
         assert table.verdicts == ("vanishing", "uniform")
@@ -383,7 +383,7 @@ class TestSharpness:
         region = ObservationRegion.boundary_layers(cfg.epsilon)
         op = assemble_operator(Grid(cfg.n), 0.25)
         spectra = {0.25: compute_spectrum(op, cfg.mode_counts[-1])}
-        table = sharpness_experiment(spectra.items(), cfg.mode_counts, region, cfg.T)
+        table = sharpness_experiment(spectra.values(), cfg.mode_counts, region, cfg.T)
         resolved = dict(zip(cfg.mode_counts, table.resolved[0].tolist()))
         assert resolved[30] is True
         assert resolved[40] is False
@@ -400,7 +400,7 @@ class TestSharpness:
             for k in factors
         }
         monkeypatch.setattr(control, "observability_constant", lambda g: factors[g.modes] * floors[g.modes])
-        table = sharpness_experiment([(0.5, spectrum)], tuple(factors), region, 1.0)
+        table = sharpness_experiment([spectrum], tuple(factors), region, 1.0)
         assert table.resolved.tolist() == [[False, False, True]]
 
     @pytest.mark.parametrize("case", ["sharpness-defaults", "six-orders"])
@@ -414,7 +414,7 @@ class TestSharpness:
             cfg = ObservabilityConfig(betas=(0.25, 0.4, 0.5, 0.6, 0.75, 0.9), mode_counts=(10, 20, 40, 80), n=511)
         region = ObservationRegion.boundary_layers(cfg.epsilon)
         largest = cfg.mode_counts[-1]
-        spectra = ((b, compute_spectrum(assemble_operator(Grid(cfg.n), b), largest)) for b in cfg.betas)
+        spectra = (compute_spectrum(assemble_operator(Grid(cfg.n), b), largest) for b in cfg.betas)
         table = sharpness_experiment(spectra, cfg.mode_counts, region, cfg.T)
         eps = np.finfo(float).eps
         old = (table.constants > 0.0) & (table.conditions < 1.0 / (np.asarray(cfg.mode_counts) * eps))
@@ -426,7 +426,7 @@ class TestSharpness:
         # ratios are rounding noise and decide neither regime
         region = ObservationRegion.boundary_layers(0.2)
         spectra = {b: compute_spectrum(assemble_operator(Grid(1024), b), 80) for b in (0.25, 0.3)}
-        table = sharpness_experiment(spectra.items(), (40, 60, 80), region, 4.0)
+        table = sharpness_experiment(spectra.values(), (40, 60, 80), region, 4.0)
         assert not table.resolved.any()
         assert table.verdicts == ("unresolved", "unresolved")
 
@@ -445,7 +445,7 @@ class TestSharpness:
         floor = 40 * np.finfo(float).eps * schrodinger_gramian(spectrum, region, 1.0, 40).eigenvalues[-1]
         cells = {5: first * floor, 40: last * floor}
         monkeypatch.setattr(control, "observability_constant", lambda g: cells[g.modes])
-        table = sharpness_experiment([(0.5, spectrum)], tuple(cells), region, 1.0)
+        table = sharpness_experiment([spectrum], tuple(cells), region, 1.0)
         assert table.verdicts == (verdict,)
 
     def test_one_eigensolve_per_gramian(self, get_spectrum, eigensolves):
@@ -453,14 +453,14 @@ class TestSharpness:
         # constant and its condition number
         region = ObservationRegion.boundary_layers(0.2)
         spectra = {b: get_spectrum(b, 64, 12) for b in (0.25, 0.5, 0.75)}
-        sharpness_experiment(spectra.items(), (3, 6, 12), region, 2.0)
+        sharpness_experiment(spectra.values(), (3, 6, 12), region, 2.0)
         assert sorted(eigensolves) == sorted([(k, k) for k in (3, 6, 12)] * 3)
 
     def test_single_count_is_a_column_without_verdicts(self, get_spectrum):
         region = ObservationRegion.boundary_layers(0.2)
         spectra = {b: get_spectrum(b, 64, 12) for b in (0.25, 0.75)}
-        full = sharpness_experiment(spectra.items(), (3, 6, 12), region, 2.0)
-        single = sharpness_experiment(spectra.items(), (6,), region, 2.0)
+        full = sharpness_experiment(spectra.values(), (3, 6, 12), region, 2.0)
+        single = sharpness_experiment(spectra.values(), (6,), region, 2.0)
         assert single.decay_ratios is None
         assert single.verdicts is None
         np.testing.assert_array_equal(single.constants, full.constants[:, 1:2])
@@ -471,11 +471,16 @@ class TestSharpness:
         region = ObservationRegion.boundary_layers(0.2)
         spectra = {0.5: get_spectrum(0.5, 64, 12)}
         with pytest.raises(ValueError):
-            sharpness_experiment(spectra.items(), (), region, 1.0)
+            sharpness_experiment(spectra.values(), (), region, 1.0)
         with pytest.raises(ValueError):
-            sharpness_experiment(spectra.items(), (5, 50), region, 1.0)
-        with pytest.raises(ValueError, match="ascend"):
-            sharpness_experiment([(0.5, spectra[0.5]), (0.25, spectra[0.5])], (5,), region, 1.0)
+            sharpness_experiment(spectra.values(), (5, 50), region, 1.0)
+
+    def test_descending_orders_raise(self, get_spectrum):
+        # each row's order is its spectrum's own beta
+        region = ObservationRegion.boundary_layers(0.2)
+        stream = (get_spectrum(b, 64, 12) for b in (0.5, 0.25))
+        with pytest.raises(ValueError, match="orders must ascend, got 0.25 after 0.5"):
+            sharpness_experiment(stream, (5,), region, 1.0)
 
 
 class TestHumControl:

@@ -9,8 +9,8 @@ directory.  Each command below then runs with --no-timestamp against both
 copies, from working directories at the same relative place, so relative
 paths in the output read the same.  For each command the output trees,
 stdout, stderr and exit codes are compared and one line is printed; the
-script exits 1 if any command differs, and 0 otherwise.  The thirty-four
-commands take about 25 s on 2 cores (Xeon).
+script exits 1 if any command differs, and 0 otherwise.  The forty
+commands take about 26 s on 2 cores (Xeon).
 """
 
 import io
@@ -38,6 +38,8 @@ CONFIGS = {
     "sweep_gaps.ini": "[sweep]\ncommand = gaps\nbetas = 0.25, 0.5, 0.75\n[gaps]\nn = 1023\nmodes = 40\n",
     "evolve_zero.ini": "[evolve]\ndatum = zero\n",
     "unresolved.ini": "[sharpness]\nbetas = 0.25, 0.3\nmode_counts = 40, 60, 80\nn = 1024\n",
+    "prelude.ini": "beta = 0.3\nmodes = 7\nn = 255\n[observability]\nmode_counts = 5, 7\n",
+    "reopened.ini": "[hum]\nn = 64\nmodes = 5\n[spectrum]\nn = 32\n[hum]\nT = 0.5\n",
 }
 HORIZON = ("hum", "--n", "64", "--modes", "5", "--T")
 COMMANDS = [
@@ -73,6 +75,11 @@ COMMANDS = [
     # of one mode count (no decay ratios, no verdicts)
     ("sharpness", "--config", "unresolved.ini"),
     ("observability", "--modes", "5"),
+    # global keys before any section header, a section key over them, a flag
+    # over both, and a section whose header appears twice
+    *((command, "--config", "prelude.ini") for command in ("observability", "spectrum", "hum", "sweep")),
+    ("observability", "--config", "prelude.ini", "--beta", "0.6"),
+    ("hum", "--config", "reopened.ini"),
     *(
         (*HORIZON, horizon)
         for horizon in ("1e-150", "1e-300", "1e-301", "1e-302", "1e-303", "4e-304", "1e-305", "1e6", "1e299")
