@@ -1,18 +1,17 @@
-"""The LAPACK calls that numpy.linalg lacks, through scipy's cython_lapack.
+"""The LAPACK calls that numpy.linalg lacks, from numpy's own OpenBLAS.
 
-numpy.linalg has no subset eigensolve and no positive definite solve.
-scipy.linalg.cython_lapack exports each LAPACK routine as a PyCapsule that
-holds its C function pointer.  This module loads that one extension file on
-its own, from the scipy installation, so a run never imports the rest of
-scipy.linalg, whose package import took more than half of the program's
-start-up.  A module already registered under the extension's name is
-reused, and the one loaded here is registered under it, so a later
-`import scipy.linalg` and this module share it.  A scipy without the file
-fails at import with ImportError.
+numpy.linalg has no subset eigensolve and no positive definite solve.  The
+OpenBLAS that numpy's wheels bundle (scipy-openblas64, ILP64) exports the
+whole of LAPACK under the prefix `scipy_` and the suffix `64_`.  This
+module opens numpy.linalg's `_umath_linalg` extension with ctypes, whose
+symbol lookup also searches the OpenBLAS that the extension links, and
+binds the two routines it needs, so a run loads one BLAS and no scipy.
+A numpy whose LAPACK lacks either symbol fails at import with ImportError
+naming the routine.
 
 Each routine is called through ctypes, which releases the GIL during the
-call, with the arguments scipy.linalg passes it, so results are
-bit-identical to scipy's:
+call, with the arguments scipy.linalg passes it, so on one BLAS thread
+results are bit-identical to scipy's:
 
 - `dsyevr`: lowest eigenpairs of a real symmetric block, as
   scipy.linalg.eigh(block, overwrite_a=True, subset_by_index=...);
@@ -27,99 +26,45 @@ numpy.linalg.eigvalsh.
 """
 
 import ctypes
-import importlib.machinery
-import importlib.util
-import os
-import re
-import sys
 
 import numpy as np
-import scipy
+from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError
 
 __all__ = ["dsyevr", "zposv"]
 
-_MODULE = "scipy.linalg.cython_lapack"
-
-_INT = ctypes.POINTER(ctypes.c_int)
+_INT = ctypes.POINTER(ctypes.c_int64)
 _DOUBLE = ctypes.POINTER(ctypes.c_double)
-_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi)
-)
-_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi)
-)
-
-# LP64 prototypes as the capsules name them, with the Cython typedefs for
-# double and double complex shown as `d` and `z`.  Each is checked against
-# its capsule and is the one declaration of the routine's ctypes prototype.
-_SIGNATURES = {
-    # jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz,
-    # isuppz, work, lwork, iwork, liwork, info.
-    "dsyevr": (
-        "void (char *, char *, char *, int *, d *, int *, d *, d *, int *, int *, d *, "
-        "int *, d *, d *, int *, int *, d *, int *, int *, int *, int *)"
-    ),
-    # uplo, n, nrhs, a, lda, b, ldb, info.
-    "zposv": "void (char *, int *, int *, z *, int *, z *, int *, int *)",
-}
-# ctypes type of each argument.  Complex arrays pass as double pointers to
-# their interleaved (re, im) storage.
-_ARGUMENT_TYPES = {"char *": ctypes.c_char_p, "int *": _INT, "d *": _DOUBLE, "z *": _DOUBLE}
+_CHAR = ctypes.c_char_p
+# gfortran passes the length of each character argument by value, after
+# the last declared argument.
+_LENGTH = ctypes.c_size_t
 
 
-def _load():
-    """The cython_lapack extension module, without importing scipy.linalg."""
-    module = sys.modules.get(_MODULE)
-    if module is not None:
-        return module
-    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "cython_lapack" + suffix)
-        if os.path.isfile(path):
-            break
-    else:
-        raise ImportError(f"{_MODULE} not found: no cython_lapack extension in {folder}")
-    loader = importlib.machinery.ExtensionFileLoader(_MODULE, path)
-    spec = importlib.util.spec_from_file_location(_MODULE, path, loader=loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[_MODULE] = module
+def _bind(name, *argtypes):
+    """numpy's ILP64 LAPACK routine `name` as a ctypes function, which releases the GIL."""
+    prototype = ctypes.CFUNCTYPE(None, *argtypes)
     try:
-        loader.exec_module(module)
-    except BaseException:
-        del sys.modules[_MODULE]
-        raise
-    return module
+        return prototype((f"scipy_{name}_64_", ctypes.CDLL(_umath_linalg.__file__)))
+    except AttributeError:
+        raise ImportError(f"numpy's LAPACK does not export {name} (scipy_{name}_64_)") from None
 
 
-_CAPSULES = _load().__pyx_capi__
-
-
-def _lapack_function(name, signature):
-    """A cython_lapack routine as a ctypes function, which releases the GIL.
-
-    The capsule's name is the routine's C prototype; with the Cython
-    typedefs for double and double complex shown as `d` and `z` it must
-    read `signature`, else ImportError, so that a scipy whose LAPACK takes
-    other argument types fails here rather than with wrong memory reads.
-    The ctypes prototype is read from the same `signature`.
-    """
-    capsule = _CAPSULES[name]
-    raw = _CAPSULE_NAME(capsule)
-    found = re.sub(r"\b__pyx_t_\w+_d\b", "d", raw.decode()).replace("__pyx_t_double_complex", "z")
-    if found != signature:
-        raise ImportError(f"{_MODULE}.{name} is {found!r}, expected {signature!r}")
-    arguments = signature.removeprefix("void (").removesuffix(")").split(", ")
-    prototype = ctypes.CFUNCTYPE(None, *(_ARGUMENT_TYPES[argument] for argument in arguments))
-    return prototype(_CAPSULE_POINTER(capsule, raw))
-
-
-_dsyevr, _zposv = (_lapack_function(name, signature) for name, signature in _SIGNATURES.items())
+# jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz,
+# isuppz, work, lwork, iwork, liwork, info, and the lengths of jobz, range
+# and uplo.
+_dsyevr = _bind(
+    "dsyevr", _CHAR, _CHAR, _CHAR, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE,
+    _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _INT, _INT, _INT, _INT, _LENGTH, _LENGTH, _LENGTH,
+)
+# uplo, n, nrhs, a, lda, b, ldb, info, and the length of uplo.  Complex
+# arrays pass as double pointers to their interleaved (re, im) storage.
+_zposv = _bind("zposv", _CHAR, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _INT, _INT, _LENGTH)
 
 
 def _ptr(array):
-    return array.ctypes.data_as(_INT if array.dtype == np.intc else _DOUBLE)
+    return array.ctypes.data_as(_INT if array.dtype == np.int64 else _DOUBLE)
 
 
 def _checked_copy(a, shape):
@@ -138,8 +83,8 @@ def dsyevr(block, take):
     Passes exactly what scipy.linalg.eigh(block, overwrite_a=True,
     subset_by_index=(0, take - 1)) passes: jobz 'V', range 'I', uplo 'L',
     il = 1, iu = take, vl = vu = abstol = 0 and the workspace sizes of a
-    query (a smaller lwork would switch dsytrd to unblocked code), so
-    values and vectors are bit-identical to it.  Only the lower triangle is
+    query (a smaller lwork would switch dsytrd to unblocked code), so on
+    one BLAS thread values and vectors are bit-identical to it.  Only the lower triangle is
     read and the block is overwritten.  Raises NumericalError when dsyevr
     reports failure or returns fewer pairs.
     """
@@ -150,22 +95,22 @@ def dsyevr(block, take):
         raise ValueError(f"take must lie in [1, {size}], got {take}")
     w = np.empty(size)
     z = np.empty((size, take), order="F")
-    isuppz = np.empty(2 * size, dtype=np.intc)
-    m, info, zero = ctypes.c_int(), ctypes.c_int(), ctypes.c_double(0.0)
+    isuppz = np.empty(2 * size, dtype=np.int64)
+    m, info, zero = ctypes.c_int64(), ctypes.c_int64(), ctypes.c_double(0.0)
 
     def call(work, iwork, lwork, liwork):
         _dsyevr(
-            b"V", b"I", b"L", ctypes.c_int(size), _ptr(block), ctypes.c_int(size),
-            zero, zero, ctypes.c_int(1), ctypes.c_int(take), zero, m, _ptr(w),
-            _ptr(z), ctypes.c_int(size), _ptr(isuppz),
-            _ptr(work), ctypes.c_int(lwork), _ptr(iwork), ctypes.c_int(liwork), info,
+            b"V", b"I", b"L", ctypes.c_int64(size), _ptr(block), ctypes.c_int64(size),
+            zero, zero, ctypes.c_int64(1), ctypes.c_int64(take), zero, m, _ptr(w),
+            _ptr(z), ctypes.c_int64(size), _ptr(isuppz),
+            _ptr(work), ctypes.c_int64(lwork), _ptr(iwork), ctypes.c_int64(liwork), info, 1, 1, 1,
         )
 
-    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
     call(work, iwork, -1, -1)  # workspace query
     if info.value == 0:
         lwork, liwork = int(work[0]), int(iwork[0])
-        call(np.empty(lwork), np.empty(liwork, dtype=np.intc), lwork, liwork)
+        call(np.empty(lwork), np.empty(liwork, dtype=np.int64), lwork, liwork)
     if info.value != 0 or m.value < take:
         raise NumericalError(
             "eigensolver failed",
@@ -179,7 +124,7 @@ def zposv(a, b):
 
     Runs zposv with uplo 'U' on Fortran-order copies of a and of the
     vector b, which is what scipy.linalg.solve(a, b, assume_a="pos") does,
-    so x is bit-identical to it.  Raises ValueError for mismatched shapes
+    so on one BLAS thread x is bit-identical to it.  Raises ValueError for mismatched shapes
     or a non-finite entry, and NumericalError when a is not positive
     definite or zposv reports failure.
     """
@@ -192,8 +137,8 @@ def zposv(a, b):
         if not a[0, 0].real > 0.0:
             raise NumericalError("positive definite solve failed: not positive definite", diagnostics={"info": 1})
         return x / a[0, 0]
-    info = ctypes.c_int()
-    _zposv(b"U", ctypes.c_int(n), ctypes.c_int(1), _ptr(a), ctypes.c_int(n), _ptr(x), ctypes.c_int(n), info)
+    info = ctypes.c_int64()
+    _zposv(b"U", ctypes.c_int64(n), ctypes.c_int64(1), _ptr(a), ctypes.c_int64(n), _ptr(x), ctypes.c_int64(n), info, 1)
     if info.value != 0:
         reason = "not positive definite" if info.value > 0 else "invalid argument"
         raise NumericalError(f"positive definite solve failed: {reason}", diagnostics={"info": info.value})

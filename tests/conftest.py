@@ -1,14 +1,18 @@
 """Shared fixtures: session-scoped eigenpair cache keyed by (beta, grid size),
 the dense Toeplitz matrix that serves as the oracle for matrix-free code, and
 the Gramians and Hermitian matrices on which the LAPACK calls are checked
-against scipy.linalg."""
+against scipy.linalg, and a pin of both OpenBLAS builds to one thread for
+those checks."""
 
+import ctypes
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.linalg import _umath_linalg
+from scipy.linalg import _flapack
 
 import fraclab
 from fraclab import Grid, ObservationRegion, assemble_operator, compute_spectrum, schrodinger_gramian
@@ -73,3 +77,24 @@ def hermitian():
         return 0.5 * (a + a.conj().T)
 
     return build
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's OpenBLAS and scipy.linalg's, both on one thread for the test.
+
+    The program's LAPACK calls run in numpy's OpenBLAS (ILP64); the
+    scipy.linalg references run in the one scipy bundles (LP64).  The two
+    builds split threaded work differently, so a bit-for-bit comparison
+    between them holds only when neither runs more than one thread.
+    """
+    controls = [
+        (ctypes.CDLL(_umath_linalg.__file__), "scipy_openblas_{}_num_threads64_"),
+        (ctypes.CDLL(_flapack.__file__), "scipy_openblas_{}_num_threads"),
+    ]
+    threads = [getattr(library, name.format("get"))() for library, name in controls]
+    for library, name in controls:
+        getattr(library, name.format("set"))(1)
+    yield
+    for (library, name), count in zip(controls, threads):
+        getattr(library, name.format("set"))(count)

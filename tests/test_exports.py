@@ -47,16 +47,18 @@ def test_cli_import_leaves_scipy_special_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # the LAPACK routines come from scipy's cython_lapack extension alone;
-    # the scipy.linalg package would add to every run's start-up time
+def test_a_run_loads_one_openblas_and_no_scipy():
+    # the LAPACK routines numpy.linalg lacks come from numpy's own OpenBLAS;
+    # scipy would load a second OpenBLAS beside it
     code = (
-        "import sys, fraclab.cli; "
-        "print('scipy.linalg' in sys.modules, 'scipy.linalg.cython_lapack' in sys.modules)"
+        "import sys, fraclab.cli; from fraclab import Grid, assemble_operator, compute_spectrum; "
+        "compute_spectrum(assemble_operator(Grid(255), 0.5), 10); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy'))); "
+        "print(len({l.split()[-1] for l in open('/proc/self/maps') if '/libscipy_openblas' in l}))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False True"
+    assert proc.stdout.splitlines() == ["[]", "1"]
 
 
 def test_forced_evolution_oracle_stays_out_of_the_library():

@@ -1,8 +1,8 @@
-"""The direct LAPACK calls: bit identity with scipy.linalg, guards, loading."""
+"""The direct LAPACK calls: bit identity with scipy.linalg, guards, binding."""
 
+import _ctypes
 import ctypes
 import math
-import re
 import subprocess
 import sys
 import types
@@ -16,6 +16,7 @@ from fraclab import _lapack
 from fraclab.errors import NumericalError
 
 
+@pytest.mark.usefixtures("one_blas_thread")
 class TestBitIdentity:
     def test_zposv_is_solve_pos(self, gramian):
         a = gramian.entries
@@ -70,33 +71,8 @@ class TestGuards:
             _lapack.zposv(np.diag(diagonal), np.ones(len(diagonal)))
         assert caught.value.diagnostics == {"info": info}
 
-    @pytest.mark.parametrize("name,signature", _lapack._SIGNATURES.items())
-    def test_another_prototype_is_refused(self, name, signature):
-        _lapack._lapack_function(name, signature)
-        for wrong in (
-            signature.replace("int *", "long *", 1),
-            signature.replace("z *", "c *", 1) if "z *" in signature else signature.replace("d *", "s *", 1),
-            signature.replace(", int *)", ")"),
-        ):
-            with pytest.raises(ImportError, match=name):
-                _lapack._lapack_function(name, wrong)
 
-    @pytest.mark.parametrize("name,arguments", [("dsyevr", 21), ("zposv", 8)])
-    def test_bound_prototype_is_read_from_the_signature(self, name, arguments):
-        assert set(_lapack._SIGNATURES) == {"dsyevr", "zposv"}
-        types_by_name = {
-            "char": ctypes.c_char_p,
-            "int": ctypes.POINTER(ctypes.c_int),
-            "d": ctypes.POINTER(ctypes.c_double),
-            "z": ctypes.POINTER(ctypes.c_double),  # interleaved (re, im) storage
-        }
-        declared = re.findall(r"(\w+) \*", _lapack._SIGNATURES[name])
-        bound = getattr(_lapack, "_" + name)
-        assert len(bound.argtypes) == len(declared) == arguments
-        assert bound.argtypes == tuple(types_by_name[t] for t in declared)
-        assert bound.restype is None
-
-
+@pytest.mark.usefixtures("one_blas_thread")
 class TestIllConditioned:
     # hum_control's rank guard (smallest Gramian eigenvalue above 1e-12 T,
     # the largest being at most T) gates the HUM solve and the replay
@@ -116,30 +92,44 @@ class TestIllConditioned:
         assert x.tobytes() == expected.tobytes()
 
 
-class TestLoading:
-    def test_reuses_the_registered_module(self):
-        from scipy.linalg import cython_lapack
+class TestBinding:
+    INT, DOUBLE = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    # LAPACK's argument types (c: character, i: integer, d: double or
+    # complex as interleaved doubles), then one hidden length per character
+    DECLARED = {"dsyevr": "cccididdiididdiidiiii", "zposv": "ciididii"}
 
-        assert sys.modules[_lapack._MODULE] is cython_lapack
-        assert _lapack._load() is cython_lapack
-        assert _lapack._CAPSULES is cython_lapack.__pyx_capi__
+    @pytest.mark.parametrize("name,arguments", [("dsyevr", 21), ("zposv", 8)])
+    def test_bound_prototype_is_ilp64(self, name, arguments):
+        by_code = {"c": ctypes.c_char_p, "i": self.INT, "d": self.DOUBLE}
+        declared = [by_code[code] for code in self.DECLARED[name]]
+        bound = getattr(_lapack, "_" + name)
+        assert len(declared) == arguments
+        assert bound.argtypes == (*declared, *[ctypes.c_size_t] * self.DECLARED[name].count("c"))
+        assert bound.restype is None
 
-    def test_scipy_linalg_imported_after_shares_the_module(self):
+    @pytest.mark.parametrize("name", ["dsyevr", "zposv"])
+    def test_routine_releases_the_gil(self, name):
+        # ctypes releases the GIL around a plain C function but not around a
+        # PYFUNCTYPE one; scipy's f2py dsyevr held it, and the two parity
+        # solves then ran one after the other on their two workers
+        flags = type(getattr(_lapack, "_" + name))._flags_
+        assert flags == ctypes.CFUNCTYPE(None)._flags_
+        assert not flags & ctypes._FUNCFLAG_PYTHONAPI
+
+    @pytest.mark.parametrize("name", ["dsyevr", "zposv"])
+    def test_missing_routine_raises_import_error(self, name, monkeypatch):
+        # the ctypes extension links no LAPACK
+        monkeypatch.setattr(_lapack, "_umath_linalg", types.SimpleNamespace(__file__=_ctypes.__file__))
+        with pytest.raises(ImportError, match=f"does not export {name} "):
+            _lapack._bind(name, ctypes.c_char_p)
+
+    def test_numpy_without_the_routines_fails_at_import(self):
         code = (
-            "import sys; from fraclab import _lapack; a, b = [[2.0, 1.0], [1.0, 3.0]], [1.0, 1j]; "
-            "assert 'scipy.linalg' not in sys.modules; "
-            "import scipy.linalg; from scipy.linalg import cython_lapack; "
-            "print(cython_lapack.__pyx_capi__ is _lapack._CAPSULES, "
-            "scipy.linalg.solve(a, b, assume_a='pos').tolist() == _lapack.zposv(a, b).tolist())"
+            "import _ctypes; from numpy.linalg import _umath_linalg; "
+            "_umath_linalg.__file__ = _ctypes.__file__; import fraclab._lapack"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "True True"
-
-    def test_missing_extension_fails_with_import_error(self, tmp_path, monkeypatch):
-        (tmp_path / "linalg").mkdir()
-        monkeypatch.setattr(_lapack, "scipy", types.SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
-        monkeypatch.delitem(sys.modules, _lapack._MODULE)
-        with pytest.raises(ImportError, match="cython_lapack"):
-            _lapack._load()
-        assert _lapack._MODULE not in sys.modules
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            "ImportError: numpy's LAPACK does not export dsyevr (scipy_dsyevr_64_)"
+        )

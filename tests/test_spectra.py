@@ -195,6 +195,7 @@ class TestTruncatedParitySolve:
 
 
 class TestDirectSolve:
+    @pytest.mark.usefixtures("one_blas_thread")
     @pytest.mark.parametrize("n", [1, 2, 3, 200, 201, 1024, 2047])
     def test_matches_scipy_eigh_bit_for_bit(self, n):
         row = assemble_operator(Grid(n), 0.5).first_row
@@ -264,16 +265,6 @@ class TestDirectSolve:
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         assert spectra._parity_workers() == workers
-
-    def test_capsule_is_the_lp64_dsyevr_prototype(self):
-        signature = _lapack._SIGNATURES["dsyevr"]
-        assert signature.count("int *") == 11 and signature.count("d *") == 7
-        assert len(_lapack._lapack_function("dsyevr", signature).argtypes) == 21
-        # another prototype is refused when the routine is bound, which
-        # happens at import, not when it is called
-        for wrong in (signature.replace("int *", "long *"), signature.replace("d *", "float *", 1)):
-            with pytest.raises(ImportError, match="dsyevr"):
-                _lapack._lapack_function("dsyevr", wrong)
 
 
 class TestComputeSpectra:
