@@ -2,8 +2,14 @@
 
 import hashlib
 import json
+import os
+import platform
+import subprocess
 import sys
+import textwrap
+import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -212,6 +218,69 @@ def test_text_grows_in_place_as_one_copy():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * len(text)
+
+
+def test_workspace_carries_nothing_between_blocks_calls_or_threads():
+    # a block of short and slow-lane cells right after a block of the
+    # longest ones (24 bytes slow, 23 fast), so a row the kernel failed to
+    # overwrite would show; four different tables render at once on threads,
+    # as sweep cells do, with the interpreter switching threads often
+    longest = [-2.2250738585072014e-308, -1.2345678901234567e-100, -0.00012345678901234567, -1234567.8901234567]
+    short = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e-5, 1e17, 3.0, -42.0, 7.0, 0.5]
+    tables = [
+        np.vstack([np.resize(longest, (_BLOCK // width, width)), np.resize(short, (_BLOCK // width + 3, width))])
+        for width in (8, 16)
+    ]
+    tables += [table[::-1, ::-1].copy() for table in tables]
+    results = [None] * len(tables)
+    barrier = threading.Barrier(len(tables), timeout=30)
+
+    def render(i):
+        barrier.wait()
+        results[i] = csv_text(["c"], tables[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=render, args=(i,)) for i in range(len(tables))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for table, text in zip(tables, results):
+        assert text == per_cell(["c"], table.tolist())
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="counts the page faults of glibc's heap trimming on Linux",
+)
+def test_render_faults_in_little_more_than_its_text():
+    # with the mmap threshold pinned (perfbench pins it), glibc trims the
+    # heap top after a block frees more than 128 KiB, and the next block
+    # faults those pages back in; `hum`'s control.csv is 1001 x 413
+    code = textwrap.dedent(
+        """
+        import resource
+        import numpy as np
+        from fraclab.output import csv_text
+        table = np.random.default_rng(3).standard_normal((1001, 413))
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            text = csv_text([f"c{i}" for i in range(413)], table)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        print(faults, -(-len(text) // resource.getpagesize()))
+        """
+    )
+    src = str(Path(output.__file__).resolve().parents[1])
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults, pages = map(int, proc.stdout.split())
+    assert faults < 3 * pages
 
 
 def test_json_non_finite_floats_become_strings_at_any_depth():

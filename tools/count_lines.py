@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Count the lines of each src/fraclab module, all and code only.
+"""Count the lines of each src/fraclab module, all and code only, and
+report the memory its compilation peaks at.
 
 Usage: python3 tools/count_lines.py [REV]
 
 Code lines leave out blank lines, comment lines, and the module, class and
 function docstrings: a line counts when it holds a token other than a
 comment, a docstring or layout (newlines, indents).  A multi-line string
-that is not a docstring counts in full.  Without REV the working tree's
-modules are counted; with REV (any git revision) that revision's modules,
-read with `git show`, are counted beside them, and the differences follow.
+that is not a docstring counts in full.  The compile peak is what
+tracemalloc records at most while compile() turns the module's source into
+code, in KB; an import without cached bytecode pays it, so it shows in a
+run's peak RSS.  The total row sums the lines and gives the largest compile
+peak.  Without REV the working tree's modules are counted; with REV (any
+git revision) that revision's modules, read with `git show`, are counted
+beside them, and the differences follow.
 """
 
 import ast
@@ -24,6 +29,11 @@ LAYOUT = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
     tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER,
 }
+# Compiles the source bytes on stdin and prints tracemalloc's peak meanwhile.
+PROBE = (
+    "import sys, tracemalloc; source = sys.stdin.buffer.read(); tracemalloc.start(); "
+    "compile(source, '<module>', 'exec', dont_inherit=True); print(tracemalloc.get_traced_memory()[1])"
+)
 
 
 def docstring_spans(tree):
@@ -52,6 +62,18 @@ def count(text):
     return len(text.splitlines()), len(code)
 
 
+def compile_peak(text):
+    """Peak bytes tracemalloc records while a fresh interpreter compiles one
+    Python source text from its bytes, as an import without cached bytecode
+    does.  A fresh interpreter per text keeps the one-off growth of shared
+    tables (the interned-string dict) off whichever text happens to trigger
+    it, so equal texts read equal."""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", PROBE], input=text.encode("utf-8"), capture_output=True, check=True
+    )
+    return int(proc.stdout)
+
+
 def working_tree():
     """Module name -> source text of the working tree's package."""
     return {path.name: path.read_text(encoding="utf-8") for path in sorted((REPO / PACKAGE).glob("*.py"))}
@@ -73,18 +95,22 @@ def main(argv):
     if len(argv) > 1:
         sys.exit("usage: python3 tools/count_lines.py [REV]")
     sides = [working_tree()] + [revision(rev) for rev in argv]
-    counts = [{name: count(text) for name, text in side.items()} for side in sides]
+    counts = [
+        {name: (*count(text), round(compile_peak(text) / 1024)) for name, text in side.items()} for side in sides
+    ]
     for side in counts:
-        side["total"] = tuple(map(sum, zip(*side.values())))
+        lines, code, peaks = zip(*side.values())
+        side["total"] = (sum(lines), sum(code), max(peaks))
     names = sorted(set().union(*counts) - {"total"}) + ["total"]
-    header = ["module", "lines", "code"]
+    columns = ["lines", "code", "compile KB"]
+    header = ["module", *columns]
     if argv:
-        header += [f"{argv[0]} lines", f"{argv[0]} code", "diff lines", "diff code"]
+        header += [f"{argv[0]} {column}" for column in columns] + [f"diff {column}" for column in columns]
     rows = [header]
     for name in names:
-        cells = [number for side in counts for number in side.get(name, (0, 0))]
+        cells = [number for side in counts for number in side.get(name, (0, 0, 0))]
         if argv:
-            cells += [f"{cells[0] - cells[2]:+d}", f"{cells[1] - cells[3]:+d}"]
+            cells += [f"{new - old:+d}" for new, old in zip(cells[:3], cells[3:])]
         rows.append([name, *map(str, cells)])
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     for row in rows:
