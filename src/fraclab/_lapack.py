@@ -1,28 +1,21 @@
-"""The LAPACK calls that numpy.linalg lacks, from numpy's own OpenBLAS.
+"""The LAPACK call that numpy.linalg lacks, from numpy's own OpenBLAS.
 
-numpy.linalg has no subset eigensolve and no positive definite solve.  The
-OpenBLAS that numpy's wheels bundle (scipy-openblas64, ILP64) exports the
-whole of LAPACK under the prefix `scipy_` and the suffix `64_`.  This
-module opens numpy.linalg's `_umath_linalg` extension with ctypes, whose
-symbol lookup also searches the OpenBLAS that the extension links, and
-binds the two routines it needs, so a run loads one BLAS and no scipy.
-A numpy whose LAPACK lacks either symbol fails at import with ImportError
-naming the routine.
+numpy.linalg has no subset eigensolve.  The OpenBLAS that numpy's wheels
+bundle (scipy-openblas64, ILP64) exports the whole of LAPACK under the
+prefix `scipy_` and the suffix `64_`.  This module opens numpy.linalg's
+`_umath_linalg` extension with ctypes, whose symbol lookup also searches
+the OpenBLAS that the extension links, and binds `dsyevr` from it, so a
+run loads one BLAS and no scipy.  A numpy whose LAPACK lacks the symbol
+fails at import with ImportError naming the routine.
 
-Each routine is called through ctypes, which releases the GIL during the
-call, with the arguments scipy.linalg passes it, so on one BLAS thread
-results are bit-identical to scipy's:
-
-- `dsyevr`: lowest eigenpairs of a real symmetric block, as
-  scipy.linalg.eigh(block, overwrite_a=True, subset_by_index=...);
-- `zposv`: Hermitian positive definite solve, as
-  scipy.linalg.solve(a, b, assume_a="pos").
-
-A non-finite input to `zposv` raises ValueError, as scipy's check_finite
-does; `dsyevr` leaves that check to its caller, which holds the block it
-built.  A routine reporting failure raises NumericalError.  The Gramian
-eigenvalues need neither: `control.Gramian` takes them from
-numpy.linalg.eigvalsh.
+`dsyevr` gives the lowest eigenpairs of a real symmetric block.  It is
+called through ctypes, which releases the GIL during the call, with the
+arguments that scipy.linalg.eigh(block, overwrite_a=True,
+subset_by_index=...) passes it, so on one BLAS thread its results are
+bit-identical to scipy's.  It leaves the finiteness check to its caller,
+which holds the block it built, and raises NumericalError when the routine
+reports failure.  The Gramians need no binding: `control.Gramian` factors
+them with numpy.linalg.eigh.
 """
 
 import ctypes
@@ -32,7 +25,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError
 
-__all__ = ["dsyevr", "zposv"]
+__all__ = ["dsyevr"]
 
 _INT = ctypes.POINTER(ctypes.c_int64)
 _DOUBLE = ctypes.POINTER(ctypes.c_double)
@@ -58,23 +51,10 @@ _dsyevr = _bind(
     "dsyevr", _CHAR, _CHAR, _CHAR, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE,
     _INT, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _INT, _INT, _INT, _INT, _LENGTH, _LENGTH, _LENGTH,
 )
-# uplo, n, nrhs, a, lda, b, ldb, info, and the length of uplo.  Complex
-# arrays pass as double pointers to their interleaved (re, im) storage.
-_zposv = _bind("zposv", _CHAR, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _INT, _INT, _LENGTH)
 
 
 def _ptr(array):
     return array.ctypes.data_as(_INT if array.dtype == np.int64 else _DOUBLE)
-
-
-def _checked_copy(a, shape):
-    """A finite Fortran-order complex copy of `a`, as f2py makes for LAPACK."""
-    copy = np.array(a, dtype=complex, order="F")
-    if copy.shape != shape:
-        raise ValueError(f"expected an array of shape {shape}, got {copy.shape}")
-    if not np.isfinite(copy).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return copy
 
 
 def dsyevr(block, take):
@@ -117,29 +97,3 @@ def dsyevr(block, take):
             diagnostics={"info": info.value, "pairs": m.value, "requested": take},
         )
     return w[:take], z
-
-
-def zposv(a, b):
-    """Solution x of a x = b for a Hermitian positive definite matrix a.
-
-    Runs zposv with uplo 'U' on Fortran-order copies of a and of the
-    vector b, which is what scipy.linalg.solve(a, b, assume_a="pos") does,
-    so on one BLAS thread x is bit-identical to it.  Raises ValueError for mismatched shapes
-    or a non-finite entry, and NumericalError when a is not positive
-    definite or zposv reports failure.
-    """
-    n = np.shape(a)[0] if np.ndim(a) == 2 else 0
-    if n == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {np.shape(a)}")
-    a = _checked_copy(a, (n, n))
-    x = _checked_copy(b, (n,))
-    if n == 1:  # scipy.linalg.solve divides by a 1 x 1 matrix, and so does this
-        if not a[0, 0].real > 0.0:
-            raise NumericalError("positive definite solve failed: not positive definite", diagnostics={"info": 1})
-        return x / a[0, 0]
-    info = ctypes.c_int64()
-    _zposv(b"U", ctypes.c_int64(n), ctypes.c_int64(1), _ptr(a), ctypes.c_int64(n), _ptr(x), ctypes.c_int64(n), info, 1)
-    if info.value != 0:
-        reason = "not positive definite" if info.value > 0 else "invalid argument"
-        raise NumericalError(f"positive definite solve failed: {reason}", diagnostics={"info": info.value})
-    return x

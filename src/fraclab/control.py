@@ -2,10 +2,11 @@
 
 The Schrodinger Gramian over a mode span is assembled in closed form: the
 spatial factor is the region mass matrix of eigenvectors, the temporal factor
-the exact average of e^(i (lambda_j - lambda_k) t) over [0, T].  Its minimum
-eigenvalue is the best observability constant on that span, and its inverse
-drives the control synthesis: the control is the restriction to the region of
-a free trajectory whose datum solves the Gramian system, verified by
+the exact average of e^(i (lambda_j - lambda_k) t) over [0, T].  One cached
+Hermitian eigendecomposition of it gives its minimum eigenvalue, the best
+observability constant on that span, its condition number, and the solve
+that drives the control synthesis: the control is the restriction to the
+region of a free trajectory whose datum solves the Gramian system, verified by
 replaying the nodal control samples through the forced-evolution kernel of
 `dynamics` under two composite Gauss-Legendre rules, whose difference is an
 a-posteriori error estimate; each block of samples comes from one real
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg import LinAlgError, eigvalsh
+from numpy.linalg import LinAlgError, eigh
 
-from ._lapack import zposv
 from .dynamics import ModalState, _forced_increment
 from .errors import NumericalError, UncontrollableError
 from .regions import ObservationRegion
@@ -65,19 +65,55 @@ REPLAY_STEP_CAP = 2_000_000
 
 @dataclass(frozen=True)
 class Gramian:
-    """Hermitian observability Gramian over a truncated mode span."""
+    """Hermitian observability Gramian over a truncated mode span.
+
+    One Hermitian eigendecomposition (numpy.linalg.eigh) of the entries,
+    cached on first use, gives the eigenvalues, and with them the
+    observability constant, the condition number and the rounding floor,
+    and the solves of the Gramian system.  It factors the entries scaled by
+    2^-e, e the exponent of the largest entry modulus, so the scaled
+    matrix has a largest entry in [1/2, 1): the eigenvalues and solutions
+    are scaled back by exact powers of two, and a Gramian of tiny norm
+    keeps its smallest eigenvalues normal where an unscaled factorization
+    would make them subnormal.
+    """
 
     entries: np.ndarray
     modes: int
 
     @cached_property
-    def eigenvalues(self):
-        """Ascending eigenvalues of the entries, from one Hermitian solve
-        (numpy.linalg.eigvalsh); raises NumericalError when it does not converge."""
+    def _decomposition(self):
+        # (w, V, e) with entries = 2^e V diag(w) V^H; raises NumericalError
+        # on a non-finite entry, which eigh would pass through as NaN
+        # eigenvalues, and when eigh does not converge
+        top = float(np.max(np.abs(self.entries)))
+        if not math.isfinite(top):
+            raise NumericalError("Hermitian eigensolve failed: the Gramian has a non-finite entry")
+        # bounded so that 2^-e is a float when the entries are subnormal
+        e = max(math.frexp(top)[1], -1022)
         try:
-            return eigvalsh(self.entries)
+            w, v = eigh(self.entries * math.ldexp(1.0, -e))
         except LinAlgError as exc:
             raise NumericalError(f"Hermitian eigensolve failed: {exc}") from None
+        return w, v, e
+
+    @cached_property
+    def eigenvalues(self):
+        """Ascending eigenvalues of the entries."""
+        w, _, e = self._decomposition
+        return np.ldexp(w, e)
+
+    def solve(self, rhs):
+        """Solution x of entries x = rhs, as 2^-e V((V^H rhs) / w).
+
+        The entries must be positive definite; `hum_control` checks that
+        through the smallest eigenvalue before it solves.  An entry of x
+        beyond the float range comes out infinite or NaN, without a
+        warning, for the caller to refuse.
+        """
+        w, v, e = self._decomposition
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (v @ ((v.conj().T @ rhs) / w)) * math.ldexp(1.0, -e)
 
 
 def region_mass_matrix(spectrum, region, modes):
@@ -175,6 +211,8 @@ class SharpnessTable:
     Rows run over the orders and columns over the mode counts, both ascending.
     A table of one mode count has no decay ratios and no verdicts (None).
     The table commands write every field to their JSON report as it stands.
+    Where a constant is not resolved, its condition is rounding noise too:
+    its denominator, the least eigenvalue modulus, lies below the floor.
     """
 
     constants: np.ndarray
@@ -359,7 +397,9 @@ def hum_control(state, region, horizon):
     The control is h = y restricted to the region, where y is the free
     evolution of the datum y0 solving the Hermitian Gramian system; the
     steering condition int_0^T f_k(t) e^(-i lambda_k t) dt = -i a_k(0) turns
-    into G y0 = -i a(0) with G the closed-form Gramian.  The synthesis
+    into G y0 = -i a(0) with G the closed-form Gramian, solved by
+    Gramian.solve from the eigendecomposition that also gives the
+    observability constant and the condition number.  The synthesis
     is verified by replaying the control through the forced-evolution
     integrator and by checking the duality identity (the Gramian quadratic
     form of y0 equals the observed energy of y), both summed from the same
@@ -402,7 +442,7 @@ def hum_control(state, region, horizon):
         )
 
     steering = g.entries
-    coeffs = zposv(steering, -1j * a0)
+    coeffs = g.solve(-1j * a0)
     if not np.isfinite(coeffs).all():
         raise overflow()
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,15 +51,15 @@ def replay_partition(samples, block):
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Shapes of the matrices passed to the Gramian eigensolve, in call order."""
+    """Shapes of the matrices passed to the Gramian eigendecomposition, in call order."""
     shapes = []
-    solve = control.eigvalsh
+    solve = control.eigh
 
     def counting(a):
         shapes.append(np.shape(a))
         return solve(a)
 
-    monkeypatch.setattr(control, "eigvalsh", counting)
+    monkeypatch.setattr(control, "eigh", counting)
     return shapes
 
 # the region covering every interior node
@@ -296,27 +297,46 @@ class TestGramianScalars:
         assert eigensolves == [(6, 6)]
 
 
+def scaled_eigenvalues(a):
+    """scipy's zheevd eigenvalues of a * 2^-e scaled back by 2^e, e the
+    exponent of the largest entry modulus: what Gramian.eigenvalues reports."""
+    e = max(math.frexp(float(np.max(np.abs(a))))[1], -1022)
+    return np.ldexp(scipy.linalg.eigh(a * math.ldexp(1.0, -e), driver="evd")[0], e)
+
+
+def assert_near(solution, want, g):
+    """`solution` within g.modes * cond(g) * eps of `want`, relatively."""
+    bound = g.modes * gramian_condition(g) * np.finfo(float).eps
+    assert np.linalg.norm(solution - want) <= bound * np.linalg.norm(want)
+
+
+@pytest.mark.usefixtures("one_blas_thread")
 class TestGramianEigensolve:
-    # numpy.linalg.eigvalsh runs the LAPACK code that scipy.linalg.eigvalsh
-    # runs, and gives the same bits on these Gramians and matrices
-    def test_eigenvalues_are_scipy_eigvalsh(self, gramian):
-        assert gramian.eigenvalues.tobytes() == scipy.linalg.eigvalsh(gramian.entries).tobytes()
+    # numpy.linalg.eigh runs the LAPACK driver (zheevd, or dsyevd for a real
+    # Gramian) that scipy.linalg.eigh runs with driver="evd", and gives the
+    # same bits on these Gramians and matrices
+    def test_eigenvalues_are_scipy_eigh_scaled(self, gramian):
+        assert gramian.eigenvalues.tobytes() == scaled_eigenvalues(gramian.entries).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     def test_small_and_random_matrices(self, n, hermitian):
         a = hermitian(n, 1e3, n)
         g = Gramian(entries=a, modes=n)
-        assert g.eigenvalues.tobytes() == scipy.linalg.eigvalsh(a).tobytes()
+        assert g.eigenvalues.tobytes() == scaled_eigenvalues(a).tobytes()
 
     @pytest.mark.parametrize("horizon", [1e-300, 1e76])
     def test_extreme_horizons(self, get_spectrum, horizon):
-        # a horizon near the shortest that hum verifies, whose tiny Gramian
-        # both LAPACK drivers rescale, and the largest below the norm
-        # (about 8.2e76) from which scipy's zheevr rescales and numpy's
-        # zheevd does not
+        # a horizon near the shortest that hum verifies, and a long one:
+        # the power-of-two scaling takes either Gramian to a largest entry
+        # in [1/2, 1), where zheevd does not rescale
         spectrum = get_spectrum(0.6, 1024, 20)
         g = schrodinger_gramian(spectrum, ObservationRegion.boundary_layers(0.2), horizon, 20)
-        assert g.eigenvalues.tobytes() == scipy.linalg.eigvalsh(g.entries).tobytes()
+        assert g.eigenvalues.tobytes() == scaled_eigenvalues(g.entries).tobytes()
+
+    def test_subnormal_entries(self):
+        # 2^-e stays a float when every entry is subnormal, as at T = 5e-324
+        g = Gramian(entries=np.diag([5e-324, 2e-323]), modes=2)
+        assert g.eigenvalues.tolist() == [5e-324, 2e-323]
 
     def test_entries_are_left_unchanged(self, gramian):
         before = gramian.entries.copy()
@@ -325,17 +345,29 @@ class TestGramianEigensolve:
         assert gramian.entries.tobytes() == before.tobytes()
 
     def test_failed_eigensolve_raises_numerical_error(self):
-        # LAPACK does not converge on a NaN entry
+        # eigh returns NaN eigenvalues for a NaN entry, so the Gramian
+        # refuses the entry itself
         entries = np.eye(3, dtype=complex)
         entries[1, 1] = math.nan
         with pytest.raises(NumericalError, match="eigensolve failed"):
             Gramian(entries=entries, modes=3).eigenvalues
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_non_finite_entry_is_refused(self, bad, hermitian):
+        entries = hermitian(4, 10.0, 0)
+        entries[2, 1] = bad
+        g = Gramian(entries=entries, modes=4)
+        message = "Hermitian eigensolve failed: the Gramian has a non-finite entry"
+        with pytest.raises(NumericalError, match=message):
+            g.eigenvalues
+        with pytest.raises(NumericalError, match=message):
+            g.solve(np.ones(4))
+
     def test_failed_eigensolve_exits_3(self, tmp_path, capsys, monkeypatch):
         def failing(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(control, "eigvalsh", failing)
+        monkeypatch.setattr(control, "eigh", failing)
         args = ["hum", "--n", "64", "--modes", "5", "--out", str(tmp_path / "o"), "--no-timestamp"]
         assert cli.main(args) == 3
         captured = capsys.readouterr()
@@ -344,6 +376,73 @@ class TestGramianEigensolve:
         assert error["message"] == "Hermitian eigensolve failed: Eigenvalues did not converge"
         assert "numerical failure" in captured.err
         assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+class TestGramianSolve:
+    # The solve 2^-e V((V^H b) / w) from the cached eigendecomposition and
+    # scipy's Cholesky solve are both backward stable, so each lies within
+    # a small multiple of K cond(G) eps of the exact solution; they are
+    # checked against each other to K cond(G) eps
+    @staticmethod
+    def assert_is_solve_pos(a, rhs):
+        g = Gramian(entries=a, modes=len(a))
+        assert_near(g.solve(rhs), scipy.linalg.solve(a, rhs, assume_a="pos"), g)
+
+    def test_solve_reuses_the_eigendecomposition(self, hermitian, eigensolves):
+        g = Gramian(entries=hermitian(6, 10.0, 0), modes=6)
+        eigenvalues = g.eigenvalues
+        g.solve(np.ones(6))
+        g.solve(np.arange(6) * 1j)
+        assert eigensolves == [(6, 6)]
+        assert g.eigenvalues is eigenvalues
+
+    def test_solve_is_solve_pos(self, gramian):
+        a = gramian.entries
+        rhs = [1.0, 1j] @ np.random.default_rng(len(a)).standard_normal((2, len(a)))
+        self.assert_is_solve_pos(a, rhs)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_small_and_random_matrices(self, n, hermitian):
+        self.assert_is_solve_pos(hermitian(n, 1e3, n), np.arange(n) - 1j)
+
+    # up to 1e12, the condition that hum_control's rank guard admits
+    @pytest.mark.parametrize("condition", [1.0, 1e3, 1e6, 1e9, 1e12])
+    def test_ill_conditioned_matrices(self, condition, hermitian):
+        self.assert_is_solve_pos(hermitian(20, condition, 0), np.arange(20) - 1j)
+
+    def test_real_gramian(self, get_spectrum):
+        spectrum = get_spectrum(0.75, 64, 6)
+        g = wave_gramian(spectrum, ObservationRegion.boundary_layers(0.25), 4.0, 6)
+        assert g.entries.dtype == float
+        self.assert_is_solve_pos(g.entries, np.linspace(-1.0, 1.0, 12))
+
+    @pytest.mark.parametrize("horizon", [1e-303, 4e-304])
+    def test_gramian_of_tiny_norm(self, horizon):
+        # the cell of `hum --n 64 --modes 5`, whose smallest eigenvalue is
+        # subnormal at these horizons; scipy solves the entries lifted by
+        # 2^1000, and the solution is compared in the same units
+        spectrum = compute_spectrum(assemble_operator(Grid(64), 0.6), 5)
+        g = schrodinger_gramian(spectrum, ObservationRegion.boundary_layers(0.2), horizon, 5)
+        assert 0.0 < g.eigenvalues[0] < np.finfo(float).tiny
+        rhs = np.exp(1j * np.arange(5.0)) / 64
+        lift = 2.0**1000
+        want = scipy.linalg.solve(g.entries * lift, rhs, assume_a="pos")
+        assert_near(g.solve(rhs) / lift, want, g)
+
+    def test_inputs_are_left_unchanged(self, gramian):
+        before = gramian.entries.copy()
+        rhs = np.ones(gramian.modes, dtype=complex)
+        gramian.solve(rhs)
+        assert gramian.entries.tobytes() == before.tobytes()
+        assert np.all(rhs == 1.0)
+
+    def test_overflowing_solution_is_not_finite_without_warning(self):
+        # hum_control refuses such a datum as overflowing
+        g = Gramian(entries=np.diag([1e-300, 1.0]), modes=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = g.solve(np.array([1e10, 1.0]))
+        assert not np.isfinite(solution).all()
 
 
 class TestSharpness:
@@ -593,7 +692,8 @@ class TestHumControl:
     def test_residual_is_relative_to_the_reported_forms(self, request, horizon):
         # the replay's power-of-two scaling is exact, so the residual taken
         # from the reported forms is the reported residual at every horizon;
-        # setup's datum does not verify at the two short horizons
+        # setup's datum is refused at 1e-300, and cli_cell's verifies at both
+        # short horizons
         spectrum, region, state = request.getfixturevalue("setup" if horizon == 1.0 else "cli_cell")
         result = hum_control(state, region, horizon)
         lhs, rhs = result.identity_lhs, result.identity_rhs
@@ -601,10 +701,10 @@ class TestHumControl:
         assert result.identity_residual == abs(lhs - rhs) / max(abs(lhs), abs(rhs))
         assert result.identity_residual > 0.0
 
-    @pytest.mark.parametrize("horizon", [1e-150, 1e-300])
+    @pytest.mark.parametrize("horizon", [1e-100, 1e-250, 1e-300])
     def test_unverified_control_raises(self, setup, horizon):
-        # this datum's duality identity closes only to about 1.1e-9 at these
-        # horizons, and the control is refused rather than returned
+        # this datum's duality identity closes only to 1.02e-9 to 1.09e-9 at
+        # these horizons, and the control is refused rather than returned
         spectrum, region, state = setup
         with pytest.raises(NumericalError, match="identity_residual") as info:
             hum_control(state, region, horizon)
@@ -615,6 +715,16 @@ class TestHumControl:
         # the refusal reports the condition that tells rounding from a wrong control
         gramian = schrodinger_gramian(spectrum, region, horizon, state.modes)
         assert diagnostics["gramian_condition"] == gramian_condition(gramian)
+
+    @pytest.mark.parametrize("horizon", [2e-3, 1e-6, 1e-8, 1e-150])
+    def test_short_horizons_that_verify(self, setup, horizon):
+        # at the same conditions, above 1e-9 / eps, as the refused horizons:
+        # the verdict there turns on the rounding of the datum (ROADMAP
+        # item 13), with identity residuals of 6.7e-10 to 9.8e-10 here
+        spectrum, region, state = setup
+        result = hum_control(state, region, horizon)
+        assert result.gramian_condition > 1e-9 / np.finfo(float).eps
+        assert result.identity_residual <= VERIFICATION_TOLERANCE
 
     @pytest.mark.parametrize(("norm", "horizon"), [(1e5, 1e-300), (1e102, 1e-100)])
     def test_overflowing_datum_raises(self, setup, norm, horizon):
@@ -627,6 +737,8 @@ class TestHumControl:
         assert info.value.diagnostics["horizon"] == horizon
 
     def test_one_eigensolve(self, setup, eigensolves):
+        # the constant, the condition and the HUM datum all come from one
+        # eigendecomposition of the Gramian: no second factorization
         spectrum, region, state = setup
         hum_control(state, region, 1.0)
         assert eigensolves == [(8, 8)]

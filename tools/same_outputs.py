@@ -8,12 +8,17 @@ and the working tree's `src` is copied beside it, into a temporary
 directory.  Each command below then runs with --no-timestamp against both
 copies, from working directories at the same relative place, so relative
 paths in the output read the same.  For each command the output trees,
-stdout, stderr and exit codes are compared and one line is printed; the
-script exits 1 if any command differs, and 0 otherwise.  The forty
-commands take about 26 s on 2 cores (Xeon).
+stdout, stderr and exit codes are compared and one line is printed.  Under
+it, each .csv or .json file that differs gets one more line: the largest
+relative change |a - b| / max(|a|, |b|) among its numbers, read in order
+from both sides, and where it lies.  The script exits 1 if any command
+differs, and 0 otherwise.  The forty commands take about 26 s on 2 cores
+(Xeon).
 """
 
 import io
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -54,8 +59,8 @@ COMMANDS = [
     ("sweep", "--jobs", "2", "--n", "127"),
     ("sweep", "--config", "sweep_hum.ini", "--jobs", "2", "--n", "127"),
     ("evolve", "--config", "wave.ini"),
-    # Gramian eigenvalues at a tiny norm, which the eigensolvers rescale, and
-    # at the largest horizon below zheevr's rescaling threshold
+    # Gramians of tiny and of large norm, which the eigendecomposition
+    # scales by a power of two to a largest entry in [1/2, 1)
     ("observability", "--T", "1e-150"),
     ("sharpness", "--T", "1e76"),
     ("hum", "--modes", "1"),
@@ -106,6 +111,49 @@ def tree(directory):
     }
 
 
+def numbers(name, data):
+    """(place, value) of each number of a .json or .csv file, in reading order."""
+    if name.endswith(".json"):
+        return list(_json_numbers(json.loads(data), ""))
+    found = []
+    for line, text in enumerate(data.decode().splitlines(), 1):
+        for field, value in enumerate(text.split(","), 1):
+            try:
+                found.append((f"line {line} field {field}", float(value)))
+            except ValueError:
+                pass
+    return found
+
+
+def _json_numbers(node, place):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_numbers(value, f"{place}.{key}" if place else key)
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _json_numbers(value, f"{place}[{index}]")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield place, float(node)
+
+
+def largest_change(name, before, after):
+    """One line on how far the numbers of file `name` moved between two versions."""
+    old, new = numbers(name, before), numbers(name, after)
+    if [place for place, _ in old] != [place for place, _ in new]:
+        return f"{name}: its numbers do not pair up"
+    worst, where = 0.0, None
+    for (place, a), (_, b) in zip(old, new):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        change = abs(a - b) / max(abs(a), abs(b))
+        change = math.inf if math.isnan(change) else change  # one side not finite
+        if change > worst:
+            worst, where = change, place
+    if where is None:
+        return f"{name}: its numbers are the same"
+    return f"{name}: largest relative change {worst:.2g} at {where}"
+
+
 def run(side, index, argv):
     """Exit code, stdout, stderr and output tree of one command on one side."""
     cwd = side / "runs" / str(index)
@@ -141,6 +189,9 @@ def main(argv):
             differing += bool(fields)
             verdict = "differs in " + "; ".join(fields) if fields else "same"
             print(f"{' '.join(command)} [exit {after[0]}]: {verdict}", flush=True)
+            for name in files:
+                if name.endswith((".csv", ".json")) and name in before[3] and name in after[3]:
+                    print("    " + largest_change(name, before[3][name], after[3][name]), flush=True)
     print(f"{len(COMMANDS) - differing} of {len(COMMANDS)} commands the same")
     return 1 if differing else 0
 
