@@ -6,16 +6,20 @@ prefix `scipy_` and the suffix `64_`.  This module opens numpy.linalg's
 `_umath_linalg` extension with ctypes, whose symbol lookup also searches
 the OpenBLAS that the extension links, and binds `dsyevr` from it, so a
 run loads one BLAS and no scipy.  A numpy whose LAPACK lacks the symbol
-fails at import with ImportError naming the routine.
+fails at import with ImportError naming the routine.  `blas_threads` is
+that OpenBLAS's own thread count, as it read it from the environment when
+it loaded.
 
-`dsyevr` gives the lowest eigenpairs of a real symmetric block.  It is
+`dsyevr` gives the lowest eigenpairs of a real symmetric block held in one
+triangle of a Fortran view, which may be a window of a larger array.  It is
 called through ctypes, which releases the GIL during the call, with the
-arguments that scipy.linalg.eigh(block, overwrite_a=True,
+arguments that scipy.linalg.eigh(block, lower=..., overwrite_a=True,
 subset_by_index=...) passes it, so on one BLAS thread its results are
-bit-identical to scipy's.  It leaves the finiteness check to its caller,
-which holds the block it built, and raises NumericalError when the routine
-reports failure.  The Gramians need no binding: `control.Gramian` factors
-them with numpy.linalg.eigh.
+bit-identical to scipy's.  It reads and writes only the triangle it is
+given.  It leaves the finiteness check to its caller, which knows what the
+block was built from, and raises NumericalError when the routine reports
+failure.  The Gramians need no binding: `control.Gramian` factors them
+with numpy.linalg.eigh.
 """
 
 import ctypes
@@ -25,7 +29,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError
 
-__all__ = ["dsyevr"]
+__all__ = ["blas_threads", "dsyevr"]
 
 _INT = ctypes.POINTER(ctypes.c_int64)
 _DOUBLE = ctypes.POINTER(ctypes.c_double)
@@ -35,13 +39,18 @@ _CHAR = ctypes.c_char_p
 _LENGTH = ctypes.c_size_t
 
 
-def _bind(name, *argtypes):
-    """numpy's ILP64 LAPACK routine `name` as a ctypes function, which releases the GIL."""
-    prototype = ctypes.CFUNCTYPE(None, *argtypes)
+def _bind(name, *argtypes, restype=None, symbol="scipy_{}_64_"):
+    """numpy's OpenBLAS function `name` as a ctypes function, which releases the GIL.
+
+    `symbol` spells its exported name: LAPACK routines carry the ILP64
+    suffix `_64_`, OpenBLAS's own functions `64_`.
+    """
+    prototype = ctypes.CFUNCTYPE(restype, *argtypes)
+    symbol = symbol.format(name)
     try:
-        return prototype((f"scipy_{name}_64_", ctypes.CDLL(_umath_linalg.__file__)))
+        return prototype((symbol, ctypes.CDLL(_umath_linalg.__file__)))
     except AttributeError:
-        raise ImportError(f"numpy's LAPACK does not export {name} (scipy_{name}_64_)") from None
+        raise ImportError(f"numpy's LAPACK does not export {name} ({symbol})") from None
 
 
 # jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz,
@@ -53,26 +62,43 @@ _dsyevr = _bind(
 )
 
 
+# Threads OpenBLAS runs per call: OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+# OMP_NUM_THREADS as it read them when it loaded, else every core it may use.
+blas_threads = _bind("openblas_get_num_threads", restype=ctypes.c_int, symbol="scipy_{}64_")
+
+
 def _ptr(array):
     return array.ctypes.data_as(_INT if array.dtype == np.int64 else _DOUBLE)
 
 
-def dsyevr(block, take):
-    """Lowest `take` eigenpairs of a symmetric Fortran-order block.
+def dsyevr(block, take, uplo="L"):
+    """Lowest `take` eigenpairs of a symmetric block held in one triangle.
 
-    Passes exactly what scipy.linalg.eigh(block, overwrite_a=True,
-    subset_by_index=(0, take - 1)) passes: jobz 'V', range 'I', uplo 'L',
-    il = 1, iu = take, vl = vu = abstol = 0 and the workspace sizes of a
-    query (a smaller lwork would switch dsytrd to unblocked code), so on
-    one BLAS thread values and vectors are bit-identical to it.  Only the lower triangle is
-    read and the block is overwritten.  Raises NumericalError when dsyevr
-    reports failure or returns fewer pairs.
+    `block` is a float64 Fortran view of order n: unit row stride and a
+    column stride (the leading dimension) of at least n elements, so it may
+    be a window of a larger array.  Only its lower (`uplo` 'L') or upper
+    ('U') triangle is read and overwritten; no other byte is touched.
+    Passes exactly what scipy.linalg.eigh(block, lower=uplo == 'L',
+    overwrite_a=True, subset_by_index=(0, take - 1)) passes: jobz 'V',
+    range 'I', il = 1, iu = take, vl = vu = abstol = 0 and the workspace
+    sizes of a query (a smaller lwork would switch dsytrd to unblocked
+    code), so on one BLAS thread values and vectors are bit-identical to
+    it.  Raises NumericalError when dsyevr reports failure or returns fewer
+    pairs.
     """
     size = len(block)
-    if block.shape != (size, size) or block.dtype != np.float64 or not block.flags.f_contiguous:
+    if (
+        block.shape != (size, size)
+        or block.dtype != np.float64
+        or block.strides[0] != block.itemsize
+        or block.strides[1] < block.itemsize * max(size, 1)
+    ):
         raise ValueError("expected a square float64 Fortran-order block")
+    if uplo not in ("L", "U"):
+        raise ValueError(f"uplo must be 'L' or 'U', got {uplo!r}")
     if not 1 <= take <= size:
         raise ValueError(f"take must lie in [1, {size}], got {take}")
+    lda = block.strides[1] // block.itemsize
     w = np.empty(size)
     z = np.empty((size, take), order="F")
     isuppz = np.empty(2 * size, dtype=np.int64)
@@ -80,7 +106,7 @@ def dsyevr(block, take):
 
     def call(work, iwork, lwork, liwork):
         _dsyevr(
-            b"V", b"I", b"L", ctypes.c_int64(size), _ptr(block), ctypes.c_int64(size),
+            b"V", b"I", uplo.encode(), ctypes.c_int64(size), _ptr(block), ctypes.c_int64(lda),
             zero, zero, ctypes.c_int64(1), ctypes.c_int64(take), zero, m, _ptr(w),
             _ptr(z), ctypes.c_int64(size), _ptr(isuppz),
             _ptr(work), ctypes.c_int64(lwork), _ptr(iwork), ctypes.c_int64(liwork), info, 1, 1, 1,

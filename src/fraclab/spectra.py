@@ -7,13 +7,20 @@ half-size symmetric solves, one per parity, and are normalized against the
 discrete L2 inner product h * sum(u_i v_i).  The lowest k eigenvalues of
 the two blocks interlace in practice, so each block is first solved for
 only ceil(k/2) + 1 pairs; a block whose solved pairs all survive the merge
-may hide a lower one and is solved again in full.  The two blocks of a round
-are solved at once on two threads when the BLAS runs one thread per call,
-since the solver releases the GIL; each worker holds one block, so two
-blocks are alive together.  Each worker checks its pairs' residuals and
-normalizes its vectors once its block is freed.  Over a sequence of
-operators, such as a table's orders, the next operator's solves run while
-the current one is merged and used, never more than one operator ahead.
+may hide a lower one and is solved again in full.  Both blocks share one
+Fortran buffer, the even block in its lower triangle and the odd block in
+the upper triangle of a window one panel to the right, as the rectangular
+full packed format keeps two triangles in one array (Gustavson, Wasniewski,
+Dongarra & Langou, ACM TOMS 37, 2010); the solver reads and writes only
+its triangle.  Each parity has its own lane, a one-thread executor, so a
+triangle holds one block at a time and each parity's solves run in the
+order they were submitted.  The two lanes solve at once when the BLAS runs
+one thread per call, since the solver releases the GIL; on a multithreaded
+BLAS they share one thread.  Each lane checks its pairs' residuals and
+normalizes its vectors after its solve.  Over a sequence of operators, such
+as a table's orders, the next operator's solves run while the current one
+is merged and used, never more than one operator ahead, in the same
+buffer.
 Alongside the numerics the module carries the closed-form asymptotic law
 
     lambda_k ~ (k pi / 2 - (2 - 2 beta) pi / 8)^(2 beta)
@@ -23,8 +30,6 @@ beta >= 1/2, vanishing gap below.
 """
 
 import math
-import os
-import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._lapack import blas_threads as _blas_threads
 from ._lapack import dsyevr as _lowest_pairs
 from .errors import NumericalError
 from .operator import DiscreteOperator, Grid, apply, check_order
@@ -50,26 +56,25 @@ TIE_TOLERANCE = 1e-12
 def _parity_workers():
     """Parity blocks solved at once: 2 when the BLAS runs one thread, else 1.
 
-    OpenBLAS takes its thread count from the first of these variables that
-    holds a positive integer, read like C atoi (so OMP_NUM_THREADS=1,2
-    counts as 1), and uses every core when none does.  Two solves on a
+    The count is the one numpy's OpenBLAS runs.  Two solves on a
     multithreaded BLAS oversubscribe the cores and run slower than one
     after the other.
     """
-    for key in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        digits = re.match(r"\s*[+-]?\d+", os.environ.get(key, ""))
-        count = int(digits.group()) if digits else 0
-        if count > 0:
-            return 2 if count == 1 else 1
-    return 1
+    return 2 if _blas_threads() == 1 else 1
 
 
 # The BLAS reads its thread count once, when it loads, and so does this.
 _WORKERS = _parity_workers()
 
-# Columns per FFT residual product in a worker: at n = 2047 a product's
-# arrays take under 1 MB beside the other worker's 8 MB block.
+# Columns per FFT residual product in a lane: at n = 2047 a product's
+# arrays take under 1 MB beside the 9.0 MB buffer of both blocks.
 _RESIDUAL_COLUMNS = 8
+
+# Columns per panel of a block fill.  The odd block starts one panel to the
+# right of the even one, so in every column of the buffer its triangle ends
+# a panel above the even triangle's start: each fill may write whole
+# diagonal tiles without reaching the other triangle.
+_PANEL = 64
 
 
 @dataclass(frozen=True)
@@ -101,8 +106,20 @@ def _block_size(n, sign):
     return m + 1 if sign > 0 and n % 2 else m
 
 
-def _parity_block(row, sign):
-    """Even (sign = 1) or odd (sign = -1) block of a symmetric Toeplitz matrix.
+def _buffer(n):
+    """The Fortran buffer that holds both parity blocks for n nodes.
+
+    It has s_odd + _PANEL columns of at least s_even rows.  The row count,
+    the blocks' leading dimension, is an odd number of 64-byte lines: with
+    a power-of-two column of 4 KiB (n = 1024), the two lanes' solves,
+    which share every column, each took about 0.7 ms longer.
+    """
+    rows = 8 * (-(-_block_size(n, 1) // 8) | 1)
+    return np.empty((rows, _block_size(n, -1) + _PANEL), order="F")
+
+
+def _parity_block(row, sign, buf):
+    """Write one parity block of a symmetric Toeplitz matrix into `buf`.
 
     With m = n // 2, the top m rows of the matrix split into T11 = T[:m, :m]
     and T12 = T[:m, n - m:].  An eigenvector [x; s J x] / sqrt(2), with J the
@@ -110,53 +127,53 @@ def _parity_block(row, sign):
     x is an eigenvector of T11 + s T12 J with the same eigenvalue.  For odd n
     the even block gains a last row and column for the middle node: the
     middle column of T above the diagonal scaled by sqrt(2), and the
-    diagonal entry.  Only the returned block is allocated.
+    diagonal entry.  The even block (sign = 1) goes to the lower triangle of
+    buf[:size, :size], the odd block (sign = -1) to the upper triangle of
+    buf[:size, _PANEL:_PANEL + size], each written by _PANEL-column panels in
+    memory order, whole diagonal tiles included.  Returns the block's view
+    of `buf` and its triangle, 'L' or 'U'.  Entries outside the triangle and
+    its diagonal tiles are left as they are.
     """
     n = len(row)
     m = n // 2
     size = _block_size(n, sign)
-    # Fortran order lets dsyevr factor it in place.
-    block = np.empty((size, size), order="F")
+    lower = sign > 0
+    block = buf[:size, :size] if lower else buf[:size, _PANEL : _PANEL + size]
     if m:
         # T11[i, j] = row[|i - j|] and (T12 J)[i, j] = row[n - 1 - i - j],
         # both strided views of the row.
         t11 = sliding_window_view(np.concatenate([row[m - 1 : 0 : -1], row[:m]]), m)[:, ::-1]
         hank = sliding_window_view(row[::-1][: 2 * m - 1], m)
-        combine = np.add if sign > 0 else np.subtract
-        # Both terms are symmetric, so writing the transpose (C order, in
-        # memory order) gives the same block.
-        combine(t11, hank, out=block.T[:m, :m])
+        combine = np.add if lower else np.subtract
+        # Both terms are symmetric, so the panel's columns are rows of the
+        # terms, and the transpose writes them in memory order.
+        for start in range(0, m, _PANEL):
+            cols = slice(start, min(start + _PANEL, m))
+            rows = slice(start, m) if lower else slice(0, cols.stop)
+            combine(t11[cols, rows], hank[cols, rows], out=block.T[cols, rows])
     if size > m:
-        middle = math.sqrt(2.0) * row[m:0:-1]
-        block[:m, m] = middle
-        block[m, :m] = middle
+        block[m, :m] = math.sqrt(2.0) * row[m:0:-1]
         block[m, m] = row[0]
-    return block
+    return block, "L" if lower else "U"
 
 
-def _parity_pairs(op, sign, take):
+def _parity_pairs(op, sign, take, buf):
     """Lowest `take` eigenpairs of one parity block of `op`, checked and scaled.
 
-    Each vector is [x; sign * J x] / sqrt(2), with x_m as the middle entry
-    for odd n.  The block lives only for the duration of the solve, so a
-    worker holds one block at a time and two workers hold two.  Once the
-    block is freed, each pair's residual |A v - lambda v| is computed on the
-    unit vectors by the FFT product `apply`, _RESIDUAL_COLUMNS columns at a
-    time, so its transforms stay small beside another worker's block.  The
-    vectors are then scaled in place to unit discrete L2 norm, each column's
-    first nonzero entry made positive (an all-zero column is left as it is).
-    Returns (eigenvalues, vectors, residuals).  Raises ValueError if the
-    block holds an inf or NaN, which the solver does not check.
+    The block is written into its triangle of the shared buffer `buf` and
+    solved there.  Each vector is [x; sign * J x] / sqrt(2), with x_m as
+    the middle entry for odd n.  Each pair's residual |A v - lambda v| is
+    computed on the unit vectors by the FFT product `apply`,
+    _RESIDUAL_COLUMNS columns at a time, so its transforms stay small
+    beside the buffer.  The vectors are then scaled in place to unit
+    discrete L2 norm, each column's first nonzero entry made positive (an
+    all-zero column is left as it is).  Returns (eigenvalues, vectors,
+    residuals).
     """
     n = op.grid.n_interior
     m = n // 2
-    block = _parity_block(op.first_row, sign)
-    # min and max are NaN if an entry is, and infinite if an entry is;
-    # unlike np.isfinite they allocate nothing beside the block
-    if not (math.isfinite(block.min()) and math.isfinite(block.max())):
-        raise ValueError("array must not contain infs or NaNs")
-    lam_b, x = _lowest_pairs(block, take)
-    del block
+    block, uplo = _parity_block(op.first_row, sign, buf)
+    lam_b, x = _lowest_pairs(block, take, uplo)
     v = np.zeros((n, take))
     v[:m] = x[:m] / math.sqrt(2.0)
     v[n - m :] = sign * v[:m][::-1]
@@ -172,15 +189,34 @@ def _parity_pairs(op, sign, take):
     return lam_b, v, residuals
 
 
-def _submit(pool, op, takes):
-    """Futures of the parity solves {sign: take}, even block first."""
-    return {sign: pool.submit(_parity_pairs, op, sign, take) for sign, take in takes.items()}
+def _lanes():
+    """The executors of the even and odd solves, by sign.
+
+    One thread per parity when the BLAS runs one thread, else one thread
+    that both share.  Either way a parity's solves run one at a time, in
+    the order they were submitted, so its triangle of a buffer holds one
+    block at a time.
+    """
+    if _WORKERS > 1:
+        return {1.0: ThreadPoolExecutor(1), -1.0: ThreadPoolExecutor(1)}
+    shared = ThreadPoolExecutor(1)
+    return {1.0: shared, -1.0: shared}
 
 
-def _first_round(pool, op, modes):
+def _submit(lanes, op, takes, buf):
+    """Futures of the parity solves {sign: take} in `buf`, even block first."""
+    return {sign: lanes[sign].submit(_parity_pairs, op, sign, take, buf) for sign, take in takes.items()}
+
+
+def _first_round(lanes, buffers, op, modes):
     """Check one operator's request and submit its first-round solves.
 
-    Returns the arguments of `_merge` after the pool.
+    The solves use the buffer of `buffers` for the operator's grid size; a
+    new size replaces it there, while the solves already submitted keep
+    theirs.  Returns the arguments of `_merge` after the lanes.  Raises
+    ValueError if a row entry is not finite or reaches 2^1022 in size: the
+    solver checks nothing, and below that every block entry, a sum of two
+    row entries or one times sqrt(2), is finite.
     """
     if not isinstance(op, DiscreteOperator):
         raise TypeError("compute_spectrum expects a DiscreteOperator")
@@ -188,12 +224,18 @@ def _first_round(pool, op, modes):
     n = op.grid.n_interior
     if not 1 <= k <= n:
         raise ValueError(f"modes must lie in [1, {n}], got {modes}")
+    if not np.all(np.abs(op.first_row) < 2.0**1022):  # false for a NaN too
+        raise ValueError("array must not contain infs or NaNs")
+    buf = buffers.get(n)
+    if buf is None:
+        buffers.clear()
+        buf = buffers[n] = _buffer(n)
     full = {sign: min(k, _block_size(n, sign)) for sign in (1.0, -1.0)}
     first = {sign: min(take, (k + 1) // 2 + 1) for sign, take in full.items() if take}
-    return op, k, full, _submit(pool, op, first)
+    return op, k, full, buf, _submit(lanes, op, first, buf)
 
 
-def _merge(pool, op, k, full, solving):
+def _merge(lanes, op, k, full, buf, solving):
     """The Spectrum of one operator from its submitted first-round solves."""
     pairs = {}
     while solving:
@@ -207,7 +249,7 @@ def _merge(pool, op, k, full, solving):
             stop += len(lam_b)
             if len(lam_b) < full[sign] and stop - 1 in order:
                 pending[sign] = full[sign]
-        solving = _submit(pool, op, pending)
+        solving = _submit(lanes, op, pending, buf)
     lam = values[order]
 
     scale = op.norm_bound
@@ -236,28 +278,34 @@ def _merge(pool, op, k, full, solving):
 def compute_spectra(ops, modes):
     """Yield the lowest `modes` eigenpairs of each operator of `ops`, in order.
 
-    Each Spectrum is the one `compute_spectrum` returns.  With two workers
-    the next operator's first-round solves are submitted before the
-    current operator is merged, so they run while the current one merges
-    and while the caller works on its Spectrum; solves never run more than
-    one operator ahead, and no more than `_WORKERS` blocks are alive at
-    once.  With one worker (a multithreaded BLAS) each operator is solved
-    only when its Spectrum is asked for.  A caller that drops each Spectrum
-    before asking for the next holds one at a time.
+    Each Spectrum is the one `compute_spectrum` returns.  The stream keeps
+    one buffer per grid size, and every block of an operator of that size
+    is solved in its triangle of it, so a table of one size holds one
+    buffer, about s_even x (s_odd + _PANEL) doubles, and never a separate
+    block.
+    With two lanes the next operator's first-round solves are submitted
+    before the current operator is merged, so they run while the current
+    one merges and while the caller works on its Spectrum; solves never run
+    more than one operator ahead, and each lane runs its parity's solves,
+    re-solves included, in the order they were submitted.  With one lane
+    (a multithreaded BLAS) each operator is solved only when its Spectrum
+    is asked for.  A caller that drops each Spectrum before asking for the
+    next holds one at a time.
     """
     ahead = 1 if _WORKERS > 1 else 0
-    pool = ThreadPoolExecutor(_WORKERS)
+    lanes, buffers = _lanes(), {}
     try:
         started = []
         for op in ops:
-            started.append(_first_round(pool, op, modes))
+            started.append(_first_round(lanes, buffers, op, modes))
             if len(started) > ahead:
-                yield _merge(pool, *started.pop(0))
+                yield _merge(lanes, *started.pop(0))
         while started:
-            yield _merge(pool, *started.pop(0))
+            yield _merge(lanes, *started.pop(0))
     finally:
         # solves of an operator that will not be merged are not started
-        pool.shutdown(cancel_futures=True)
+        for lane in set(lanes.values()):
+            lane.shutdown(cancel_futures=True)
 
 
 def compute_spectrum(op, modes):
@@ -271,14 +319,18 @@ def compute_spectrum(op, modes):
     all survive the merge may hide a lower eigenvalue, so it is solved once
     more for min(modes, block size) pairs and the merge is redone; a block
     that keeps out at least one of its pairs hides nothing below them.
-    The blocks of a round are solved on `_WORKERS` threads (two on a
-    one-thread BLAS, else one) and merged even block first, so the result
-    does not depend on the worker count.  Each worker checks its pairs'
-    residuals, computed on the full vectors by the FFT product `apply`,
-    and rescales its vectors to the discrete L2 normalization with signs
-    fixed.  Raises NumericalError if the solver fails or a kept pair's
-    residual exceeds 1e-9 times the operator norm bound or is NaN.  This is
-    the one-operator case of `compute_spectra`.
+    Both blocks are solved in one buffer of about s_even x (s_odd +
+    _PANEL) doubles, about half of what two separate blocks take: the even
+    block in its lower triangle, the odd one in an upper triangle.  The blocks of a
+    round are solved on their two lanes at once on a one-thread BLAS, else
+    one after the other, and merged even block first, so the result does
+    not depend on the lane count.  Each lane checks its pairs' residuals,
+    computed on the full vectors by the FFT product `apply`, and rescales
+    its vectors to the discrete L2 normalization with signs fixed.  Raises
+    ValueError if a row entry is not finite or reaches 2^1022 in size, and
+    NumericalError if the solver fails or a kept pair's residual exceeds
+    1e-9 times the operator norm bound or is NaN.  This is the one-operator
+    case of `compute_spectra`.
     """
     return next(compute_spectra((op,), modes))
 

@@ -783,10 +783,10 @@ class TestCliObservability:
             refs.append(weakref.ref(spectrum))
             return spectrum
 
-        def submitting(pool, op, takes):
+        def submitting(lanes, op, takes, buf):
             # orders ahead of the spectra built, per solve submitted
             ahead.extend(betas.index(op.beta) - len(refs) for _ in takes)
-            return submit(pool, op, takes)
+            return submit(lanes, op, takes, buf)
 
         monkeypatch.setattr(spectra, "_WORKERS", 2)
         monkeypatch.setattr(spectra, "Spectrum", tracked)

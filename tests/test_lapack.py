@@ -1,4 +1,5 @@
-"""The binding of dsyevr: its prototype, the GIL and a numpy that lacks it.
+"""The bindings of dsyevr and of OpenBLAS's thread count: their prototypes,
+the GIL, a numpy that lacks them, and the bytes dsyevr leaves alone.
 
 Its bit identity with scipy.linalg is checked in test_spectra."""
 
@@ -8,7 +9,9 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from fraclab import _lapack
 
@@ -54,3 +57,52 @@ class TestBinding:
         assert proc.stderr.splitlines()[-1] == (
             "ImportError: numpy's LAPACK does not export dsyevr (scipy_dsyevr_64_)"
         )
+
+
+class TestThreadCount:
+    def test_bound_prototype_returns_an_int(self):
+        assert _lapack.blas_threads.argtypes == ()
+        assert _lapack.blas_threads.restype is ctypes.c_int
+        assert type(_lapack.blas_threads)._flags_ == ctypes.CFUNCTYPE(None)._flags_
+
+    def test_is_the_count_openblas_runs(self):
+        library = ctypes.CDLL(_umath_linalg.__file__)
+        threads = _lapack.blas_threads()
+        assert threads >= 1
+        library.scipy_openblas_set_num_threads64_(1)
+        try:
+            assert _lapack.blas_threads() == 1
+        finally:
+            library.scipy_openblas_set_num_threads64_(threads)
+
+    def test_missing_function_names_its_symbol(self, monkeypatch):
+        monkeypatch.setattr(_lapack, "_umath_linalg", types.SimpleNamespace(__file__=_ctypes.__file__))
+        with pytest.raises(ImportError, match=r"does not export openblas_get_num_threads \(scipy_openblas_get_num_threads64_\)"):
+            _lapack._bind("openblas_get_num_threads", restype=ctypes.c_int, symbol="scipy_{}64_")
+
+
+class TestTriangle:
+    @pytest.mark.parametrize("uplo", ["L", "U"])
+    @pytest.mark.parametrize("order", [1, 2, 65, 200, 1024])
+    def test_bytes_outside_the_triangle_are_left_alone(self, order, uplo):
+        # a window of a larger buffer (lda = order + 5) whose every byte is
+        # random, NaN and infinite patterns included; only the solved
+        # triangle may change, and the bytes beside it must not be read
+        # either, or the eigenvalues would not match.  Order 1024 runs
+        # dsytrd's blocked path.
+        rng = np.random.default_rng(order)
+        words = rng.integers(0, 2**64, size=(order + 5, order + 9), dtype=np.uint64)
+        buf = np.asfortranarray(words).view(np.float64)
+        a = rng.standard_normal((order, order))
+        a += a.T
+        triangle = np.tril_indices(order) if uplo == "L" else np.triu_indices(order)
+        block = buf[2 : 2 + order, 7 : 7 + order]
+        block[triangle] = a[triangle]
+        outside = np.ones(buf.shape, dtype=bool)
+        outside[2 : 2 + order, 7 : 7 + order][triangle] = False
+        before = buf[outside].tobytes()
+        take = min(order, 4)
+        lam, vec = _lapack.dsyevr(block, take, uplo)
+        assert buf[outside].tobytes() == before
+        np.testing.assert_allclose(lam, np.linalg.eigvalsh(a)[:take], rtol=0, atol=1e-12 * order)
+        assert np.max(np.abs(a @ vec - vec * lam)) <= 1e-12 * order

@@ -2,7 +2,11 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
 import weakref
 
@@ -126,16 +130,68 @@ class TestParitySplit:
         modes = data.draw(st.integers(1, n), label="modes")
         check_against_dense(op, modes, dense_matrix(op), vectors=False)
 
-    def test_peak_memory_below_one_dense_matrix(self):
-        n = 2047
-        op = assemble_operator(Grid(n), 0.5)
+    @staticmethod
+    def _peak_within_one_buffer(n, k, solve):
+        # one buffer of both blocks, 1032 x 1087 doubles (9.0 MB) at
+        # n = 2047, plus four n x k arrays (two lanes' pairs, the merged
+        # vectors and a pipelined spectrum's) and 128 n-vectors of solver
+        # workspace and residual transforms; two separate blocks took 16.8 MB
         tracemalloc.start()
         try:
-            compute_spectrum(op, 11)
+            solve()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n * n
+        assert peak < spectra._buffer(n).nbytes + 8 * n * (4 * k + 128)
+
+    def test_peak_memory_below_one_dense_matrix(self):
+        op = assemble_operator(Grid(2047), 0.5)
+        self._peak_within_one_buffer(2047, 11, lambda: compute_spectrum(op, 11))
+
+    def test_table_stream_holds_one_buffer(self):
+        # six orders at n = 2047, K = 80, as the benchmark's table solves
+        # them, each Spectrum dropped before the next is asked for
+        ops = [assemble_operator(Grid(2047), beta) for beta in (0.25, 0.3, 0.4, 0.5, 0.6, 0.75)]
+
+        def table():
+            for spectrum in spectra.compute_spectra(iter(ops), 80):
+                del spectrum
+
+        self._peak_within_one_buffer(2047, 80, table)
+
+    @staticmethod
+    def _dense_block(dense, sign):
+        # T11 + s T12 J, bordered for odd n by sqrt(2) times the middle
+        # column above the diagonal and the middle diagonal entry
+        n = len(dense)
+        m = n // 2
+        size = spectra._block_size(n, sign)
+        block = np.empty((size, size))
+        block[:m, :m] = dense[:m, :m] + sign * dense[:m, n - m :][:, ::-1]
+        if size > m:
+            block[:m, m] = block[m, :m] = math.sqrt(2.0) * dense[:m, m]
+            block[m, m] = dense[m, m]
+        return block
+
+    @pytest.mark.parametrize("first", [1.0, -1.0], ids=["even-first", "odd-first"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 200, 201])
+    def test_panel_fill_is_the_triangle_of_the_dense_block(self, n, first, dense_matrix):
+        # both blocks written into one buffer, in either order, are the
+        # lower and upper triangles of the dense parity blocks; neither fill
+        # reaches the other's triangle
+        op = assemble_operator(Grid(n), 0.3)
+        dense = dense_matrix(op)
+        buf = np.full(spectra._buffer(n).shape, math.nan, order="F")
+        for sign in (first, -first):
+            block, uplo = spectra._parity_block(op.first_row, sign, buf)
+            assert uplo == ("L" if sign > 0 else "U")
+            assert block.base is buf or block.base is buf.base
+        for sign, triangle in ((1.0, np.tril), (-1.0, np.triu)):
+            size = spectra._block_size(n, sign)
+            offset = 0 if sign > 0 else spectra._PANEL
+            block = buf[:size, offset : offset + size]
+            want = triangle(self._dense_block(dense, sign))
+            assert triangle(block).tobytes() == want.tobytes()
 
 
 class TestTruncatedParitySolve:
@@ -147,10 +203,10 @@ class TestTruncatedParitySolve:
         calls, lock = [], threading.Lock()
         solve = spectra._lowest_pairs
 
-        def recording(block, take):
+        def recording(block, take, uplo):
             with lock:
                 calls.append((len(block), take))
-            return solve(block, take)
+            return solve(block, take, uplo)
 
         monkeypatch.setattr(spectra, "_lowest_pairs", recording)
         return calls
@@ -197,15 +253,21 @@ class TestTruncatedParitySolve:
 class TestDirectSolve:
     @pytest.mark.usefixtures("one_blas_thread")
     @pytest.mark.parametrize("n", [1, 2, 3, 200, 201, 1024, 2047])
-    def test_matches_scipy_eigh_bit_for_bit(self, n):
-        row = assemble_operator(Grid(n), 0.5).first_row
+    def test_matches_scipy_eigh_bit_for_bit(self, n, dense_matrix):
+        # the even block, solved in the lower triangle of the shared buffer,
+        # is scipy's lower=True solve of the dense block, and the odd block,
+        # solved in an upper triangle, its lower=False solve
+        op = assemble_operator(Grid(n), 0.5)
+        dense = dense_matrix(op)
+        buf = spectra._buffer(n)
         for sign in (1.0, -1.0):
             size = spectra._block_size(n, sign)
+            reference = TestParitySplit._dense_block(dense, sign)
             # n = 1 has no odd block; full solves only where they are cheap
             for take in {1, min(size, 41), size if size <= 101 else 1} if size else ():
-                block = spectra._parity_block(row, sign)
-                lam_ref, vec_ref = scipy.linalg.eigh(block, subset_by_index=(0, take - 1))
-                lam, vec = spectra._lowest_pairs(block, take)
+                lam_ref, vec_ref = scipy.linalg.eigh(reference, lower=sign > 0, subset_by_index=(0, take - 1))
+                block, uplo = spectra._parity_block(op.first_row, sign, buf)
+                lam, vec = spectra._lowest_pairs(block, take, uplo)
                 assert lam.shape == (take,) and vec.shape == (size, take)
                 assert lam.tobytes() == lam_ref.tobytes()
                 assert vec.tobytes(order="F") == vec_ref.tobytes(order="F")
@@ -234,13 +296,54 @@ class TestDirectSolve:
         barrier = threading.Barrier(2, timeout=30)
         solve = spectra._lowest_pairs
 
-        def meeting(block, take):
+        def meeting(block, take, uplo):
             barrier.wait()
-            return solve(block, take)
+            return solve(block, take, uplo)
 
         monkeypatch.setattr(spectra, "_WORKERS", 2)
         monkeypatch.setattr(spectra, "_lowest_pairs", meeting)
         compute_spectrum(assemble_operator(Grid(255), 0.5), 10)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_lane_solves_one_block_at_a_time_in_submission_order(self, workers, monkeypatch):
+        # the even solves of a stream whose middle operator is re-solved
+        # after the next operator's first round was submitted; they are
+        # slowed so that a second thread on a parity would start its next
+        # block over the one still in the triangle
+        ops = TestComputeSpectra._operators()
+        events, lock = [], threading.Lock()
+        solve = spectra._parity_pairs
+
+        def solving(op, sign, take, buf):
+            with lock:
+                events.append(("start", sign, ops.index(op), take))
+            time.sleep(0.05 if sign > 0 else 0.0)
+            result = solve(op, sign, take, buf)
+            with lock:
+                events.append(("end", sign, ops.index(op), take))
+            return result
+
+        monkeypatch.setattr(spectra, "_WORKERS", workers)
+        monkeypatch.setattr(spectra, "_parity_pairs", solving)
+        list(spectra.compute_spectra(iter(ops), TestComputeSpectra.MODES))
+        first, full = (TestComputeSpectra.MODES + 1) // 2 + 1, TestComputeSpectra.MODES
+        # with two lanes the third operator is submitted before the second
+        # is merged, so its solve runs before the second's re-solve
+        resolve_after = 2 if workers == 2 else 1
+        even = [(0, first), (1, first), (2, first)]
+        even.insert(resolve_after + 1, (1, full))
+        want = {1.0: even, -1.0: [(0, first), (1, first), (2, first)]}
+        for sign, solves in want.items():
+            mine = [event for event in events if event[1] == sign]
+            assert [event[0] for event in mine] == ["start", "end"] * len(solves)
+            assert [event[2:] for event in mine[::2]] == solves
+        if workers == 1:
+            assert [event[0] for event in events] == ["start", "end"] * 7
+
+    @pytest.mark.parametrize("threads,workers", [(1, 2), (2, 1), (4, 1)])
+    def test_worker_count_is_read_from_openblas(self, threads, workers, monkeypatch):
+        monkeypatch.setattr(spectra, "_blas_threads", lambda: threads)
+        assert spectra._parity_workers() == workers
 
     @pytest.mark.parametrize(
         "env,workers",
@@ -259,12 +362,14 @@ class TestDirectSolve:
             ({"MKL_NUM_THREADS": "1"}, 1),
         ],
     )
-    def test_worker_count_follows_the_blas_thread_count(self, env, workers, monkeypatch):
-        for prefix in ("OPENBLAS", "GOTO", "OMP", "MKL"):
-            monkeypatch.delenv(f"{prefix}_NUM_THREADS", raising=False)
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
-        assert spectra._parity_workers() == workers
+    def test_worker_count_follows_the_blas_thread_count(self, env, workers):
+        # OpenBLAS reads these variables when it loads: the first holding a
+        # positive integer, read like C atoi, and else every core it may
+        # use, which is also its cap; so on one core every case gets 2
+        env = {**{key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}, **env}
+        code = "from fraclab import spectra; print(spectra._WORKERS)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert int(proc.stdout) == (workers if len(os.sched_getaffinity(0)) > 1 else 2)
 
 
 class TestComputeSpectra:
@@ -302,8 +407,9 @@ class TestComputeSpectra:
     def test_no_more_blocks_alive_than_workers(self, workers, monkeypatch):
         # with two workers each solve waits for another to start, so two
         # blocks are alive at every solve, whichever operators they belong
-        # to; a third alive block would show in the count
-        alive, peak, lock = [0], [0], threading.Lock()
+        # to; a third alive block would show in the count.  Every block is a
+        # view of the one buffer the stream keeps for its grid size.
+        alive, peak, lock, buffers = [0], [0], threading.Lock(), set()
         build, solve = spectra._parity_block, spectra._lowest_pairs
         barrier = threading.Barrier(2, timeout=30)
 
@@ -311,18 +417,19 @@ class TestComputeSpectra:
             with lock:
                 alive[0] -= 1
 
-        def counted(row, sign):
-            block = build(row, sign)
+        def counted(row, sign, buf):
+            block, uplo = build(row, sign, buf)
             with lock:
                 alive[0] += 1
                 peak[0] = max(peak[0], alive[0])
+                buffers.add(id(buf))
             weakref.finalize(block, release)
-            return block
+            return block, uplo
 
-        def meeting(block, take):
+        def meeting(block, take, uplo):
             if workers == 2:
                 barrier.wait()
-            return solve(block, take)
+            return solve(block, take, uplo)
 
         monkeypatch.setattr(spectra, "_WORKERS", workers)
         monkeypatch.setattr(spectra, "_parity_block", counted)
@@ -330,6 +437,7 @@ class TestComputeSpectra:
         # six solves, so the two-worker barrier always meets in pairs
         assert len(list(spectra.compute_spectra(self._operators(hiding=False), self.MODES))) == 3
         assert peak == [workers] and alive == [0]
+        assert len(buffers) == 1
 
     def test_next_operator_is_solved_while_the_current_one_merges(self, monkeypatch):
         # the first Spectrum is built only once a solve of the second
@@ -338,10 +446,10 @@ class TestComputeSpectra:
         started = threading.Event()
         build, solve = spectra.Spectrum, spectra._parity_pairs
 
-        def solving(op, sign, take):
+        def solving(op, sign, take, buf):
             if op is ops[1]:
                 started.set()
-            return solve(op, sign, take)
+            return solve(op, sign, take, buf)
 
         def waiting(**fields):
             if fields["beta"] == ops[0].beta:
@@ -359,9 +467,9 @@ class TestComputeSpectra:
         events = []
         solve = spectra._parity_pairs
 
-        def solving(op, sign, take):
+        def solving(op, sign, take, buf):
             events.append(("solve", op.beta))
-            return solve(op, sign, take)
+            return solve(op, sign, take, buf)
 
         monkeypatch.setattr(spectra, "_WORKERS", 1)
         monkeypatch.setattr(spectra, "_parity_pairs", solving)
@@ -372,8 +480,9 @@ class TestComputeSpectra:
 
 
 class TestSolverGuards:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**1022, -math.ldexp(1.5, 1022)])
     def test_non_finite_block_is_refused_as_scipy_did(self, bad):
+        # a row entry of 2^1022 or more could sum to an infinite block entry
         row = assemble_operator(Grid(9), 0.5).first_row.copy()
         row[3] = bad
         op = DiscreteOperator(grid=Grid(9), beta=0.5, first_row=row)
@@ -388,11 +497,17 @@ class TestSolverGuards:
             (np.ones((3, 2), order="F"), 1),
             (np.eye(3, order="F"), 0),
             (np.eye(3, order="F"), 4),
+            (np.eye(4, order="F")[:3, :3].T, 1),  # a transposed window
+            (np.lib.stride_tricks.as_strided(np.eye(3, order="F"), strides=(8, 16)), 1),  # lda 2
         ],
     )
     def test_block_the_solver_cannot_take_is_refused(self, block, take):
         with pytest.raises(ValueError):
             spectra._lowest_pairs(block, take)
+
+    def test_unknown_triangle_is_refused(self):
+        with pytest.raises(ValueError, match="uplo"):
+            spectra._lowest_pairs(np.eye(3, order="F"), 1, "l")
 
     def test_fewer_pairs_than_asked_raise(self):
         # dsyevr returns info = 0 and no pairs for a NaN block
