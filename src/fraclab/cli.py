@@ -10,7 +10,6 @@ run's files and reports drift.  Exit codes: 0 success, 1 drift under
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from functools import partial
 
@@ -304,18 +303,11 @@ _CELL_COMMANDS = {
 def cmd_sweep(config, emitter):
     cfg = config.sweep
     runner = _CELL_COMMANDS[cfg.command][0]
-
-    def run_cell(beta, prefix):
-        cell = override_section(config, cfg.command, beta=beta)
-        writer = Emitter(emitter.directory, emitter.stamp, prefix)
-        return writer, runner(getattr(cell, cfg.command), writer)
-
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        cells = list(pool.map(run_cell, cfg.betas, _cell_prefixes(cfg.betas)))
-    for writer, _ in cells:  # manifest entries in cell order, whatever order the cells finished in
-        emitter.artifacts.extend(writer.artifacts)
-    lines = [line for _, line in cells]
-    lines.append(f"sweep: {cfg.command} over betas={[f'{b:g}' for b in cfg.betas]} jobs={cfg.jobs}")
+    lines = []
+    for beta, prefix in zip(cfg.betas, _cell_prefixes(cfg.betas)):
+        cell = getattr(override_section(config, cfg.command, beta=beta), cfg.command)
+        lines.append(runner(cell, Emitter(emitter.directory, emitter.stamp, prefix, emitter.artifacts)))
+    lines.append(f"sweep: {cfg.command} over betas={[f'{b:g}' for b in cfg.betas]}")
     return "\n".join(lines)
 
 
@@ -357,7 +349,7 @@ def _build_parser():
             help="re-hash the files listed in DIR's manifest and report drift",
         )
         if name == "sweep":
-            p.add_argument("--jobs", help="concurrent sweep cells (default 1)")
+            p.add_argument("--jobs", help="accepted for old configs; cells run in order")
     return parser
 
 
@@ -380,8 +372,8 @@ def main(argv=None):
         flags = {key: getattr(args, key, None) for key in (*_VALUE_FLAGS, "jobs")}
         overrides = {key: _parsed(key, text, None) for key, text in flags.items() if text is not None}
         if args.command == "sweep":
-            # --beta narrows the sweep list and --jobs sets its workers; the
-            # rest flows into the cells
+            # --beta narrows the sweep list and --jobs is checked but unused;
+            # the rest flows into the cells
             sweep = {key: overrides.pop(key, None) for key in ("beta", "jobs")}
             config = override_section(config, "sweep", **sweep)
             config = override_section(config, config.sweep.command, **overrides)
@@ -392,7 +384,7 @@ def main(argv=None):
         emitter = Emitter(directory=out_dir, stamp=None if args.no_timestamp else utc_stamp())
         if args.command == "sweep":
             print(cmd_sweep(config, emitter))
-            # the worker count leaves the tree unchanged, so the echo omits it
+            # jobs selects nothing, so the echo omits it
             echo = asdict(config.sweep)
             del echo["jobs"]
             echo["cell"] = asdict(section)

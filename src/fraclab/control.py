@@ -411,12 +411,13 @@ def hum_control(state, region, horizon):
     REPLAY_STEP_CAP samples, nothing is sampled.
 
     Raises UncontrollableError when the observability constant is
-    numerically zero, and NumericalError when the HUM datum or its Gramian
-    form overflows (at horizons below about 3e-304 for a unit datum) or the
-    control fails its verification: the relative final state, the identity
-    residual or an error estimate exceeds VERIFICATION_TOLERANCE, or the
-    replay would pass its step cap (replay_steps, a float, says how far);
-    a verification failure's diagnostics carry the Gramian's condition.
+    numerically zero, and NumericalError when the HUM datum, a reported
+    control sample or the datum's Gramian form overflows (at horizons below
+    about 3e-304 for a unit datum) or the control fails its verification:
+    the relative final state, the identity residual or an error estimate
+    exceeds VERIFICATION_TOLERANCE, or the replay would pass its step cap
+    (replay_steps, a float, says how far); a verification failure's
+    diagnostics carry the Gramian's condition.
     """
     if not isinstance(state, ModalState):
         raise TypeError("hum_control expects a ModalState datum")
@@ -452,8 +453,14 @@ def hum_control(state, region, horizon):
     u0_norm = float(np.linalg.norm(a0))
 
     # Reported control samples on the conventional grid of step T / 1000.
+    # Finite coefficients near the largest double can still give an infinite
+    # sample, or an infinite partial sum on the way to a finite one; either
+    # is refused like an infinite coefficient.
     report_times = np.linspace(0.0, T, 1001)
-    y_report = _trajectory(lam, coeffs, phi_region, report_times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_report = _trajectory(lam, coeffs, phi_region, report_times)
+    if not np.isfinite(y_report).all():
+        raise overflow()
 
     # One replay gives the forcing integral and, for the duality identity,
     # the observed energy of y, against the Gramian quadratic form of y0.

@@ -92,11 +92,11 @@ def _runs(X):
 class _Workspace:
     """Every array of the CSV kernel, for blocks of up to `size` cells.
 
-    One csv_text call owns one workspace, so renders on two threads (sweep
-    cells) never share one.  The eight float rows of the two-product are
-    dead once D is known; the digit split then holds its uint32 parts in
-    the last three and its group indices in the first five, and the layout
-    its text rows in the first four and its cell rows in the last four.
+    One csv_text call owns one workspace.  The eight float rows of the
+    two-product are dead once D is known; the digit split then holds its
+    uint32 parts in the last three and its group indices in the first five,
+    and the layout its text rows in the first four and its cell rows in the
+    last four.
     """
 
     def __init__(self, size):

@@ -358,8 +358,7 @@ class TestCliDeterminism:
             printed[name] = capsys.readouterr().out.splitlines()[-2]
         assert trees["config"] == trees["default"] == trees["flag"]
         assert "jobs" not in json.loads(trees["flag"]["manifest.json"])["config"]
-        assert printed["default"].endswith(" jobs=1")
-        assert printed["config"].endswith(" jobs=2") and printed["flag"].endswith(" jobs=2")
+        assert printed["config"] == printed["default"] == printed["flag"]
 
     @pytest.mark.parametrize(
         "args",
@@ -1138,7 +1137,7 @@ class TestCliSweep:
         assert seq_run.stdout.splitlines()[:2] == [
             "gaps: beta=0.3 n=64 rows=4", "gaps: beta=0.6 n=64 rows=4",
         ]
-        assert par_run.stdout == seq_run.stdout.replace("jobs=1", "jobs=2")
+        assert par_run.stdout == seq_run.stdout
         seq, par = seq_cwd / "run", par_cwd / "run"
         names = sorted(p.name for p in seq.iterdir())
         assert names == [
@@ -1149,27 +1148,20 @@ class TestCliSweep:
         match, mismatch, errors = filecmp.cmpfiles(seq, par, names, shallow=False)
         assert mismatch == [] and errors == []
 
-    def test_cells_finishing_out_of_order_keep_the_manifest_order(self, tmp_path, monkeypatch):
-        # the first cell is held until the last one is done, so the cells
-        # finish in the order 0.5, 0.75, 0.3
+    def test_cells_run_in_order_on_the_calling_thread(self, tmp_path, monkeypatch):
         spectrum, text = cli._CELL_COMMANDS["spectrum"]
-        last_done, finished = threading.Event(), []
+        ran = []
 
-        def held(cfg, emitter):
-            if cfg.beta == 0.3:
-                assert last_done.wait(timeout=60)
-            line = spectrum(cfg, emitter)
-            finished.append(cfg.beta)
-            if cfg.beta == 0.75:
-                last_done.set()
-            return line
+        def recorded(cfg, emitter):
+            ran.append((cfg.beta, threading.get_ident()))
+            return spectrum(cfg, emitter)
 
         args = ["sweep", "--n", "16", "--modes", "2", "--no-timestamp", "--out"]
-        assert cli.main([*args, str(tmp_path / "seq")]) == 0
-        monkeypatch.setitem(cli._CELL_COMMANDS, "spectrum", (held, text))
-        out = tmp_path / "par"
+        assert cli.main([*args, str(tmp_path / "plain")]) == 0
+        monkeypatch.setitem(cli._CELL_COMMANDS, "spectrum", (recorded, text))
+        out = tmp_path / "o"
         assert cli.main([*args, str(out), "--jobs", "2"]) == 0
-        assert finished == [0.5, 0.75, 0.3]
+        assert ran == [(beta, threading.get_ident()) for beta in (0.3, 0.5, 0.75)]
         entries = json.loads((out / "manifest.json").read_text())["files"]
         assert [e["name"] for e in entries] == [
             f"beta{b}_spectrum.{suffix}" for b in ("0.3", "0.5", "0.75") for suffix in ("csv", "svg")
@@ -1178,12 +1170,16 @@ class TestCliSweep:
             data = (out / entry["name"]).read_bytes()
             assert entry["sha256"] == hashlib.sha256(data).hexdigest()
             assert entry["bytes"] == len(data)
-        assert tree_bytes(out) == tree_bytes(tmp_path / "seq")
+        assert tree_bytes(out) == tree_bytes(tmp_path / "plain")
 
     def test_failing_cell_exits_3_without_a_manifest(self, tmp_path, capsys, monkeypatch):
+        # the cells before the failing one keep their files; the cells after
+        # it never run
         spectrum, text = cli._CELL_COMMANDS["spectrum"]
+        ran = []
 
         def failing(cfg, emitter):
+            ran.append(cfg.beta)
             if cfg.beta == 0.5:
                 raise NumericalError("cell failed", diagnostics={"beta": cfg.beta})
             return spectrum(cfg, emitter)
@@ -1196,6 +1192,8 @@ class TestCliSweep:
         assert json.loads(captured.out)["error"]["diagnostics"] == {"beta": 0.5}
         assert "cell failed" in captured.err
         assert not (out / "manifest.json").exists()
+        assert ran == [0.3, 0.5]
+        assert sorted(p.name for p in out.iterdir()) == ["beta0.3_spectrum.csv", "beta0.3_spectrum.svg"]
 
     def test_beta_flag_narrows_sweep(self, tmp_path):
         cfg = tmp_path / "sw.ini"

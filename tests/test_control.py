@@ -726,12 +726,32 @@ class TestHumControl:
         assert result.gramian_condition > 1e-9 / np.finfo(float).eps
         assert result.identity_residual <= VERIFICATION_TOLERANCE
 
-    @pytest.mark.parametrize(("norm", "horizon"), [(1e5, 1e-300), (1e102, 1e-100)])
-    def test_overflowing_datum_raises(self, setup, norm, horizon):
+    @pytest.mark.parametrize(
+        ("steered", "norm", "horizon", "finite"),
+        [
+            (False, 1e5, 1e-300, False),
+            (False, 1e102, 1e-100, True),
+            (False, 1.0, 2e-302, True),
+            (True, 6e307, 1e-200, True),
+        ],
+        ids=["100000.0-1e-300", "1e+102-1e-100", "1.0-2e-302", "steered-6e+307-1e-200"],
+    )
+    def test_overflowing_datum_raises(self, setup, steered, norm, horizon, finite):
         # the first datum's coefficients overflow; the second's are finite
-        # but its Gramian form, about |y0|^2 T, is not
+        # but its Gramian form, about |y0|^2 T, is not.  The last two have
+        # finite coefficients but infinite control samples: the third only
+        # in rounded partial sums (9 of 66066 samples), the fourth outright,
+        # since its coefficients are `norm` times the signs of the
+        # eigenvectors at one region node, where they sum to about 3.7e308
         spectrum, region, state = setup
-        large = ModalState(coefficients=norm * state.coefficients, spectrum=spectrum)
+        gramian = schrodinger_gramian(spectrum, region, horizon, state.modes)
+        coefficients = norm * state.coefficients
+        if steered:
+            phi = spectrum.vectors[region.node_indices(spectrum.grid), : state.modes]
+            signs = np.sign(phi[np.argmax(np.abs(phi).sum(axis=1))])
+            coefficients = 1j * (gramian.entries @ signs) * norm
+        assert np.isfinite(gramian.solve(-1j * coefficients)).all() == finite
+        large = ModalState(coefficients=coefficients, spectrum=spectrum)
         with pytest.raises(NumericalError, match="overflows") as info:
             hum_control(large, region, horizon)
         assert info.value.diagnostics["horizon"] == horizon
