@@ -6,9 +6,10 @@ prefix `scipy_` and the suffix `64_`.  This module opens numpy.linalg's
 `_umath_linalg` extension with ctypes, whose symbol lookup also searches
 the OpenBLAS that the extension links, and binds `dsyevr` from it, so a
 run loads one BLAS and no scipy.  A numpy whose LAPACK lacks the symbol
-fails at import with ImportError naming the routine.  `blas_threads` is
-that OpenBLAS's own thread count, as it read it from the environment when
-it loaded.
+fails at import with ImportError naming the routine.  The import also
+sets that OpenBLAS to one thread per call, whatever the environment says,
+so every run writes the same bytes; `spectra` runs its two parity solves
+at once, on lanes of its own.
 
 `dsyevr` gives the lowest eigenpairs of a real symmetric block held in one
 triangle of a Fortran view, which may be a window of a larger array.  It is
@@ -29,7 +30,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError
 
-__all__ = ["blas_threads", "dsyevr"]
+__all__ = ["dsyevr"]
 
 _INT = ctypes.POINTER(ctypes.c_int64)
 _DOUBLE = ctypes.POINTER(ctypes.c_double)
@@ -62,9 +63,9 @@ _dsyevr = _bind(
 )
 
 
-# Threads OpenBLAS runs per call: OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-# OMP_NUM_THREADS as it read them when it loaded, else every core it may use.
-blas_threads = _bind("openblas_get_num_threads", restype=ctypes.c_int, symbol="scipy_{}64_")
+# OpenBLAS read its thread count from the environment when it loaded; this
+# replaces it, for every thread of the process.
+_bind("openblas_set_num_threads", ctypes.c_int, symbol="scipy_{}64_")(1)
 
 
 def _ptr(array):

@@ -391,6 +391,18 @@ def _relative(differences, scales):
     return np.where(np.equal(differences, 0.0), 0.0, ratios)
 
 
+def _norm(x):
+    # |x| of a finite complex vector, taken on x scaled by 2^-e to a largest
+    # real or imaginary part in [1/2, 1), as Gramian._decomposition scales
+    # its entries: numpy sums the squares, which overflow from a norm of
+    # about 1.3e154 on and lose digits below about 1e-154.  The powers of two
+    # are exact, so between those bounds this is the plain norm's float;
+    # beyond the float range it is inf.
+    e = max(math.frexp(float(np.max(np.abs(x.view(float)))))[1], -1022)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(x * math.ldexp(1.0, -e)), e))
+
+
 def hum_control(state, region, horizon):
     """Synthesize the control steering a Schrodinger datum to zero at time T.
 
@@ -413,7 +425,8 @@ def hum_control(state, region, horizon):
     Raises UncontrollableError when the observability constant is
     numerically zero, and NumericalError when the HUM datum, a reported
     control sample or the datum's Gramian form overflows (at horizons below
-    about 3e-304 for a unit datum) or the control fails its verification:
+    about 3e-304 for a unit datum, and from a datum norm of about 1e154 at
+    T = 1) or the control fails its verification:
     the relative final state, the identity residual or an error estimate
     exceeds VERIFICATION_TOLERANCE, or the replay would pass its step cap
     (replay_steps, a float, says how far); a verification failure's
@@ -436,10 +449,12 @@ def hum_control(state, region, horizon):
             diagnostics={"observability": obs, "horizon": T, "modes": K},
         )
 
+    u0_norm = _norm(a0)
+
     def overflow():
         return NumericalError(
-            "HUM datum overflows: the horizon is too short to represent it",
-            diagnostics={"horizon": T, "observability": obs, "modes": K},
+            "HUM datum overflows: the horizon is too short or the datum norm too large to represent it",
+            diagnostics={"horizon": T, "datum_norm": u0_norm, "observability": obs, "modes": K},
         )
 
     steering = g.entries
@@ -450,7 +465,6 @@ def hum_control(state, region, horizon):
     lam = spectrum.eigenvalues[:K]
     idx = region.node_indices(spectrum.grid)
     phi_region = spectrum.vectors[idx, :K]
-    u0_norm = float(np.linalg.norm(a0))
 
     # Reported control samples on the conventional grid of step T / 1000.
     # Finite coefficients near the largest double can still give an infinite
@@ -478,7 +492,7 @@ def hum_control(state, region, horizon):
     scales = np.array([u0_norm * unit, abs(lhs)])
     sums, n_steps, capped, errors = _replay(lam, spectrum.h, phi_region, scaled, T, scales)
     a_final = np.exp(1j * lam * T) * (a0 - 1j * (sums[:-1] / unit))
-    final_norm = float(np.linalg.norm(a_final))
+    final_norm = _norm(a_final)
     rhs = float(sums[-1].real)
     residual = float(_relative(abs(lhs - rhs), max(abs(lhs), abs(rhs))))
     try:

@@ -14,13 +14,12 @@ full packed format keeps two triangles in one array (Gustavson, Wasniewski,
 Dongarra & Langou, ACM TOMS 37, 2010); the solver reads and writes only
 its triangle.  Each parity has its own lane, a one-thread executor, so a
 triangle holds one block at a time and each parity's solves run in the
-order they were submitted.  The two lanes solve at once when the BLAS runs
-one thread per call, since the solver releases the GIL; on a multithreaded
-BLAS they share one thread.  Each lane checks its pairs' residuals and
-normalizes its vectors after its solve.  Over a sequence of operators, such
-as a table's orders, the next operator's solves run while the current one
-is merged and used, never more than one operator ahead, in the same
-buffer.
+order they were submitted.  The two lanes solve at once, since the solver
+releases the GIL and the BLAS runs one thread per call.  Each lane checks
+its pairs' residuals and normalizes its vectors after its solve.  Over a
+sequence of operators, such as a table's orders, the next operator's
+solves run while the current one is merged and used, never more than one
+operator ahead, in the same buffer.
 Alongside the numerics the module carries the closed-form asymptotic law
 
     lambda_k ~ (k pi / 2 - (2 - 2 beta) pi / 8)^(2 beta)
@@ -37,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._lapack import blas_threads as _blas_threads
 from ._lapack import dsyevr as _lowest_pairs
 from .errors import NumericalError
 from .operator import DiscreteOperator, Grid, apply, check_order
@@ -52,19 +50,6 @@ __all__ = [
 # Numerical ties below this relative separation are reported but kept in
 # index order.
 TIE_TOLERANCE = 1e-12
-
-def _parity_workers():
-    """Parity blocks solved at once: 2 when the BLAS runs one thread, else 1.
-
-    The count is the one numpy's OpenBLAS runs.  Two solves on a
-    multithreaded BLAS oversubscribe the cores and run slower than one
-    after the other.
-    """
-    return 2 if _blas_threads() == 1 else 1
-
-
-# The BLAS reads its thread count once, when it loads, and so does this.
-_WORKERS = _parity_workers()
 
 # Columns per FFT residual product in a lane: at n = 2047 a product's
 # arrays take under 1 MB beside the 9.0 MB buffer of both blocks.
@@ -189,20 +174,6 @@ def _parity_pairs(op, sign, take, buf):
     return lam_b, v, residuals
 
 
-def _lanes():
-    """The executors of the even and odd solves, by sign.
-
-    One thread per parity when the BLAS runs one thread, else one thread
-    that both share.  Either way a parity's solves run one at a time, in
-    the order they were submitted, so its triangle of a buffer holds one
-    block at a time.
-    """
-    if _WORKERS > 1:
-        return {1.0: ThreadPoolExecutor(1), -1.0: ThreadPoolExecutor(1)}
-    shared = ThreadPoolExecutor(1)
-    return {1.0: shared, -1.0: shared}
-
-
 def _submit(lanes, op, takes, buf):
     """Futures of the parity solves {sign: take} in `buf`, even block first."""
     return {sign: lanes[sign].submit(_parity_pairs, op, sign, take, buf) for sign, take in takes.items()}
@@ -225,7 +196,7 @@ def _first_round(lanes, buffers, op, modes):
     if not 1 <= k <= n:
         raise ValueError(f"modes must lie in [1, {n}], got {modes}")
     if not np.all(np.abs(op.first_row) < 2.0**1022):  # false for a NaN too
-        raise ValueError("array must not contain infs or NaNs")
+        raise ValueError("row entries must be finite and below 2^1022 in size")
     buf = buffers.get(n)
     if buf is None:
         buffers.clear()
@@ -283,28 +254,25 @@ def compute_spectra(ops, modes):
     is solved in its triangle of it, so a table of one size holds one
     buffer, about s_even x (s_odd + _PANEL) doubles, and never a separate
     block.
-    With two lanes the next operator's first-round solves are submitted
-    before the current operator is merged, so they run while the current
-    one merges and while the caller works on its Spectrum; solves never run
-    more than one operator ahead, and each lane runs its parity's solves,
-    re-solves included, in the order they were submitted.  With one lane
-    (a multithreaded BLAS) each operator is solved only when its Spectrum
-    is asked for.  A caller that drops each Spectrum before asking for the
-    next holds one at a time.
+    The next operator's first-round solves are submitted before the
+    current operator is merged, so they run while the current one merges
+    and while the caller works on its Spectrum; solves never run more than
+    one operator ahead, and each lane runs its parity's solves, re-solves
+    included, in the order they were submitted.  A caller that drops each
+    Spectrum before asking for the next holds one at a time.
     """
-    ahead = 1 if _WORKERS > 1 else 0
-    lanes, buffers = _lanes(), {}
+    lanes, buffers = {sign: ThreadPoolExecutor(1) for sign in (1.0, -1.0)}, {}
     try:
         started = []
         for op in ops:
             started.append(_first_round(lanes, buffers, op, modes))
-            if len(started) > ahead:
+            if len(started) > 1:
                 yield _merge(lanes, *started.pop(0))
         while started:
             yield _merge(lanes, *started.pop(0))
     finally:
         # solves of an operator that will not be merged are not started
-        for lane in set(lanes.values()):
+        for lane in lanes.values():
             lane.shutdown(cancel_futures=True)
 
 
@@ -321,16 +289,15 @@ def compute_spectrum(op, modes):
     that keeps out at least one of its pairs hides nothing below them.
     Both blocks are solved in one buffer of about s_even x (s_odd +
     _PANEL) doubles, about half of what two separate blocks take: the even
-    block in its lower triangle, the odd one in an upper triangle.  The blocks of a
-    round are solved on their two lanes at once on a one-thread BLAS, else
-    one after the other, and merged even block first, so the result does
-    not depend on the lane count.  Each lane checks its pairs' residuals,
-    computed on the full vectors by the FFT product `apply`, and rescales
-    its vectors to the discrete L2 normalization with signs fixed.  Raises
-    ValueError if a row entry is not finite or reaches 2^1022 in size, and
-    NumericalError if the solver fails or a kept pair's residual exceeds
-    1e-9 times the operator norm bound or is NaN.  This is the one-operator
-    case of `compute_spectra`.
+    block in its lower triangle, the odd one in an upper triangle.  The
+    blocks of a round are solved on their two lanes at once and merged even
+    block first.  Each lane checks its pairs' residuals, computed on the
+    full vectors by the FFT product `apply`, and rescales its vectors to
+    the discrete L2 normalization with signs fixed.  Raises ValueError if a
+    row entry is not finite or reaches 2^1022 in size, and NumericalError
+    if the solver fails or a kept pair's residual exceeds 1e-9 times the
+    operator norm bound or is NaN.  This is the one-operator case of
+    `compute_spectra`.
     """
     return next(compute_spectra((op,), modes))
 

@@ -1,7 +1,7 @@
 """Shared fixtures: session-scoped eigenpair cache keyed by (beta, grid size),
 the dense Toeplitz matrix that serves as the oracle for matrix-free code, and
 the Gramians and Hermitian matrices on which the LAPACK calls are checked
-against scipy.linalg, and a pin of both OpenBLAS builds to one thread for
+against scipy.linalg, and a pin of SciPy's OpenBLAS to one thread for
 those checks."""
 
 import ctypes
@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.linalg import _umath_linalg
 from scipy.linalg import _flapack
 
 import fraclab
@@ -81,20 +80,16 @@ def hermitian():
 
 @pytest.fixture
 def one_blas_thread():
-    """numpy's OpenBLAS and scipy.linalg's, both on one thread for the test.
+    """scipy.linalg's OpenBLAS on one thread for the test, as numpy's runs.
 
-    The program's LAPACK calls run in numpy's OpenBLAS (ILP64); the
-    scipy.linalg references run in the one scipy bundles (LP64).  The two
-    builds split threaded work differently, so a bit-for-bit comparison
-    between them holds only when neither runs more than one thread.
+    The program's LAPACK calls run in numpy's OpenBLAS (ILP64), which
+    importing fraclab sets to one thread; the scipy.linalg references run
+    in the one scipy bundles (LP64).  The two builds split threaded work
+    differently, so a bit-for-bit comparison between them holds only when
+    neither runs more than one thread.
     """
-    controls = [
-        (ctypes.CDLL(_umath_linalg.__file__), "scipy_openblas_{}_num_threads64_"),
-        (ctypes.CDLL(_flapack.__file__), "scipy_openblas_{}_num_threads"),
-    ]
-    threads = [getattr(library, name.format("get"))() for library, name in controls]
-    for library, name in controls:
-        getattr(library, name.format("set"))(1)
+    library = ctypes.CDLL(_flapack.__file__)
+    threads = library.scipy_openblas_get_num_threads()
+    library.scipy_openblas_set_num_threads(1)
     yield
-    for (library, name), count in zip(controls, threads):
-        getattr(library, name.format("set"))(count)
+    library.scipy_openblas_set_num_threads(threads)

@@ -787,7 +787,6 @@ class TestCliObservability:
             ahead.extend(betas.index(op.beta) - len(refs) for _ in takes)
             return submit(lanes, op, takes, buf)
 
-        monkeypatch.setattr(spectra, "_WORKERS", 2)
         monkeypatch.setattr(spectra, "Spectrum", tracked)
         monkeypatch.setattr(spectra, "_submit", submitting)
         cfg = tmp_path / "sharp.ini"

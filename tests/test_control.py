@@ -733,16 +733,24 @@ class TestHumControl:
             (False, 1e102, 1e-100, True),
             (False, 1.0, 2e-302, True),
             (True, 6e307, 1e-200, True),
+            (False, 1e155, 1.0, True),
+            (False, 1e200, 1.0, True),
         ],
-        ids=["100000.0-1e-300", "1e+102-1e-100", "1.0-2e-302", "steered-6e+307-1e-200"],
+        ids=[
+            "100000.0-1e-300", "1e+102-1e-100", "1.0-2e-302", "steered-6e+307-1e-200",
+            "1e+155-1.0", "1e+200-1.0",
+        ],
     )
     def test_overflowing_datum_raises(self, setup, steered, norm, horizon, finite):
         # the first datum's coefficients overflow; the second's are finite
-        # but its Gramian form, about |y0|^2 T, is not.  The last two have
+        # but its Gramian form, about |y0|^2 T, is not.  The next two have
         # finite coefficients but infinite control samples: the third only
         # in rounded partial sums (9 of 66066 samples), the fourth outright,
         # since its coefficients are `norm` times the signs of the
-        # eigenvectors at one region node, where they sum to about 3.7e308
+        # eigenvectors at one region node, where they sum to about 3.7e308.
+        # The last two overflow only their Gramian form at T = 1; the sum of
+        # squares of a plain norm overflows for both, which warned and was
+        # then refused as a horizon too short
         spectrum, region, state = setup
         gramian = schrodinger_gramian(spectrum, region, horizon, state.modes)
         coefficients = norm * state.coefficients
@@ -752,9 +760,13 @@ class TestHumControl:
             coefficients = 1j * (gramian.entries @ signs) * norm
         assert np.isfinite(gramian.solve(-1j * coefficients)).all() == finite
         large = ModalState(coefficients=coefficients, spectrum=spectrum)
-        with pytest.raises(NumericalError, match="overflows") as info:
-            hum_control(large, region, horizon)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError, match="overflows") as info:
+                hum_control(large, region, horizon)
+        assert [str(w.message) for w in caught] == []
         assert info.value.diagnostics["horizon"] == horizon
+        assert info.value.diagnostics["datum_norm"] == pytest.approx(math.hypot(*np.abs(coefficients)))
 
     def test_one_eigensolve(self, setup, eigensolves):
         # the constant, the condition and the HUM datum all come from one

@@ -1,5 +1,6 @@
-"""The bindings of dsyevr and of OpenBLAS's thread count: their prototypes,
-the GIL, a numpy that lacks them, and the bytes dsyevr leaves alone.
+"""The bindings of dsyevr and of OpenBLAS's thread count: dsyevr's
+prototype, the GIL, a numpy that lacks them, and the bytes dsyevr leaves
+alone.
 
 Its bit identity with scipy.linalg is checked in test_spectra."""
 
@@ -11,7 +12,6 @@ import types
 
 import numpy as np
 import pytest
-from numpy.linalg import _umath_linalg
 
 from fraclab import _lapack
 
@@ -60,25 +60,10 @@ class TestBinding:
 
 
 class TestThreadCount:
-    def test_bound_prototype_returns_an_int(self):
-        assert _lapack.blas_threads.argtypes == ()
-        assert _lapack.blas_threads.restype is ctypes.c_int
-        assert type(_lapack.blas_threads)._flags_ == ctypes.CFUNCTYPE(None)._flags_
-
-    def test_is_the_count_openblas_runs(self):
-        library = ctypes.CDLL(_umath_linalg.__file__)
-        threads = _lapack.blas_threads()
-        assert threads >= 1
-        library.scipy_openblas_set_num_threads64_(1)
-        try:
-            assert _lapack.blas_threads() == 1
-        finally:
-            library.scipy_openblas_set_num_threads64_(threads)
-
     def test_missing_function_names_its_symbol(self, monkeypatch):
         monkeypatch.setattr(_lapack, "_umath_linalg", types.SimpleNamespace(__file__=_ctypes.__file__))
-        with pytest.raises(ImportError, match=r"does not export openblas_get_num_threads \(scipy_openblas_get_num_threads64_\)"):
-            _lapack._bind("openblas_get_num_threads", restype=ctypes.c_int, symbol="scipy_{}64_")
+        with pytest.raises(ImportError, match=r"does not export openblas_set_num_threads \(scipy_openblas_set_num_threads64_\)"):
+            _lapack._bind("openblas_set_num_threads", ctypes.c_int, symbol="scipy_{}64_")
 
 
 class TestTriangle:

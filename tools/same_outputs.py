@@ -7,7 +7,11 @@ PARENT is any git revision.  Its `src` tree is exported with `git archive`,
 and the working tree's `src` is copied beside it, into a temporary
 directory.  Each command below then runs with --no-timestamp against both
 copies, from working directories at the same relative place, so relative
-paths in the output read the same.  For each command the output trees,
+paths in the output read the same.  Both sides run with
+OPENBLAS_NUM_THREADS=1, whatever the caller's shell holds: the program
+holds numpy's OpenBLAS at one thread itself, but a PARENT older than that
+took another path through the eigensolve on more threads, so the pin keeps
+the comparison like for like.  For each command the output trees,
 stdout, stderr and exit codes are compared and one line is printed.  Under
 it, each .csv or .json file that differs gets one more line: the largest
 relative change |a - b| / max(|a|, |b|) among its numbers, read in order
@@ -163,7 +167,7 @@ def run(side, index, argv):
     cwd.mkdir(parents=True)
     for name, text in CONFIGS.items():
         (cwd / name).write_text(text)
-    env = dict(os.environ, PYTHONPATH=str(side / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(side / "src"), PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "fraclab.cli", *argv, "--no-timestamp", "--out", "out"],
         cwd=cwd, env=env, capture_output=True, text=True,
