@@ -1,16 +1,19 @@
 """Command-line front end: subcommands, artifact emission, exit codes.
 
 Subcommands: spectrum, gaps, evolve, observability, sharpness, hum,
-pohozaev, sweep.  Every run writes its artifacts plus a manifest with
-SHA-256 digests into the output directory; --verify re-hashes a previous
-run's files and reports drift.  Exit codes: 0 success, 1 drift under
+pohozaev, sweep.  A run is a list of cells, each a file prefix, a cell
+command and its config section, checked before the output directory is
+made and run in order: a plain run is one cell with no prefix, and sweep
+only builds one `beta<b>_` cell per order.  Every run writes its artifacts
+plus a manifest with SHA-256 digests into the output directory; --verify
+re-hashes a previous run's files and reports drift.  Exit codes: 0 success, 1 drift under
 --verify, 2 config error, 3 numerical failure, 4 I/O error.
 """
 
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import partial
 
 import numpy as np
@@ -47,16 +50,22 @@ def _spectrum_for(beta, n, modes):
     return compute_spectrum(assemble_operator(Grid(n), beta), modes)
 
 
-def _cell_prefixes(betas):
-    """File-name prefix of each sweep cell, one per order."""
-    return [f"beta{b:g}_" for b in betas]
-
-
-def _check_run(config, command):
-    """The resolved cell section of a run (for sweep, its cells' section),
-    refused with a ConfigError, before any directory is made or eigensolve
-    run, when its values break a rule of its command."""
-    name = config.sweep.command if command == "sweep" else command
+def _cells(config, command, overrides):
+    """The run resolved into (config, cells): `config` with the flags'
+    `overrides` applied, and one (file prefix, command, section) cell for
+    each sweep order, or the one cell ("", command, section) of any other
+    command.  The cell section is refused with a ConfigError, before any
+    directory is made or eigensolve run, when its values break a rule of
+    its command."""
+    name, betas, prefixes = command, [None], [""]
+    if command == "sweep":
+        # --beta narrows the sweep list and --jobs is checked but unused;
+        # the rest flows into the cells
+        sweep = {key: overrides.pop(key, None) for key in ("beta", "jobs")}
+        config = override_section(config, "sweep", **sweep)
+        name, betas = config.sweep.command, config.sweep.betas
+        prefixes = [f"beta{b:g}_" for b in betas]
+    config = override_section(config, name, **overrides)
     cfg = getattr(config, name)
     if hasattr(cfg, "modes"):
         span, largest = f"modes = {cfg.modes}", cfg.modes
@@ -64,13 +73,11 @@ def _check_run(config, command):
         span, largest = f"mode_counts entry {cfg.mode_counts[-1]}", cfg.mode_counts[-1]
     if largest > cfg.n:
         raise ConfigError(f"{span} exceeds the number of interior nodes n = {cfg.n}")
-    if command == "sweep":
-        betas = config.sweep.betas
-        if len(set(_cell_prefixes(betas))) < len(betas):
-            raise ConfigError(
-                f"sweep betas {', '.join(map(repr, betas))} share a file prefix; "
-                "they must differ at 6 significant digits"
-            )
+    if len(set(prefixes)) < len(prefixes):
+        raise ConfigError(
+            f"sweep betas {', '.join(map(repr, betas))} share a file prefix; "
+            "they must differ at 6 significant digits"
+        )
     if name == "gaps" and cfg.modes < 2:
         raise ConfigError("gaps needs modes >= 2")
     if name == "pohozaev":
@@ -87,7 +94,10 @@ def _check_run(config, command):
         wanted = max(int(p) for p in cfg.datum.split(","))
         if wanted > cfg.modes:
             raise ConfigError(f"datum mode {wanted} exceeds the mode span {cfg.modes}")
-    return cfg
+    return config, [
+        (prefix, name, getattr(override_section(config, name, beta=b), name))
+        for prefix, b in zip(prefixes, betas)
+    ]
 
 
 def _make_datum(spec, modes, seed):
@@ -300,17 +310,6 @@ _CELL_COMMANDS = {
 }
 
 
-def cmd_sweep(config, emitter):
-    cfg = config.sweep
-    runner = _CELL_COMMANDS[cfg.command][0]
-    lines = []
-    for beta, prefix in zip(cfg.betas, _cell_prefixes(cfg.betas)):
-        cell = getattr(override_section(config, cfg.command, beta=beta), cfg.command)
-        lines.append(runner(cell, Emitter(emitter.directory, emitter.stamp, prefix, emitter.artifacts)))
-    lines.append(f"sweep: {cfg.command} over betas={[f'{b:g}' for b in cfg.betas]}")
-    return "\n".join(lines)
-
-
 # Flags taking a value, named after their config keys.  Argparse keeps the
 # text; main runs it through the config file's parser.
 _VALUE_FLAGS = {
@@ -371,26 +370,21 @@ def main(argv=None):
         # each flag given, parsed as the same key in a config file (only sweep has --jobs)
         flags = {key: getattr(args, key, None) for key in (*_VALUE_FLAGS, "jobs")}
         overrides = {key: _parsed(key, text, None) for key, text in flags.items() if text is not None}
-        if args.command == "sweep":
-            # --beta narrows the sweep list and --jobs is checked but unused;
-            # the rest flows into the cells
-            sweep = {key: overrides.pop(key, None) for key in ("beta", "jobs")}
-            config = override_section(config, "sweep", **sweep)
-            config = override_section(config, config.sweep.command, **overrides)
-        else:
-            config = override_section(config, args.command, **overrides)
-        section = _check_run(config, args.command)
+        config, cells = _cells(config, args.command, overrides)
         os.makedirs(out_dir, exist_ok=True)
         emitter = Emitter(directory=out_dir, stamp=None if args.no_timestamp else utc_stamp())
+        lines = [
+            _CELL_COMMANDS[name][0](section, replace(emitter, prefix=prefix))
+            for prefix, name, section in cells
+        ]
+        echo = asdict(getattr(config, cells[0][1]))
         if args.command == "sweep":
-            print(cmd_sweep(config, emitter))
+            sweep = config.sweep
+            lines.append(f"sweep: {sweep.command} over betas={[f'{b:g}' for b in sweep.betas]}")
             # jobs selects nothing, so the echo omits it
-            echo = asdict(config.sweep)
+            echo = dict(asdict(sweep), cell=echo)
             del echo["jobs"]
-            echo["cell"] = asdict(section)
-        else:
-            print(_CELL_COMMANDS[args.command][0](section, emitter))
-            echo = asdict(section)
+        print("\n".join(lines))
         write_manifest(emitter, args.command, echo, __version__)
         print(f"wrote {len(emitter.artifacts)} files to {out_dir}")
         return 0

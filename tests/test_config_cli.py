@@ -471,6 +471,11 @@ class TestCliErrors:
             (["sweep"], "[sweep]\nbetas = 0.3, 0.3000000001\n",
              "sweep betas 0.3, 0.3000000001 share a file prefix; "
              "they must differ at 6 significant digits"),
+            (["sweep", "--modes", "70", "--n", "64"], None,
+             "modes = 70 exceeds the number of interior nodes n = 64"),
+            # a sweep breaking both rules is refused for its span
+            (["sweep", "--modes", "70", "--n", "64"], "[sweep]\nbetas = 0.3, 0.3000000001\n",
+             "modes = 70 exceeds the number of interior nodes n = 64"),
             (["hum", "--n", "4095"], "[hum]\ndatum = 30\n",
              "datum mode 30 exceeds the mode span 20"),
             # the layers hold no grid node, or -1 + epsilon rounds to -1
@@ -480,8 +485,8 @@ class TestCliErrors:
              "epsilon = 1e-17 at n = 64: "
              "interval (-1.0, -1.0) must satisfy -1 <= left < right <= 1"),
         ],
-        ids=["span", "gaps", "pohozaev", "sweep-prefix", "datum", "epsilon-empty",
-             "epsilon-rounds"],
+        ids=["span", "gaps", "pohozaev", "sweep-prefix", "sweep-span", "sweep-span-and-prefix",
+             "datum", "epsilon-empty", "epsilon-rounds"],
     )
     def test_config_error_leaves_no_directory_and_solves_nothing(
         self, tmp_path, capsys, monkeypatch, args, ini, message
@@ -1193,6 +1198,32 @@ class TestCliSweep:
         assert not (out / "manifest.json").exists()
         assert ran == [0.3, 0.5]
         assert sorted(p.name for p in out.iterdir()) == ["beta0.3_spectrum.csv", "beta0.3_spectrum.svg"]
+
+    def test_cell_writes_what_its_single_command_writes(self, tmp_path, capsys):
+        cfg = tmp_path / "sw.ini"
+        cfg.write_text("[sweep]\ncommand = gaps\nbetas = 0.3\n\n[gaps]\nn = 64\nmodes = 5\n")
+        swept, single = tmp_path / "swept", tmp_path / "single"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(swept), "--no-timestamp"]) == 0
+        cell_line = capsys.readouterr().out.splitlines()[0]
+        args = ["gaps", "--beta", "0.3", "--n", "64", "--modes", "5"]
+        assert cli.main([*args, "--out", str(single), "--no-timestamp"]) == 0
+        assert cell_line == capsys.readouterr().out.splitlines()[0] == "gaps: beta=0.3 n=64 rows=4"
+        for suffix in ("csv", "svg"):
+            assert (swept / f"beta0.3_gaps.{suffix}").read_bytes() == (single / f"gaps.{suffix}").read_bytes()
+
+    def test_manifest_echoes_the_sweep_and_its_cell_section(self, tmp_path):
+        # the cell section as resolved before each cell's own order: its
+        # section beta, with the flags applied; jobs selects nothing
+        cfg = tmp_path / "sw.ini"
+        cfg.write_text("[sweep]\ncommand = gaps\nbetas = 0.3, 0.6\njobs = 2\n\n[gaps]\nbeta = 0.9\nn = 64\n")
+        out = tmp_path / "o"
+        args = ["sweep", "--config", str(cfg), "--modes", "5", "--out", str(out), "--no-timestamp"]
+        assert cli.main(args) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"] == {
+            "command": "gaps",
+            "betas": [0.3, 0.6],
+            "cell": {"beta": 0.9, "n": 64, "modes": 5},
+        }
 
     def test_beta_flag_narrows_sweep(self, tmp_path):
         cfg = tmp_path / "sw.ini"

@@ -16,7 +16,7 @@ stdout, stderr and exit codes are compared and one line is printed.  Under
 it, each .csv or .json file that differs gets one more line: the largest
 relative change |a - b| / max(|a|, |b|) among its numbers, read in order
 from both sides, and where it lies.  The script exits 1 if any command
-differs, and 0 otherwise.  The forty-one commands take about 22 s on 2
+differs, and 0 otherwise.  The forty-four commands take about 21 s on 2
 cores (Xeon, one BLAS thread).
 """
 
@@ -50,6 +50,8 @@ CONFIGS = {
     "unresolved.ini": "[sharpness]\nbetas = 0.25, 0.3\nmode_counts = 40, 60, 80\nn = 1024\n",
     "prelude.ini": "beta = 0.3\nmodes = 7\nn = 255\n[observability]\nmode_counts = 5, 7\n",
     "reopened.ini": "[hum]\nn = 64\nmodes = 5\n[spectrum]\nn = 32\n[hum]\nT = 0.5\n",
+    "sweep_refused.ini": "[sweep]\ncommand = hum\nbetas = 0.6, 0.3\n[hum]\nmodes = 40\ncontrol_csv = false\n",
+    "sweep_prefix.ini": "[sweep]\nbetas = 0.3, 0.3000000001\n",
 }
 HORIZON = ("hum", "--n", "64", "--modes", "5", "--T")
 COMMANDS = [
@@ -96,6 +98,12 @@ COMMANDS = [
         (*HORIZON, horizon)
         for horizon in ("1e-150", "1e-300", "1e-301", "1e-302", "1e-303", "4e-304", "1e-305", "1e6", "1e299")
     ),
+    # failing runs: a sweep whose second cell is refused (exit 3, the first
+    # cell's files and no manifest), and sweeps refused before any directory
+    # is made (exit 2): orders sharing a file prefix, a span above n
+    ("sweep", "--config", "sweep_refused.ini"),
+    ("sweep", "--config", "sweep_prefix.ini"),
+    ("sweep", "--modes", "2000"),
 ]
 
 
