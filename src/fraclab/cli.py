@@ -37,7 +37,7 @@ from .identity import (
     two_sided_estimate_ratio,
 )
 from .operator import Grid, assemble_operator
-from .output import Emitter, csv_text, json_text, utc_stamp, verify_manifest, write_manifest
+from .output import _BLOCK, Emitter, csv_blocks, csv_text, json_text, utc_stamp, verify_manifest, write_manifest
 from .regions import ObservationRegion
 from .spectra import asymptotic_eigenvalue, compute_spectra, compute_spectrum
 from .svgplot import Series, line_plot
@@ -261,14 +261,24 @@ def cmd_hum(cfg, emitter):
     if cfg.control_csv:
         idx = region.node_indices(sp.grid)
         header = ["t"] + [f"{part}_{i + 1}" for i in idx for part in ("re", "im")]
-        values = result.control_samples
-        table = np.empty((values.shape[0], 1 + 2 * values.shape[1]))
-        table[:, 0] = result.control_times
-        table[:, 1::2] = values.real
-        table[:, 2::2] = values.imag
-        del result, values  # the samples are freed before their text is rendered
-        emitter.write("control.csv", csv_text(header, table))
+        rows = _control_rows(result.control_times, result.control_samples)
+        emitter.write_blocks("control.csv", csv_blocks(header, rows))
     return summary
+
+
+def _control_rows(times, samples):
+    """The control table in chunks of whole rows, each at most one CSV
+    kernel block: t, then the real and imaginary part of each node's
+    sample.  Only one chunk is built at a time."""
+    ncols = 1 + 2 * samples.shape[1]
+    step = max(1, _BLOCK // ncols)
+    for start in range(0, len(times), step):
+        values = samples[start : start + step]
+        chunk = np.empty((values.shape[0], ncols))
+        chunk[:, 0] = times[start : start + step]
+        chunk[:, 1::2] = values.real
+        chunk[:, 2::2] = values.imag
+        yield chunk
 
 
 def cmd_pohozaev(cfg, emitter):

@@ -8,9 +8,10 @@ writes the fixed-point cells (finite, 1e-4 <= |x| < 1e17) byte-identical to
 %.17g; a slow lane formats the rest (zeros, nan, infinities, subnormals,
 exponent-style values) with the %-format itself.  The kernel renders a
 call's blocks in one workspace of arrays that the call allocates, so a
-block does not allocate and free its temporaries afresh.  The text grows in
-place, one block at a time, so it is held once: CPython resizes a str in
-place when `+=` appends to it while its one variable is its only reference.
+block does not allocate and free its temporaries afresh.  csv_blocks yields
+the CSV as bytes, one block at a time, from a table given as row chunks, so
+a caller that streams it to disk never holds the whole text or the whole
+table; csv_text joins those blocks into one str that grows in place.
 JSON is emitted with sorted keys; non-finite floats are rendered as the
 strings "nan", "inf", "-inf" to stay standard-compliant, and a complex
 value is refused.  Every run records a manifest listing each emitted file
@@ -30,6 +31,7 @@ import numpy as np
 from .errors import FraclabError
 
 __all__ = [
+    "csv_blocks",
     "csv_text",
     "json_text",
     "utc_stamp",
@@ -51,8 +53,8 @@ _READ = 1 << 20
 # program writes (well below 10**17) as str does.
 _CELL_SPEC = "%.17g"
 
-# Cells rendered at a time.  csv_text makes one workspace per call, sized to
-# one block, and renders every block of the call in it.  A block allocates
+# Cells rendered at a time.  csv_blocks makes one workspace per call, sized
+# to one block, and renders every block of the call in it.  A block allocates
 # only its log10 estimate, its sort order, its slow lane and its strings, so
 # it frees little heap top for glibc to trim and the next block to fault in.
 _BLOCK = 4096
@@ -92,7 +94,7 @@ def _runs(X):
 class _Workspace:
     """Every array of the CSV kernel, for blocks of up to `size` cells.
 
-    One csv_text call owns one workspace.  The eight float rows of the
+    One csv_blocks call owns one workspace.  The eight float rows of the
     two-product are dead once D is known; the digit split then holds its
     uint32 parts in the last three and its group indices in the first five,
     and the layout its text rows in the first four and its cell rows in the
@@ -100,6 +102,7 @@ class _Workspace:
     """
 
     def __init__(self, size):
+        self.size = size
         self.floats = np.empty((8, size))
         memory = self.floats.view(np.uint8)
         self.groups = memory[:5].reshape(-1).view(np.intp).reshape(size, 5)
@@ -222,7 +225,7 @@ def _fixed_point(x, work):
 
 
 def _render_block(x, newline, ncols, work):
-    """The CSV text of a block of float64 cells, each followed by ',' or, at
+    """The CSV bytes of a block of float64 cells, each followed by ',' or, at
     flat indices newline, newline + ncols, ..., by '\n'."""
     slow = _fixed_point(x, work)
     cells = work.cells[: x.size]
@@ -230,38 +233,59 @@ def _render_block(x, newline, ncols, work):
     cells[slow, :-1] = np.array(text, dtype=f"S{_WIDTH - 1}").view(np.uint8).reshape(-1, _WIDTH - 1)
     cells[:, -1] = ord(",")
     cells[newline::ncols, -1] = ord("\n")
-    return cells.tobytes().translate(None, b"\0").decode()
+    return cells.tobytes().translate(None, b"\0")
+
+
+def csv_blocks(header, chunks):
+    """Yield the CSV of a header plus a table given as row chunks, as bytes.
+
+    The first item is the header line; then come the bytes of each block of
+    at most _BLOCK cells, each chunk split into blocks of its own.  Every
+    chunk is anything np.asarray makes a 2-D int or float array of with at
+    least one column, and all chunks have one column count; anything else
+    raises ValueError when the generator reaches it.  The cells are
+    byte-identical to one %-format of _CELL_SPEC each, integers included, so
+    any split of a table into chunks of whole rows yields the same bytes.
+    A vectorised kernel renders the blocks, all in one workspace that the
+    call allocates; cells outside its fixed-point range (zeros, nan,
+    infinities, subnormals, exponent-style values) go through
+    `_CELL_SPEC % x`, the slow lane.  Only one chunk and one block's bytes
+    are alive at a time, so a caller that writes each item as it comes
+    never holds the whole text or the whole table.
+    """
+    yield (",".join(header) + "\n").encode("utf-8")
+    ncols, work = None, None
+    for chunk in chunks:
+        chunk = np.asarray(chunk)
+        if chunk.ndim != 2 or chunk.shape[1] == 0 or chunk.dtype.kind not in "iuf":
+            raise ValueError(
+                "a CSV table is 2-D of ints or floats with at least one column; "
+                f"got dtype {chunk.dtype}, shape {chunk.shape}"
+            )
+        if ncols not in (None, chunk.shape[1]):
+            raise ValueError(f"a CSV chunk of {chunk.shape[1]} columns follows chunks of {ncols}")
+        ncols = chunk.shape[1]
+        values = chunk.ravel().astype(np.float64, copy=False)
+        if work is None or work.size < min(_BLOCK, values.size):
+            work = _Workspace(min(_BLOCK, values.size))
+        for start in range(0, values.size, _BLOCK):
+            # each row's last cell, at flat index ncols - 1 modulo ncols, ends in '\n'
+            newline = ncols - 1 - start % ncols
+            yield _render_block(values[start : start + _BLOCK], newline, ncols, work)
 
 
 def csv_text(header, table):
     """Render a header plus a table of ints and floats as CSV text.
 
-    `table` is anything np.asarray makes a 2-D int or float array of with at
-    least one column (an array, or a list of equal-length rows); anything
-    else raises ValueError.  The text is byte-identical to one %-format of
-    _CELL_SPEC per cell, integers included.  A vectorised kernel renders the
-    cells in blocks of _BLOCK, all in one workspace that the call allocates,
-    each block decoded at once and appended to the text, which grows in
-    place: CPython resizes a str that `+=` extends while the local variable
-    is its only reference, so no list of block strings and no join copy is
-    alive beside it.  Cells outside the kernel's fixed-point range (zeros,
-    nan, infinities, subnormals, exponent-style values) go through
-    `_CELL_SPEC % x`, the slow lane.
+    The text is csv_blocks(header, (table,)) decoded, so a `table` that is
+    no chunk there raises the same ValueError.  It grows in place, one block
+    at a time: CPython resizes a str that `+=` extends while the local
+    variable is its only reference, so no list of block strings and no join
+    copy is alive beside it.
     """
-    table = np.asarray(table)
-    if table.ndim != 2 or table.shape[1] == 0 or table.dtype.kind not in "iuf":
-        raise ValueError(
-            "csv_text takes a 2-D int or float table with at least one column; "
-            f"got dtype {table.dtype}, shape {table.shape}"
-        )
-    ncols = table.shape[1]
-    values = table.ravel().astype(np.float64, copy=False)
-    text = ",".join(header) + "\n"
-    work = _Workspace(min(_BLOCK, values.size))
-    for start in range(0, values.size, _BLOCK):
-        # each row's last cell, at flat index ncols - 1 modulo ncols, ends in '\n'
-        newline = ncols - 1 - start % ncols
-        text += _render_block(values[start : start + _BLOCK], newline, ncols, work)  # in place while `text` is the only reference
+    text = ""
+    for block in csv_blocks(header, (table,)):
+        text += block.decode("utf-8")  # in place while `text` is the only reference
     return text
 
 
@@ -301,14 +325,17 @@ def utc_stamp():
 
 @dataclass
 class Emitter:
-    """Writes named text artifacts into a run directory and keeps their entries.
+    """Writes named artifacts into a run directory and keeps their entries.
 
-    write() lands each file on disk at once, encoding and hashing it slice
-    by slice, and keeps only its manifest entry (name, SHA-256 digest, byte
-    count), not the text.  `prefix` leads every name written, so each sweep
-    cell writes its own files as it runs.  `stamp` is the run's start time
-    for the SVG comments and the manifest, or None to keep the output
-    byte-reproducible.
+    write_blocks() lands each file on disk as its bytes blocks come,
+    hashing them on the way, and keeps only its manifest entry (name,
+    SHA-256 digest, byte count), not the content; a source that raises
+    partway leaves neither the partial file nor an entry.  write() takes one
+    text and hands it to write_blocks() encoded _SLICE characters at a time,
+    so every file goes through one write path.  `prefix` leads every name
+    written, so each sweep cell writes its own files as it runs.  `stamp` is
+    the run's start time for the SVG comments and the manifest, or None to
+    keep the output byte-reproducible.
     """
 
     directory: str
@@ -317,15 +344,24 @@ class Emitter:
     artifacts: list = field(default_factory=list)  # (name, sha256, bytes) in emission order
 
     def write(self, name, text):
+        slices = range(0, len(text), _SLICE)
+        self.write_blocks(name, (text[start : start + _SLICE].encode("utf-8") for start in slices))
+
+    def write_blocks(self, name, blocks):
         name = self.prefix + name
         if any(existing == name for existing, _, _ in self.artifacts):
             raise FraclabError(f"artifact {name!r} emitted twice")
+        path = os.path.join(self.directory, name)
         digest, size = hashlib.sha256(), 0
-        with open(os.path.join(self.directory, name), "wb") as handle:
-            for start in range(0, len(text), _SLICE):
-                data = text[start : start + _SLICE].encode("utf-8")
-                digest.update(data)
-                size += handle.write(data)
+        handle = open(path, "wb")
+        try:
+            with handle:
+                for data in blocks:
+                    digest.update(data)
+                    size += handle.write(data)
+        except BaseException:
+            os.remove(path)
+            raise
         self.artifacts.append((name, digest.hexdigest(), size))
 
 

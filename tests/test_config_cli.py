@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import asdict, fields
@@ -40,7 +41,7 @@ from fraclab.config import (
     override_section,
     parse_config,
 )
-from fraclab.output import csv_text, json_text
+from fraclab.output import json_text
 
 FRACLAB = [sys.executable, "-m", "fraclab.cli"]
 
@@ -858,24 +859,21 @@ class TestCliHum:
         np.testing.assert_array_equal(table[:, 1::2], result.control_samples.real)
         np.testing.assert_array_equal(table[:, 2::2], result.control_samples.imag)
 
-    def test_control_csv_renders_with_no_control_result_alive(self, tmp_path, monkeypatch):
-        # the control samples are dropped once their table is built, before
-        # control.csv is rendered
-        refs, alive = [], []
-
-        def tracked_hum(*args):
-            result = hum_control(*args)
-            refs.append(weakref.ref(result.control_samples))
-            return result
-
-        def tracked_csv(header, table):
-            alive.append(refs[0]() is not None)
-            return csv_text(header, table)
-
-        monkeypatch.setattr(cli, "hum_control", tracked_hum)
-        monkeypatch.setattr(cli, "csv_text", tracked_csv)
-        assert cli.main([*self.HUM_ARGS, "--out", str(tmp_path / "o")]) == 0
-        assert alive == [False]
+    def test_default_control_csv_streams_without_its_text_or_table(self, tmp_path):
+        # the default control.csv is 8.2 MB of text from a 3.3 MB table of
+        # 1001 x 413 cells; rendered block by block to disk, a run peaks near
+        # its 3.3 MB of control samples, where holding the text or the table
+        # whole would exceed the bound (12.3 MB when the text was built
+        # first).  A small run first loads what the CLI imports lazily.
+        assert cli.main([*self.HUM_ARGS, "--out", str(tmp_path / "warm")]) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(["hum", "--no-timestamp", "--out", str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "o" / "control.csv").stat().st_size > 8e6
+        assert peak < 6e6
 
     def test_failed_replay_exits_3(self, tmp_path, capsys, monkeypatch):
         replay = control._forced_increment

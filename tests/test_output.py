@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from fraclab import ModalState, ObservationRegion, cli, hum_control, output
 from fraclab.config import RunConfig
 from fraclab.errors import FraclabError
-from fraclab.output import _BLOCK, Emitter, csv_text, json_text
+from fraclab.output import _BLOCK, Emitter, csv_blocks, csv_text, json_text
 
 SPECIAL = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e300, 3.0, -42.0, 0.1]
 
@@ -75,6 +75,36 @@ def test_directory_emitter_keeps_entries_not_texts(tmp_path):
     assert emitter.artifacts == [("a.txt", hashlib.sha256(data).hexdigest(), len(data))]
     with pytest.raises(FraclabError, match="emitted twice"):
         emitter.write("a.txt", text)
+
+
+def test_write_and_write_blocks_give_one_entry_for_one_content(tmp_path):
+    text = "t,re_1\n" + "0.5,-1.25\n" * 20000
+    emitter = Emitter(directory=str(tmp_path))
+    emitter.write("a.csv", text)
+    data = text.encode()
+    emitter.write_blocks("b.csv", (data[i : i + 1000] for i in range(0, len(data), 1000)))
+    (_, digest_a, size_a), (_, digest_b, size_b) = emitter.artifacts
+    assert (digest_a, size_a) == (digest_b, size_b) == (hashlib.sha256(data).hexdigest(), len(data))
+    assert (tmp_path / "b.csv").read_bytes() == data
+
+
+def test_block_source_that_raises_leaves_no_file_and_no_entry(tmp_path):
+    emitter = Emitter(directory=str(tmp_path))
+
+    def failing():
+        yield b"t,x\n"
+        yield b"1,2\n"
+        raise ValueError("render failed")
+
+    with pytest.raises(ValueError, match="render failed"):
+        emitter.write_blocks("control.csv", failing())
+    # and a chunk that the renderer refuses halfway through a CSV
+    with pytest.raises(ValueError):
+        emitter.write_blocks("c.csv", csv_blocks(["a"], [[[1.0]], [[1.0, 2.0]]]))
+    assert list(tmp_path.iterdir()) == []
+    assert emitter.artifacts == []
+    emitter.write_blocks("control.csv", [b"t,x\n"])  # the name is free again
+    assert [name for name, _, _ in emitter.artifacts] == ["control.csv"]
 
 
 def test_verify_hashes_in_bounded_reads(tmp_path, monkeypatch):
@@ -205,6 +235,39 @@ def test_array_renders_as_its_list():
 def test_table_that_is_not_2d_numeric_is_refused(table):
     with pytest.raises(ValueError):
         csv_text(["x"], table)
+
+
+# more cells of the slow lane and the kernel's range edges
+EDGE_CELLS = SPECIAL + [-2.5e-310, 1e17, -3e17, 1e-5, 1e-4]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    shape=st.tuples(st.integers(0, 30), st.integers(1, 5)),
+    data=st.data(),
+    block=st.integers(1, 40),
+)
+def test_any_row_split_yields_the_bytes_of_the_whole_table(shape, data, block):
+    # 1-row chunks, chunks shorter and longer than a block (block boundaries
+    # inside rows and chunks), and slow-lane cells
+    rows, width = shape
+    cell = st.one_of(st.sampled_from(EDGE_CELLS), st.floats(allow_nan=True, allow_infinity=True))
+    table = np.array(data.draw(st.lists(cell, min_size=rows * width, max_size=rows * width))).reshape(rows, width)
+    cuts = sorted(data.draw(st.lists(st.integers(0, rows), max_size=6)))
+    chunks = [table[a:b] for a, b in zip([0] + cuts, cuts + [rows])]
+    header = [f"c{i}" for i in range(width)]
+    with mock.patch.object(output, "_BLOCK", block):
+        assert b"".join(csv_blocks(header, chunks)) == csv_text(header, table).encode()
+        one_row_chunks = (table[i : i + 1] for i in range(rows))
+        assert b"".join(csv_blocks(header, one_row_chunks)) == csv_text(header, table).encode()
+
+
+def test_chunks_of_another_width_or_shape_are_refused():
+    assert list(csv_blocks(["a", "b"], [])) == [b"a,b\n"]
+    assert b"".join(csv_blocks(["a"], [[[1]], np.zeros((0, 1)), [[2.5], [3]]])) == b"a\n1\n2.5\n3\n"
+    for chunks in ([[[1.0, 2.0]], [[3.0]]], [[[1.0]], [1.0]], [np.zeros((1, 1, 1))], [[[1.0]], np.zeros((2, 0))]):
+        with pytest.raises(ValueError):
+            list(csv_blocks(["a"], chunks))
 
 
 def test_text_grows_in_place_as_one_copy():

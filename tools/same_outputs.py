@@ -16,7 +16,7 @@ stdout, stderr and exit codes are compared and one line is printed.  Under
 it, each .csv or .json file that differs gets one more line: the largest
 relative change |a - b| / max(|a|, |b|) among its numbers, read in order
 from both sides, and where it lies.  The script exits 1 if any command
-differs, and 0 otherwise.  The forty-four commands take about 21 s on 2
+differs, and 0 otherwise.  The forty-five commands take about 33 s on 2
 cores (Xeon, one BLAS thread).
 """
 
@@ -73,6 +73,8 @@ COMMANDS = [
     ("hum", "--modes", "1"),
     ("hum", "--beta", "0.3", "--modes", "40"),
     ("hum", "--beta", "0.5", "--modes", "40", "--T", "1", "--n", "255"),
+    # a control.csv of another column count (1 + 2 x 116 region nodes)
+    ("hum", "--epsilon", "0.45", "--n", "255"),
     ("hum", "--config", "hum_zero.ini", "--n", "64", "--modes", "5"),
     ("pohozaev", "--config", "pohozaev_zero.ini", "--n", "255"),
     # the benchmark's six-order table, whose beta = 1/4 row has unresolved
